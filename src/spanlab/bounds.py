@@ -33,13 +33,6 @@ def epsilon(ell: int) -> int:
     return 2 if ell == 0 else (1 if ell == 1 else 0)
 
 
-def delta(m: int) -> int:
-    """0 for m=0, 1 for m>0."""
-    if m < 0:
-        raise ValueError("delta is defined for nonnegative arguments")
-    return 0 if m == 0 else 1
-
-
 def two_sqrt_floor(n: int) -> int:
     """floor(2*sqrt(n)) computed exactly in integers."""
     if n < 0:
@@ -114,27 +107,6 @@ def detect_ap(b: ElementSet) -> APWitness:
             start = scaled[(gap_at + 1) % n]
             return APWitness(True, (d * start) % p, d, n)
     return APWitness(False, None, None, n)
-
-
-def is_ap_brute(b: ElementSet) -> bool:
-    """Quadratic reference check used by tests: try every (first, difference)."""
-    p = _prime_cyclic_order(b)
-    n = b.cardinality
-    if n in (1, p):
-        return True
-    present = set(b.indices())
-    for d in range(1, p):
-        for first in present:
-            if (first - d) % p in present:
-                continue  # not a start for this difference
-            x = first
-            length = 0
-            while x in present and length < n:
-                length += 1
-                x = (x + d) % p
-            if length == n:
-                return True
-    return False
 
 
 # -- report types ------------------------------------------------------------

@@ -28,9 +28,8 @@ from pathlib import Path
 
 from .critical import (critical_number_case, critical_number_formula,
                        critical_number_search, verify_critical_formula)
-from .extremal import (HAS_COMPLETE_SUBSET, SHAPE_EX2, SHAPE_I, SHAPE_II,
-                       ExtremalEnumeration, classify, conjecture_window_check,
-                       theorem_main_hypothesis)
+from .extremal import (ConjectureReport, ExtremalEnumeration, TheoremReport,
+                       Verdict, classify, conjecture_claim, theorem_verdict)
 from .fuzz import CAMPAIGNS, DEFAULT_TRIALS, run_all_campaigns
 from .groups import ElementSet, parse_group_spec
 from .search import CheckpointMismatch, EnumerationPaused, SearchBudget
@@ -203,7 +202,7 @@ def _prior_lines(ck: dict, emitted: int) -> list[str]:
 
 def _stream_records(enum: ExtremalEnumeration, records_final: Path,
                     ck_path: Path, command: str, checkpoint_every: int,
-                    prior: list[str], collect) -> tuple[str, dict | None]:
+                    prior: list[str], collect) -> str:
     """Drive an enumeration, writing one JSON line per record.
 
     Output goes to <records_final>.partial and is atomically renamed on
@@ -232,11 +231,11 @@ def _stream_records(enum: ExtremalEnumeration, records_final: Path,
             f.flush()
             state = stop.state if isinstance(stop, EnumerationPaused) else enum.state()
             _write_checkpoint(ck_path, command, records_final, state)
-            return STATUS_PARTIAL, state
+            return STATUS_PARTIAL
         f.flush()
     os.replace(partial, records_final)
     _write_checkpoint(ck_path, command, records_final, enum.state())
-    return STATUS_COMPLETE, None
+    return STATUS_COMPLETE
 
 
 # -- subcommands -------------------------------------------------------------------
@@ -328,7 +327,7 @@ def cmd_verify_theorem_a(args, store: CampaignStore) -> int:
         return run.fail(exc)
 
 
-def _resume_setup(args, run: _Run, command: str, group_spec: str):
+def _resume_setup(args, command: str, group_spec: str):
     """Returns (checkpoint_state_or_None, prior_lines, inherited_records).
 
     `inherited_records` is the output path recorded in the checkpoint, so
@@ -348,63 +347,63 @@ def _resume_setup(args, run: _Run, command: str, group_spec: str):
     return state, _prior_lines(ck, int(state.get("emitted", 0))), inherited
 
 
+def _enumerating_run(args, run: _Run, group, orbit_dedup: bool | None,
+                     verdict: Verdict, report) -> int:
+    """The run shared by enumerate-extremal, conjecture and verify-main.
+
+    Resumes from --resume (a finished checkpoint searches nothing and
+    rebuilds from its lines), streams the records to disk while folding
+    the prior lines and then the new ones into `verdict`, registers the
+    artifacts and finishes the run. report(enum, complete, records_path)
+    writes the command's certificate, if any, and returns its (summary,
+    lines, exit code); a PARTIAL run exits 2 with a resume hint instead.
+    """
+    state, prior, inherited = _resume_setup(args, run.name, group.spec_string)
+    enum = ExtremalEnumeration(group, _budget_from_args(args),
+                               orbit_dedup=orbit_dedup, checkpoint=state,
+                               threads=args.threads)
+    out = getattr(args, "out", None)
+    records_path = Path(out) if out else inherited or run.dir / "records.jsonl"
+    ck_path = Path(getattr(args, "checkpoint", None) or args.resume
+                   or run.dir / "checkpoint.json")
+    for line in prior:
+        verdict.add(json.loads(line))
+    status = _stream_records(enum, records_path, ck_path, run.name,
+                             args.checkpoint_every, prior, verdict.add)
+    summary, lines, code = report(enum, status == STATUS_COMPLETE, records_path)
+    run.register("checkpoint", ck_path)
+    if status == STATUS_COMPLETE:
+        run.register("records", records_path)
+    else:
+        run.register("records.partial",
+                     records_path.with_name(records_path.name + ".partial"))
+        lines.append(f"budget exhausted; resume with --resume {ck_path}")
+        code = 2
+    return run.finish(status, summary, lines, code)
+
+
 def cmd_enumerate(args, store: CampaignStore) -> int:
     config = _config_echo(args, ["group", "out", "orbit_dedup", "extended",
                                  "threads", "max_nodes", "max_seconds",
                                  "max_candidates", "checkpoint_every", "resume"])
     run = _Run(store, "enumerate-extremal", args.group, config)
     try:
-        group = parse_group_spec(args.group)
-        budget = _budget_from_args(args)
-        state, prior, inherited = _resume_setup(args, run, "enumerate-extremal",
-                                                group.spec_string)
-        if state is not None and state.get("done"):
-            return run.finish(STATUS_COMPLETE,
-                              {"resumed": True, "records": state.get("emitted", 0)},
-                              ["checkpoint already marks this enumeration "
-                               "COMPLETE; nothing to do"], 0)
-        enum = ExtremalEnumeration(group, budget, orbit_dedup=args.orbit_dedup,
-                                   checkpoint=state, threads=args.threads)
-        if args.out:
-            out_path = Path(args.out)
-        else:
-            out_path = inherited or run.dir / "records.jsonl"
-        if args.checkpoint:
-            ck_path = Path(args.checkpoint)
-        elif args.resume:
-            ck_path = Path(args.resume)
-        else:
-            ck_path = run.dir / "checkpoint.json"
-        tag_counts: dict[str, int] = {}
+        tally = Verdict(None)
 
-        def collect(d: dict) -> None:
-            for tag in d["tags"]:
-                tag_counts[tag] = tag_counts.get(tag, 0) + 1
+        def report(enum, complete, records_path):
+            lines = [f"{enum.group.spec_string}: {enum.stats.emitted} extremal "
+                     f"records (size {enum.k}, mode {enum.mode}, "
+                     f"orbit_dedup {str(enum.orbit_dedup).lower()})"]
+            if complete:
+                lines.append(f"records written to {records_path}")
+                lines += [f"  {tag}: {n}"
+                          for tag, n in sorted(tally.tag_counts.items())]
+            return ({"records": enum.stats.emitted, "mode": enum.mode,
+                     "orbit_dedup": enum.orbit_dedup, "tags": tally.tag_counts,
+                     "nodes": enum.stats.nodes}, lines, 0)
 
-        status, _ = _stream_records(enum, out_path, ck_path, "enumerate-extremal",
-                                    args.checkpoint_every, prior, collect)
-        for line in prior:
-            collect(json.loads(line))
-        run.register("checkpoint", ck_path)
-        total = enum.stats.emitted
-        lines = [f"{group.spec_string}: {total} extremal records "
-                 f"(size {enum.k}, mode {enum.mode}, "
-                 f"orbit_dedup {str(enum.orbit_dedup).lower()})"]
-        if status == STATUS_COMPLETE:
-            run.register("records", out_path)
-            lines.append(f"records written to {out_path}")
-            for tag in sorted(tag_counts):
-                lines.append(f"  {tag}: {tag_counts[tag]}")
-            code = 0
-        else:
-            partial = out_path.with_name(out_path.name + ".partial")
-            run.register("records.partial", partial)
-            lines.append(f"budget exhausted; resume with --resume {ck_path}")
-            code = 2
-        return run.finish(status, {"records": total, "mode": enum.mode,
-                                   "orbit_dedup": enum.orbit_dedup,
-                                   "tags": tag_counts, "nodes": enum.stats.nodes},
-                          lines, code)
+        return _enumerating_run(args, run, parse_group_spec(args.group),
+                                args.orbit_dedup, tally, report)
     except Exception as exc:  # noqa: BLE001
         return run.fail(exc)
 
@@ -434,59 +433,22 @@ def cmd_conjecture(args, store: CampaignStore) -> int:
                                  "resume"])
     run = _Run(store, "conjecture", f"Z{args.p * args.q}", config)
     try:
-        conjecture_window_check(args.which, args.p, args.q)
-        required = HAS_COMPLETE_SUBSET if args.which == 1 else SHAPE_EX2
-        prop = ("every extremal set contains a complete subset" if args.which == 1
-                else "every extremal set is a symmetric generator interval")
-        group = parse_group_spec(f"Z{args.p * args.q}")
-        state, prior, inherited = _resume_setup(args, run, "conjecture",
-                                                group.spec_string)
-        budget = _budget_from_args(args)
-        enum = ExtremalEnumeration(group, budget, orbit_dedup=False,
-                                   checkpoint=state, threads=args.threads)
-        records_path = inherited or run.dir / "records.jsonl"
-        ck_path = Path(args.resume) if args.resume else run.dir / "checkpoint.json"
-        counts = {"total": 0, "failing": 0}
-        counterexamples: list[dict] = []
+        which, p, q = args.which, args.p, args.q
+        verdict = Verdict(conjecture_claim(which, p, q)[0])
 
-        def collect(d: dict) -> None:
-            counts["total"] += 1
-            if required not in d["tags"]:
-                counts["failing"] += 1
-                if len(counterexamples) < 25:
-                    counterexamples.append(d)
+        def report(enum, complete, records_path):
+            rep = ConjectureReport.from_verdict(which, p, q, verdict, complete)
+            run.artifact("cert.json", {**rep.to_dict(),
+                                       "records": str(records_path)})
+            lines = [f"conjecture {which} at (p, q) = ({p}, {q}) over "
+                     f"{rep.group}: {rep.outcome}",
+                     f"extremal sets: {rep.extremal_count}, failing: "
+                     f"{rep.failing_count}"]
+            return ({"outcome": rep.outcome, "total": rep.extremal_count,
+                     "failing": rep.failing_count}, lines, 0)
 
-        for line in prior:
-            collect(json.loads(line))
-        status, _ = _stream_records(enum, records_path, ck_path, "conjecture",
-                                    args.checkpoint_every, prior, collect)
-        outcome = (STATUS_PARTIAL if status == STATUS_PARTIAL
-                   else "VERIFIED" if counts["failing"] == 0 else "REFUTED")
-        cert = {
-            "which": args.which, "p": args.p, "q": args.q,
-            "group": group.spec_string,
-            "property": prop,
-            "outcome": outcome,
-            "extremal_count": counts["total"],
-            "failing_count": counts["failing"],
-            "counterexamples": counterexamples,
-            "orbit_dedup": False,
-            "records": str(records_path),
-        }
-        run.artifact("cert.json", cert)
-        run.register("checkpoint", ck_path)
-        lines = [f"conjecture {args.which} at (p, q) = ({args.p}, {args.q}) "
-                 f"over {group.spec_string}: {outcome}",
-                 f"extremal sets: {counts['total']}, failing: {counts['failing']}"]
-        if status == STATUS_COMPLETE:
-            run.register("records", records_path)
-            code = 0
-        else:
-            run.register("records.partial",
-                         records_path.with_name(records_path.name + ".partial"))
-            lines.append(f"budget exhausted; resume with --resume {ck_path}")
-            code = 2
-        return run.finish(status, {"outcome": outcome, **counts}, lines, code)
+        return _enumerating_run(args, run, parse_group_spec(f"Z{p * q}"), False,
+                                verdict, report)
     except Exception as exc:  # noqa: BLE001
         return run.fail(exc)
 
@@ -498,60 +460,23 @@ def cmd_verify_main(args, store: CampaignStore) -> int:
     run = _Run(store, "verify-main", args.group, config)
     try:
         group = parse_group_spec(args.group)
-        case = theorem_main_hypothesis(group)
-        required = SHAPE_I if case == "even" else SHAPE_II
-        state, prior, inherited = _resume_setup(args, run, "verify-main",
-                                                group.spec_string)
-        budget = _budget_from_args(args)
-        enum = ExtremalEnumeration(group, budget, orbit_dedup=args.orbit_dedup,
-                                   checkpoint=state, threads=args.threads)
-        records_path = inherited or run.dir / "records.jsonl"
-        ck_path = Path(args.resume) if args.resume else run.dir / "checkpoint.json"
-        counts = {"total": 0, "violations": 0}
-        tag_counts: dict[str, int] = {}
-        violating: list[dict] = []
+        verdict = theorem_verdict(group)
 
-        def collect(d: dict) -> None:
-            counts["total"] += 1
-            for tag in d["tags"]:
-                tag_counts[tag] = tag_counts.get(tag, 0) + 1
-            if required not in d["tags"]:
-                counts["violations"] += 1
-                if len(violating) < 25:
-                    violating.append(d)
+        def report(enum, complete, records_path):
+            rep = TheoremReport.from_verdict(group, verdict, complete,
+                                             enum.orbit_dedup)
+            run.artifact("theorem.json", {**rep.to_dict(),
+                                          "records": str(records_path)})
+            lines = [f"{rep.group} ({rep.case} case, requires "
+                     f"{rep.required_tag}): {rep.outcome}",
+                     f"extremal sets: {rep.extremal_count}, violations: "
+                     f"{rep.violation_count}"]
+            return ({"outcome": rep.outcome, "total": rep.extremal_count,
+                     "violations": rep.violation_count, "tags": rep.tag_counts},
+                    lines, 0 if rep.outcome == "VERIFIED" else 1)
 
-        for line in prior:
-            collect(json.loads(line))
-        status, _ = _stream_records(enum, records_path, ck_path, "verify-main",
-                                    args.checkpoint_every, prior, collect)
-        outcome = (STATUS_PARTIAL if status == STATUS_PARTIAL
-                   else "VERIFIED" if counts["violations"] == 0 else "REFUTED")
-        report = {
-            "group": group.spec_string,
-            "case": case,
-            "required_tag": required,
-            "outcome": outcome,
-            "extremal_count": counts["total"],
-            "tag_counts": dict(sorted(tag_counts.items())),
-            "violations": violating,
-            "orbit_dedup": enum.orbit_dedup,
-            "records": str(records_path),
-        }
-        run.artifact("theorem.json", report)
-        run.register("checkpoint", ck_path)
-        lines = [f"{group.spec_string} ({case} case, requires {required}): {outcome}",
-                 f"extremal sets: {counts['total']}, violations: "
-                 f"{counts['violations']}"]
-        if status == STATUS_COMPLETE:
-            run.register("records", records_path)
-            code = 0 if outcome == "VERIFIED" else 1
-        else:
-            run.register("records.partial",
-                         records_path.with_name(records_path.name + ".partial"))
-            lines.append(f"budget exhausted; resume with --resume {ck_path}")
-            code = 2
-        return run.finish(status, {"outcome": outcome, **counts,
-                                   "tags": tag_counts}, lines, code)
+        return _enumerating_run(args, run, group, args.orbit_dedup, verdict,
+                                report)
     except Exception as exc:  # noqa: BLE001
         return run.fail(exc)
 

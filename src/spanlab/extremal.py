@@ -49,8 +49,6 @@ SHAPE_EX2 = "SHAPE_EX2"
 HAS_COMPLETE_SUBSET = "HAS_COMPLETE_SUBSET"
 UNCLASSIFIED = "UNCLASSIFIED"
 
-ALL_TAGS = (SHAPE_I, SHAPE_II, SHAPE_B, SHAPE_EX1, SHAPE_EX2,
-            HAS_COMPLETE_SUBSET, UNCLASSIFIED)
 _SHAPE_TAGS = frozenset({SHAPE_I, SHAPE_II, SHAPE_B, SHAPE_EX1, SHAPE_EX2})
 
 
@@ -598,6 +596,53 @@ def make_example_2(p: int, q: int, gen: int | None = None,
     return a
 
 
+# -- verdicts: one streaming fold ------------------------------------------------
+
+MAX_COUNTEREXAMPLES = 25
+
+
+@dataclass
+class Verdict:
+    """Streaming fold of one claim over extremal record dicts: every record
+    must carry the `required` tag (None only tallies tags).
+
+    It counts records and failures, tallies tags, and keeps the first
+    MAX_COUNTEREXAMPLES failing records, so memory stays flat whatever the
+    group; the records file holds every one of them.
+    """
+
+    required: str | None
+    total: int = 0
+    failing: int = 0
+    tag_counts: dict[str, int] = field(default_factory=dict)
+    examples: list[dict] = field(default_factory=list)
+
+    def add(self, record: dict) -> None:
+        self.total += 1
+        tags = record["tags"]
+        for tag in tags:
+            self.tag_counts[tag] = self.tag_counts.get(tag, 0) + 1
+        if self.required is not None and self.required not in tags:
+            self.failing += 1
+            if len(self.examples) < MAX_COUNTEREXAMPLES:
+                self.examples.append(record)
+
+    def feed(self, enum: ExtremalEnumeration) -> dict | None:
+        """Fold every record enum yields; the pause state if its budget ran
+        out, else None."""
+        try:
+            for rec in enum.records():
+                self.add(rec.to_dict())
+        except EnumerationPaused as paused:
+            return paused.state
+        return None
+
+    def outcome(self, complete: bool) -> str:
+        if not complete:
+            return "PARTIAL"
+        return "REFUTED" if self.failing else "VERIFIED"
+
+
 # -- conjecture campaigns ---------------------------------------------------------
 
 
@@ -611,10 +656,17 @@ class ConjectureReport:
     outcome: str  # VERIFIED | REFUTED | PARTIAL
     extremal_count: int
     failing_count: int
-    counterexamples: list[dict]
-    records: list[ExtremalRecord] = field(default_factory=list, repr=False)
+    counterexamples: list[dict]  # the first MAX_COUNTEREXAMPLES of them
     checkpoint: dict | None = None
     orbit_dedup: bool = False
+
+    @classmethod
+    def from_verdict(cls, which: int, p: int, q: int, verdict: Verdict,
+                     complete: bool, checkpoint: dict | None = None
+                     ) -> ConjectureReport:
+        return cls(which, p, q, f"Z{p * q}", conjecture_claim(which, p, q)[1],
+                   verdict.outcome(complete), verdict.total, verdict.failing,
+                   verdict.examples, checkpoint)
 
     def to_dict(self) -> dict:
         return {
@@ -631,18 +683,21 @@ class ConjectureReport:
         }
 
 
-def conjecture_window_check(which: int, p: int, q: int) -> None:
+def conjecture_claim(which: int, p: int, q: int) -> tuple[str, str]:
+    """(required tag, property text) of conjecture `which` at (p, q);
+    ValueError outside its window."""
     w = _example_windows(p, q)
     if which == 1:
         if not p + w + 1 < q < 2 * p + 3:
             raise ValueError(
                 f"conjecture 1 needs {p + w + 1} < q < {2 * p + 3}, got q = {q}")
-    elif which == 2:
+        return HAS_COMPLETE_SUBSET, "every extremal set contains a complete subset"
+    if which == 2:
         if not q <= p + w + 1:
             raise ValueError(
                 f"conjecture 2 needs p < q <= {p + w + 1}, got q = {q}")
-    else:
-        raise ValueError(f"which must be 1 or 2, got {which}")
+        return SHAPE_EX2, "every extremal set is a symmetric generator interval"
+    raise ValueError(f"which must be 1 or 2, got {which}")
 
 
 def check_conjecture(which: int, p: int, q: int,
@@ -656,37 +711,18 @@ def check_conjecture(which: int, p: int, q: int,
     which = 2: |A| = p + q - 2 (cr = p + q - 1) and the claim is that A is
     a symmetric generator interval -> SHAPE_EX2.
 
-    The enumeration is literal (no orbit dedup) so the certificate lists
-    every extremal set; VERIFIED means all carry the property, REFUTED
-    embeds the failing records, PARTIAL means the budget ran out.
+    The enumeration is literal (no orbit dedup) and streamed through a
+    Verdict: VERIFIED means every extremal set carries the property,
+    REFUTED counts the failing sets and lists the first
+    MAX_COUNTEREXAMPLES of them, PARTIAL means the budget ran out (the
+    report then carries the checkpoint).
     """
-    conjecture_window_check(which, p, q)
-    required = HAS_COMPLETE_SUBSET if which == 1 else SHAPE_EX2
-    prop = ("contains a complete subset" if which == 1
-            else "equals a symmetric generator interval")
-    group = make_group((p * q,))
-    enum = ExtremalEnumeration(group, budget, orbit_dedup=False,
+    verdict = Verdict(conjecture_claim(which, p, q)[0])
+    enum = ExtremalEnumeration(make_group((p * q,)), budget, orbit_dedup=False,
                                checkpoint=checkpoint, threads=threads)
-    records: list[ExtremalRecord] = []
-    failing: list[ExtremalRecord] = []
-    outcome = None
-    ck = None
-    try:
-        for rec in enum.records():
-            records.append(rec)
-            if required not in rec.tags:
-                failing.append(rec)
-    except EnumerationPaused as paused:
-        outcome = "PARTIAL"
-        ck = paused.state
-    if outcome is None:
-        outcome = "VERIFIED" if not failing else "REFUTED"
-    return ConjectureReport(
-        which=which, p=p, q=q, group=group.spec_string, property_name=prop,
-        outcome=outcome, extremal_count=len(records),
-        failing_count=len(failing),
-        counterexamples=[r.to_dict() for r in failing],
-        records=records, checkpoint=ck, orbit_dedup=False)
+    paused = verdict.feed(enum)
+    return ConjectureReport.from_verdict(which, p, q, verdict, paused is None,
+                                         paused)
 
 
 # -- main structure theorem --------------------------------------------------------
@@ -700,10 +736,19 @@ class TheoremReport:
     outcome: str  # VERIFIED | REFUTED | PARTIAL
     extremal_count: int
     tag_counts: dict[str, int]
-    violations: list[dict]
+    violation_count: int
+    violations: list[dict]  # the first MAX_COUNTEREXAMPLES of them
     orbit_dedup: bool
-    records: list[ExtremalRecord] = field(default_factory=list, repr=False)
     checkpoint: dict | None = None
+
+    @classmethod
+    def from_verdict(cls, group: GroupSpec, verdict: Verdict, complete: bool,
+                     orbit_dedup: bool, checkpoint: dict | None = None
+                     ) -> TheoremReport:
+        return cls(group.spec_string, theorem_main_hypothesis(group),
+                   verdict.required, verdict.outcome(complete), verdict.total,
+                   dict(sorted(verdict.tag_counts.items())), verdict.failing,
+                   verdict.examples, orbit_dedup, checkpoint)
 
     def to_dict(self) -> dict:
         return {
@@ -722,7 +767,7 @@ def theorem_main_hypothesis(group: GroupSpec) -> str:
     """'even' or 'odd' when the structure theorem applies, else ValueError.
 
     Applies when p = 2 and |G| >= 36, or when |G|/p is prime with
-    |G|/p >= 2p + 3.
+    |G|/p >= 2p + 3. The even case requires SHAPE_I, the odd case SHAPE_II.
     """
     n = group.order
     if n < 3:
@@ -739,36 +784,22 @@ def theorem_main_hypothesis(group: GroupSpec) -> str:
         f"use plain enumeration for exploratory reports")
 
 
+def theorem_verdict(group: GroupSpec) -> Verdict:
+    """The structure theorem's claim on group as an empty Verdict."""
+    case = theorem_main_hypothesis(group)
+    return Verdict(SHAPE_I if case == "even" else SHAPE_II)
+
+
 def verify_theorem_main(group: GroupSpec, budget: SearchBudget | None = None,
                         orbit_dedup: bool | None = None,
                         checkpoint: dict | None = None,
                         threads: int = 1) -> TheoremReport:
     """Check that every extremal set has the shape the structure theorem
-    demands: SHAPE_I when p = 2, SHAPE_II when p is odd."""
-    case = theorem_main_hypothesis(group)
-    required = SHAPE_I if case == "even" else SHAPE_II
+    demands: SHAPE_I when p = 2, SHAPE_II when p is odd. Violations list
+    the first MAX_COUNTEREXAMPLES failing sets."""
+    verdict = theorem_verdict(group)
     enum = ExtremalEnumeration(group, budget, orbit_dedup=orbit_dedup,
                                checkpoint=checkpoint, threads=threads)
-    records: list[ExtremalRecord] = []
-    violations: list[ExtremalRecord] = []
-    tag_counts: dict[str, int] = {}
-    outcome = None
-    ck = None
-    try:
-        for rec in enum.records():
-            records.append(rec)
-            for tag in rec.tags:
-                tag_counts[tag] = tag_counts.get(tag, 0) + 1
-            if required not in rec.tags:
-                violations.append(rec)
-    except EnumerationPaused as paused:
-        outcome = "PARTIAL"
-        ck = paused.state
-    if outcome is None:
-        outcome = "VERIFIED" if not violations else "REFUTED"
-    return TheoremReport(
-        group=group.spec_string, case=case, required_tag=required,
-        outcome=outcome, extremal_count=len(records),
-        tag_counts=dict(sorted(tag_counts.items())),
-        violations=[r.to_dict() for r in violations],
-        orbit_dedup=enum.orbit_dedup, records=records, checkpoint=ck)
+    paused = verdict.feed(enum)
+    return TheoremReport.from_verdict(group, verdict, paused is None,
+                                      enum.orbit_dedup, paused)

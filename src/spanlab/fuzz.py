@@ -16,7 +16,8 @@ exhaustive sub-suite over a space small enough to close out completely:
 
 A campaign with zero violations is the deliverable; a nonzero count means
 either the bound or the implementation is wrong, and the examples list
-carries the first few offending instances for replay.
+carries the first five offending instances for replay. The campaigns are
+rows of one table (CAMPAIGNS) that one trial loop (run_campaign) drives.
 """
 
 from __future__ import annotations
@@ -107,72 +108,39 @@ def _random_subset(rng: random.Random, g: GroupSpec, size: int,
     return ElementSet.from_indices(g, rng.sample(list(pop), size))
 
 
-def _note(examples: list[dict], payload: dict) -> None:
-    if len(examples) < _MAX_EXAMPLES:
-        examples.append(payload)
+# -- trial cases ------------------------------------------------------------------
+#
+# One per bound: draw an instance from the trial's generator, run the check,
+# and return (report, thunk building the replay payload of a violation).
 
 
-# -- individual campaigns --------------------------------------------------------
+def _folk_case(rng: random.Random, i: int):
+    g = _random_group(rng, 2, 30)
+    n = g.order
+    ka = rng.randint(1, n)
+    kb = rng.randint(max(1, n + 1 - ka), n) if i % 2 == 0 else rng.randint(1, n)
+    a = _random_subset(rng, g, ka, zero_free=False)
+    b = _random_subset(rng, g, kb, zero_free=False)
+    return check_folk_lemma(a, b), lambda: {
+        "group": g.spec_string, "a": a.serialize(), "b": b.serialize()}
 
 
-def fuzz_folk(trials: int, seed: int, exhaustive: bool = True) -> FuzzReport:
-    applied = violations = 0
-    examples: list[dict] = []
-    for i in range(trials):
-        rng = _trial_rng(seed, i)
-        g = _random_group(rng, 2, 30)
-        n = g.order
-        ka = rng.randint(1, n)
-        kb = rng.randint(max(1, n + 1 - ka), n) if i % 2 == 0 else rng.randint(1, n)
-        a = _random_subset(rng, g, ka, zero_free=False)
-        b = _random_subset(rng, g, kb, zero_free=False)
-        rep = check_folk_lemma(a, b)
-        applied += rep.applied
-        if not rep.holds:
-            violations += 1
-            _note(examples, {"group": g.spec_string, "a": a.serialize(),
-                             "b": b.serialize(), "report": rep.to_dict()})
-    return FuzzReport("2.1", "oversized pairs must have spanning sumsets",
-                      trials, applied, violations, seed, examples)
+def _hamidoune_case(rng: random.Random, i: int):
+    g = _random_group(rng, 15, 40)
+    size = rng.randint(14, min(g.order - 1, 20))
+    a = _random_subset(rng, g, size)
+    return check_hamidoune_dichotomy(a), lambda: {
+        "group": g.spec_string, "a": a.serialize()}
 
 
-def fuzz_hamidoune(trials: int, seed: int, exhaustive: bool = True) -> FuzzReport:
-    applied = violations = 0
-    examples: list[dict] = []
-    for i in range(trials):
-        rng = _trial_rng(seed, i)
-        g = _random_group(rng, 15, 40)
-        size = rng.randint(14, min(g.order - 1, 20))
-        a = _random_subset(rng, g, size)
-        rep = check_hamidoune_dichotomy(a)
-        applied += 1
-        if not rep.holds:
-            violations += 1
-            _note(examples, {"group": g.spec_string, "a": a.serialize(),
-                             "report": rep.to_dict()})
-    return FuzzReport("2.2", "large zero-free sets: big Sigma or a packed subgroup",
-                      trials, applied, violations, seed, examples)
-
-
-def fuzz_cauchy(trials: int, seed: int, exhaustive: bool = True) -> FuzzReport:
-    applied = violations = 0
-    examples: list[dict] = []
-    for i in range(trials):
-        rng = _trial_rng(seed, i)
-        g = _prime_group(rng)
-        p = g.order
-        h = rng.randint(1, 4)
-        sets = [_random_subset(rng, g, rng.randint(1, p), zero_free=False)
-                for _ in range(h)]
-        rep = check_cauchy_davenport(sets)
-        applied += 1
-        if not rep.holds:
-            violations += 1
-            _note(examples, {"group": g.spec_string,
-                             "sets": [s.serialize() for s in sets],
-                             "report": rep.to_dict()})
-    return FuzzReport("2.3", "iterated sumset lower bound in Z_p",
-                      trials, applied, violations, seed, examples)
+def _cauchy_case(rng: random.Random, i: int):
+    g = _prime_group(rng)
+    p = g.order
+    h = rng.randint(1, 4)
+    sets = [_random_subset(rng, g, rng.randint(1, p), zero_free=False)
+            for _ in range(h)]
+    return check_cauchy_davenport(sets), lambda: {
+        "group": g.spec_string, "sets": [s.serialize() for s in sets]}
 
 
 def _ap_set(g: GroupSpec, start: int, diff: int, length: int) -> ElementSet:
@@ -180,61 +148,80 @@ def _ap_set(g: GroupSpec, start: int, diff: int, length: int) -> ElementSet:
     return ElementSet.from_indices(g, [(start + j * diff) % p for j in range(length)])
 
 
-def fuzz_diderrich(trials: int, seed: int, exhaustive: bool = True) -> FuzzReport:
-    applied = violations = 0
-    examples: list[dict] = []
-    for i in range(trials):
-        rng = _trial_rng(seed, i)
-        g = _prime_group(rng, min_p=11)
-        p = g.order
-        h = rng.randint(2, min(4, (p - 1) // 2))
-        if i % 3 < 2:
-            diffs = rng.sample(range(1, (p - 1) // 2 + 1), h)
-            sets = [_ap_set(g, rng.randrange(p), d, rng.randint(1, 4))
-                    for d in diffs]
-            if i % 3 == 1:  # one allowed exception
-                sets[rng.randrange(h)] = _random_subset(
-                    rng, g, rng.randint(2, 5), zero_free=False)
-        else:
-            sets = [_random_subset(rng, g, rng.randint(1, 5), zero_free=False)
-                    for _ in range(h)]
-        rep = check_diderrich(sets)
-        applied += rep.applied
-        if not rep.holds:
-            violations += 1
-            _note(examples, {"group": g.spec_string,
-                             "sets": [s.serialize() for s in sets],
-                             "report": rep.to_dict()})
-    return FuzzReport("2.4", "near-progression families: sumset >= sum of sizes - 1",
-                      trials, applied, violations, seed, examples)
+def _diderrich_case(rng: random.Random, i: int):
+    g = _prime_group(rng, min_p=11)
+    p = g.order
+    h = rng.randint(2, min(4, (p - 1) // 2))
+    if i % 3 < 2:
+        diffs = rng.sample(range(1, (p - 1) // 2 + 1), h)
+        sets = [_ap_set(g, rng.randrange(p), d, rng.randint(1, 4))
+                for d in diffs]
+        if i % 3 == 1:  # one allowed exception
+            sets[rng.randrange(h)] = _random_subset(
+                rng, g, rng.randint(2, 5), zero_free=False)
+    else:
+        sets = [_random_subset(rng, g, rng.randint(1, 5), zero_free=False)
+                for _ in range(h)]
+    return check_diderrich(sets), lambda: {
+        "group": g.spec_string, "sets": [s.serialize() for s in sets]}
 
 
-def fuzz_vosper(trials: int, seed: int, exhaustive: bool = True) -> FuzzReport:
-    applied = violations = 0
-    examples: list[dict] = []
-    for i in range(trials):
-        rng = _trial_rng(seed, i)
-        g = _prime_group(rng, min_p=5)
-        p = g.order
-        if i % 2 == 0:
-            d = rng.randint(1, p - 1)
-            k1 = rng.randint(2, p - 3)
-            k2 = rng.randint(2, max(2, min(p - 2, p - k1)))
-            b1 = _ap_set(g, rng.randrange(p), d, k1)
-            b2 = _ap_set(g, rng.randrange(p), d, k2)
-        else:
-            b1 = _random_subset(rng, g, rng.randint(2, p - 2), zero_free=False)
-            b2 = _random_subset(rng, g, rng.randint(2, p - 2), zero_free=False)
-        rep = check_vosper(b1, b2)
-        applied += rep.triggered
-        if not rep.holds:
-            violations += 1
-            _note(examples, {"group": g.spec_string, "b1": b1.serialize(),
-                             "b2": b2.serialize(), "report": rep.to_dict()})
-    return FuzzReport("2.5", "small sumsets force matching progressions",
-                      trials, applied, violations, seed, examples)
+def _vosper_case(rng: random.Random, i: int):
+    g = _prime_group(rng, min_p=5)
+    p = g.order
+    if i % 2 == 0:
+        d = rng.randint(1, p - 1)
+        k1 = rng.randint(2, p - 3)
+        k2 = rng.randint(2, max(2, min(p - 2, p - k1)))
+        b1 = _ap_set(g, rng.randrange(p), d, k1)
+        b2 = _ap_set(g, rng.randrange(p), d, k2)
+    else:
+        b1 = _random_subset(rng, g, rng.randint(2, p - 2), zero_free=False)
+        b2 = _random_subset(rng, g, rng.randint(2, p - 2), zero_free=False)
+    return check_vosper(b1, b2), lambda: {
+        "group": g.spec_string, "b1": b1.serialize(), "b2": b2.serialize()}
 
 
+def _three_facts_case(rng: random.Random, i: int):
+    g = _prime_group(rng)
+    p = g.order
+    size = rng.randint(1, p - 1)
+    a = _random_subset(rng, g, size, zero_free=(i % 3 != 0))
+    h = rng.randint(1, size)
+    return check_three_facts(a, h), lambda: {
+        "group": g.spec_string, "a": a.serialize(), "h": h}
+
+
+def _growth_case(rng: random.Random, i: int):
+    g = _random_group(rng, 3, 36)
+    size = rng.randint(1, min(g.order - 1, 12))
+    a = _random_subset(rng, g, size)
+    return check_growth_bound(a), lambda: {
+        "group": g.spec_string, "a": a.serialize()}
+
+
+def _prime_growth_case(rng: random.Random, i: int):
+    g = _prime_group(rng)
+    size = rng.randint(0, min(g.order - 1, 10))
+    a = _random_subset(rng, g, size)
+    return check_prime_growth_bound(a), lambda: {
+        "group": g.spec_string, "a": a.serialize()}
+
+
+def _sequence_case(rng: random.Random, i: int):
+    g = _prime_group(rng)
+    p = g.order
+    length = rng.randint(2, 8)
+    if i % 2 == 0:
+        base = rng.randint(1, p - 1)
+        terms = tuple(rng.choice((base, p - base)) for _ in range(length))
+    else:
+        terms = tuple(rng.randint(1, p - 1) for _ in range(length))
+    rep = check_sequence_growth(SequenceOverGroup.from_indices(g, terms))
+    return rep, lambda: {"group": g.spec_string, "terms": list(terms)}
+
+
+# -- exhaustive censuses -----------------------------------------------------------
 def _exhaustive_midpoint_z13() -> dict:
     """Close out the midpoint clause over every zero-free 6-subset of Z_13.
 
@@ -291,70 +278,6 @@ def _exhaustive_full_span_z11() -> dict:
     }
 
 
-def fuzz_three_facts(trials: int, seed: int, exhaustive: bool = True) -> FuzzReport:
-    applied = violations = 0
-    examples: list[dict] = []
-    for i in range(trials):
-        rng = _trial_rng(seed, i)
-        g = _prime_group(rng)
-        p = g.order
-        size = rng.randint(1, p - 1)
-        a = _random_subset(rng, g, size, zero_free=(i % 3 != 0))
-        h = rng.randint(1, size)
-        rep = check_three_facts(a, h)
-        applied += 1
-        if not rep.holds:
-            violations += 1
-            _note(examples, {"group": g.spec_string, "a": a.serialize(),
-                             "h": h, "report": rep.to_dict()})
-    report = FuzzReport("2.6", "restricted-sum growth and full-span clauses in Z_p",
-                        trials, applied, violations, seed, examples)
-    if exhaustive:
-        mid = _exhaustive_midpoint_z13()
-        full = _exhaustive_full_span_z11()
-        report.exhaustive = {
-            "suites": [mid, full],
-            "violations": mid["violations"] + full["violations"],
-        }
-    return report
-
-
-def fuzz_growth(trials: int, seed: int, exhaustive: bool = True) -> FuzzReport:
-    applied = violations = 0
-    examples: list[dict] = []
-    for i in range(trials):
-        rng = _trial_rng(seed, i)
-        g = _random_group(rng, 3, 36)
-        size = rng.randint(1, min(g.order - 1, 12))
-        a = _random_subset(rng, g, size)
-        rep = check_growth_bound(a)
-        applied += 1
-        if not rep.holds:
-            violations += 1
-            _note(examples, {"group": g.spec_string, "a": a.serialize(),
-                             "report": rep.to_dict()})
-    return FuzzReport("2.7", "Sigma grows to min(subgroup, 2|A|-1)",
-                      trials, applied, violations, seed, examples)
-
-
-def fuzz_prime_growth(trials: int, seed: int, exhaustive: bool = True) -> FuzzReport:
-    applied = violations = 0
-    examples: list[dict] = []
-    for i in range(trials):
-        rng = _trial_rng(seed, i)
-        g = _prime_group(rng)
-        size = rng.randint(0, min(g.order - 1, 10))
-        a = _random_subset(rng, g, size)
-        rep = check_prime_growth_bound(a)
-        applied += 1
-        if not rep.holds:
-            violations += 1
-            _note(examples, {"group": g.spec_string, "a": a.serialize(),
-                             "report": rep.to_dict()})
-    return FuzzReport("2.8", "Sigma-with-zero growth in Z_p with epsilon boost",
-                      trials, applied, violations, seed, examples)
-
-
 def _exhaustive_sequences() -> dict:
     total = failures = 0
     for p in (3, 5, 7, 11, 13):
@@ -372,56 +295,74 @@ def _exhaustive_sequences() -> dict:
     }
 
 
-def fuzz_sequence(trials: int, seed: int, exhaustive: bool = True) -> FuzzReport:
-    applied = violations = 0
-    examples: list[dict] = []
-    for i in range(trials):
-        rng = _trial_rng(seed, i)
-        g = _prime_group(rng)
-        p = g.order
-        length = rng.randint(2, 8)
-        if i % 2 == 0:
-            base = rng.randint(1, p - 1)
-            terms = tuple(rng.choice((base, p - base)) for _ in range(length))
-        else:
-            terms = tuple(rng.randint(1, p - 1) for _ in range(length))
-        rep = check_sequence_growth(SequenceOverGroup.from_indices(g, terms))
-        applied += 1
-        if not rep.holds:
-            violations += 1
-            _note(examples, {"group": g.spec_string, "terms": list(terms),
-                             "report": rep.to_dict()})
-    report = FuzzReport("2.9", "sequence sums grow past length, equality is rigid",
-                        trials, applied, violations, seed, examples)
-    if exhaustive:
-        report.exhaustive = _exhaustive_sequences()
-    return report
+
+def _exhaustive_restricted_sums() -> dict:
+    mid = _exhaustive_midpoint_z13()
+    full = _exhaustive_full_span_z11()
+    return {"suites": [mid, full],
+            "violations": mid["violations"] + full["violations"]}
 
 
-# -- campaign registry -------------------------------------------------------------
+# -- campaign table ------------------------------------------------------------------
 
-CAMPAIGNS: dict[str, Callable[[int, int, bool], FuzzReport]] = {
-    "2.1": fuzz_folk,
-    "2.2": fuzz_hamidoune,
-    "2.3": fuzz_cauchy,
-    "2.4": fuzz_diderrich,
-    "2.5": fuzz_vosper,
-    "2.6": fuzz_three_facts,
-    "2.7": fuzz_growth,
-    "2.8": fuzz_prime_growth,
-    "2.9": fuzz_sequence,
+
+@dataclass(frozen=True)
+class Campaign:
+    """One bound's campaign: `case` builds and checks one trial, `applied`
+    names the report flag counted as hypothesis-applied (None counts every
+    trial), `census` is the optional exhaustive sub-suite."""
+
+    description: str
+    case: Callable[[random.Random, int], tuple]
+    applied: str | None = None
+    census: Callable[[], dict] | None = None
+
+
+# The censuses are looked up when called, not bound here, so wrappers placed
+# on the module functions (profilers, tracers) see them.
+CAMPAIGNS: dict[str, Campaign] = {
+    "2.1": Campaign("oversized pairs must have spanning sumsets",
+                    _folk_case, "applied"),
+    "2.2": Campaign("large zero-free sets: big Sigma or a packed subgroup",
+                    _hamidoune_case),
+    "2.3": Campaign("iterated sumset lower bound in Z_p", _cauchy_case),
+    "2.4": Campaign("near-progression families: sumset >= sum of sizes - 1",
+                    _diderrich_case, "applied"),
+    "2.5": Campaign("small sumsets force matching progressions",
+                    _vosper_case, "triggered"),
+    "2.6": Campaign("restricted-sum growth and full-span clauses in Z_p",
+                    _three_facts_case,
+                    census=lambda: _exhaustive_restricted_sums()),
+    "2.7": Campaign("Sigma grows to min(subgroup, 2|A|-1)", _growth_case),
+    "2.8": Campaign("Sigma-with-zero growth in Z_p with epsilon boost",
+                    _prime_growth_case),
+    "2.9": Campaign("sequence sums grow past length, equality is rigid",
+                    _sequence_case, census=lambda: _exhaustive_sequences()),
 }
 
 
 def run_campaign(lemma: str, trials: int = DEFAULT_TRIALS, seed: int = 0,
                  exhaustive: bool = True) -> FuzzReport:
     try:
-        fn = CAMPAIGNS[lemma]
+        campaign = CAMPAIGNS[lemma]
     except KeyError:
         raise ValueError(
             f"unknown bound {lemma!r}; expected one of {', '.join(CAMPAIGNS)}"
         ) from None
-    return fn(trials, seed, exhaustive)
+    applied = violations = 0
+    examples: list[dict] = []
+    for i in range(trials):
+        rep, example = campaign.case(_trial_rng(seed, i), i)
+        applied += getattr(rep, campaign.applied) if campaign.applied else 1
+        if not rep.holds:
+            violations += 1
+            if len(examples) < _MAX_EXAMPLES:
+                examples.append({**example(), "report": rep.to_dict()})
+    report = FuzzReport(lemma, campaign.description, trials, applied,
+                        violations, seed, examples)
+    if exhaustive and campaign.census is not None:
+        report.exhaustive = campaign.census()
+    return report
 
 
 def run_all_campaigns(trials: int = DEFAULT_TRIALS, seed: int = 0,

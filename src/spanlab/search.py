@@ -48,7 +48,6 @@ class SearchBudget:
     max_exact_order: int = 24
     max_candidates: int = 5_000_000
     extended: bool = False
-    checkpoint_every: int = 250_000
 
     def deadline(self) -> float | None:
         return time.monotonic() + self.max_seconds if self.max_seconds else None
@@ -394,12 +393,6 @@ def brute_force_max_nonspanning(group: GroupSpec) -> tuple[int, tuple[int, ...]]
 
 
 # -- parallel work units for extended enumeration ------------------------------
-
-
-@dataclass(frozen=True)
-class WorkUnit:
-    target: int
-    first: int
 
 
 def subtree_state(group: GroupSpec, target: int, k: int, first: int) -> dict:

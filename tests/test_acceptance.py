@@ -1,7 +1,6 @@
 """Shipping gate: one test per release criterion, each ending in a PASS line.
 
 Run `pytest tests/test_acceptance.py -v -s` to see the per-criterion lines.
-Criterion 8 is long-running and only selected with `-m extended`.
 """
 
 from __future__ import annotations
@@ -110,16 +109,18 @@ def test_criterion_3_oracle_equivalence_on_random_instances():
 # --------------------------------------------------------------- 4
 
 
-def test_criterion_4_interval_conjecture_certificate_z15():
+def test_criterion_4_interval_conjecture_certificate_z15(z15_records):
     t0 = time.monotonic()
     rep = S.check_conjecture(2, 3, 5)
     dt = time.monotonic() - t0
     assert dt < 1.0, f"took {dt:.3f}s, budget 1s"
     assert rep.group == "Z15" and rep.outcome in ("VERIFIED", "REFUTED")
     assert rep.outcome == "REFUTED"  # certificate is definitive either way
-    assert rep.extremal_count == len(rep.records) == 28
-    assert all(rec.tags for rec in rep.records)  # every set classified
+    assert rep.extremal_count == len(z15_records) == 28
+    assert all(rec.tags for rec in z15_records)  # every set classified
     assert rep.failing_count == 24 == len(rep.counterexamples)
+    assert rep.counterexamples == [r.to_dict() for r in z15_records
+                                   if S.SHAPE_EX2 not in r.tags]
     _line(4, f"all C(14,6) candidates in Z15 enumerated in {dt*1000:.0f}ms, "
              f"definitive REFUTED certificate, 28 extremal sets classified")
 
@@ -127,16 +128,19 @@ def test_criterion_4_interval_conjecture_certificate_z15():
 # --------------------------------------------------------------- 5
 
 
-def test_criterion_5_complete_subset_conjecture_certificate_z21():
+def test_criterion_5_complete_subset_conjecture_certificate_z21(z21_records):
     t0 = time.monotonic()
     rep = S.check_conjecture(1, 3, 7)
     dt = time.monotonic() - t0
     assert dt <= 60, f"took {dt:.1f}s, budget 60s"
     assert rep.group == "Z21" and rep.outcome in ("VERIFIED", "REFUTED")
     assert rep.outcome == "REFUTED"
-    assert rep.extremal_count == len(rep.records) == 390
-    assert all(rec.tags for rec in rep.records)
+    assert rep.extremal_count == len(z21_records) == 390
+    assert all(rec.tags for rec in z21_records)
     assert rep.failing_count == 358
+    failing = [r.to_dict() for r in z21_records
+               if S.HAS_COMPLETE_SUBSET not in r.tags]
+    assert len(failing) == 358 and rep.counterexamples == failing[:25]
     _line(5, f"all C(20,7) candidates in Z21 enumerated in {dt:.2f}s, "
              f"definitive REFUTED certificate, 390 extremal sets classified")
 
@@ -174,7 +178,6 @@ def test_criterion_7_interval_constructions_are_extremal():
 # --------------------------------------------------------------- 8
 
 
-@pytest.mark.extended
 @pytest.mark.parametrize("spec,required", [("Z33", S.SHAPE_II),
                                            ("Z36", S.SHAPE_I)])
 def test_criterion_8_structure_theorem_smallest_qualifying_groups(spec, required):
@@ -186,7 +189,7 @@ def test_criterion_8_structure_theorem_smallest_qualifying_groups(spec, required
     dt = time.monotonic() - t0
     assert dt <= 7200, f"took {dt:.0f}s, budget 2h"
     assert rep.required_tag == required
-    assert not rep.violations
+    assert not rep.violations and rep.violation_count == 0
     assert rep.outcome == "VERIFIED"
     assert rep.extremal_count > 0
     _line(8, f"{spec}: {rep.extremal_count} orbit-reduced extremal sets all "

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -182,6 +183,42 @@ def test_resume_of_completed_run_is_a_noop(cli):
     assert out.read_bytes() == before
 
 
+@pytest.mark.parametrize("args,cert", [
+    (["enumerate-extremal", "--group", "Z15"], None),
+    (["conjecture", "--which", 2, "--p", 3, "--q", 5], "cert.json"),
+    (["verify-main", "--group", "Z33", "--extended"], "theorem.json"),
+], ids=["enumerate-extremal", "conjecture", "verify-main"])
+def test_resume_of_finished_run_rebuilds_from_records(cli, monkeypatch, args,
+                                                      cert):
+    code, out, _ = cli(*args)
+    assert code == 0
+    (first,) = _campaigns(cli)
+    ck = _artifact(cli, first, "checkpoint.json")
+    records = _artifact(cli, first, "records.jsonl")
+    ck_bytes, record_bytes = ck.read_bytes(), records.read_bytes()
+
+    def no_search(self):
+        raise AssertionError("a finished checkpoint must not search again")
+
+    for engine in ("_run_direct", "_run_missed_sequential",
+                   "_run_missed_parallel"):
+        monkeypatch.setattr(S.ExtremalEnumeration, engine, no_search)
+    code, again, _ = cli(*args, "--resume", ck)
+    assert code == 0
+    second = _campaigns(cli)[1]
+    assert again.replace(second["campaign_id"], first["campaign_id"]) == out
+    assert second["artifacts"]["records"] == str(records)
+    assert records.read_bytes() == record_bytes
+    assert ck.read_bytes() == ck_bytes
+    want = dict(first["summary"])
+    if "nodes" in want:
+        want["nodes"] = 0
+    assert second["summary"] == want
+    if cert:
+        assert (_artifact(cli, second, cert).read_bytes()
+                == _artifact(cli, first, cert).read_bytes())
+
+
 def test_resume_with_wrong_group_fails(cli):
     ck = cli.tmp / "ck.json"
     code, _, _ = cli("enumerate-extremal", "--group", "Z21",
@@ -336,3 +373,152 @@ def test_report_markdown_format(cli):
                        "--format", "markdown")
     assert code == 0
     assert "|" in out  # tables render as pipe markdown
+
+
+# ------------------------------------------------------ golden bytes
+
+# Artifact sha256, stdout (campaign id and store masked) and ledger summary
+# of the enumerating commands and the fuzz campaigns. Artifact bytes are the
+# contract: a refactor keeps these values, a change of output updates them on
+# purpose. checkpoint.json, cert.json and theorem.json are hashed without
+# their top-level "records" line, the only run-specific path in them.
+_ENUM_Z36 = "733ad1e88dc53c177a989981441ff089158b964d79a1d5dee23594bcddb5fa46"
+_ENUM_Z15 = "5444b8751eca39ff259bb993ff529cb71da2527a61c85657fcaff8f770dad077"
+_FUZZ_LINES = ("  2.1: trials 300, applied {}, violations 0 [ok]",
+               "  2.2: trials 300, applied 300, violations 0 [ok]",
+               "  2.3: trials 300, applied 300, violations 0 [ok]",
+               "  2.4: trials 300, applied {}, violations 0 [ok]",
+               "  2.5: trials 300, applied {}, violations 0 [ok]",
+               "  2.6: trials 300, applied 300, violations 0, exhaustive 0 "
+               "violations [ok]",
+               "  2.7: trials 300, applied 300, violations 0 [ok]",
+               "  2.8: trials 300, applied 300, violations 0 [ok]",
+               "  2.9: trials 300, applied 300, violations 0, exhaustive 0 "
+               "violations [ok]",
+               "9 campaigns, 0 with violations",
+               "campaign <id>: COMPLETE")
+
+
+def _fuzz_lines(a21, a24, a25):
+    applied = iter((a21, a24, a25))
+    return [ln.format(next(applied)) if "{}" in ln else ln for ln in _FUZZ_LINES]
+
+
+def _enum_lines(spec, n, size, mode, dedup, tags):
+    return [f"{spec}: {n} extremal records (size {size}, mode {mode}, "
+            f"orbit_dedup {dedup})",
+            "records written to <store>/artifacts/<id>/records.jsonl",
+            *(f"  {tag}: {count}" for tag, count in tags.items()),
+            "campaign <id>: COMPLETE"]
+
+
+_SHAPE_I_TAGS = {"HAS_COMPLETE_SUBSET": 1, "SHAPE_B": 1, "SHAPE_I": 1,
+                 "SHAPE_II": 1}
+
+GOLDEN = {
+    "enumerate-Z15": (
+        ["enumerate-extremal", "--group", "Z15"],
+        {"checkpoint.json": "038f96fe0b685c953d5e953973c3dca89189d69c40781632462cbd64061bb1c6",
+         "records.jsonl": _ENUM_Z15},
+        _enum_lines("Z15", 28, 6, "direct", "false",
+                    {"SHAPE_EX2": 4, "UNCLASSIFIED": 24}),
+        {"mode": "direct", "nodes": 2804, "orbit_dedup": False, "records": 28,
+         "tags": {"SHAPE_EX2": 4, "UNCLASSIFIED": 24}}),
+    "enumerate-Z16": (
+        ["enumerate-extremal", "--group", "Z16"],
+        {"checkpoint.json": "862292f737ec4d5b301248e769960888849a3900d48335db0f36df4fc134bcad",
+         "records.jsonl": "d86e36c111e81dc17e0b8f52da14ae8a7fe98925cd9952a16ea6c4ca5aebc6af"},
+        _enum_lines("Z16", 1, 7, "direct", "false", _SHAPE_I_TAGS),
+        {"mode": "direct", "nodes": 3061, "orbit_dedup": False, "records": 1,
+         "tags": _SHAPE_I_TAGS}),
+    "enumerate-Z3xZ9": (
+        ["enumerate-extremal", "--group", "Z3xZ9"],
+        {"checkpoint.json": "2574029f6925f01e1cde2aae07580ff903b6354c37d2fbc9fa76a0069183ae81",
+         "records.jsonl": "107887e2914115a36396ba30eedba26eff7ef876ea78e407073d3a29674d8cb5"},
+        _enum_lines("Z3xZ9", 72, 9, "direct", "false",
+                    {"HAS_COMPLETE_SUBSET": 72, "SHAPE_B": 72, "SHAPE_II": 72}),
+        {"mode": "direct", "nodes": 318522, "orbit_dedup": False, "records": 72,
+         "tags": {"HAS_COMPLETE_SUBSET": 72, "SHAPE_B": 72, "SHAPE_II": 72}}),
+    "enumerate-Z2xZ16-extended": (
+        ["enumerate-extremal", "--group", "Z2xZ16", "--extended"],
+        {"checkpoint.json": "1a7e3e1c2312c8917b3161a493ae586319c6a41dbb39977cf87b15631de1c1f0",
+         "records.jsonl": "670bbe5a1a69939541eeaaec8e0fb1f2cb40108008cb5436101cf3e978f26afe"},
+        _enum_lines("Z2xZ16", 3, 15, "missed_target", "false",
+                    {tag: 3 for tag in _SHAPE_I_TAGS}),
+        {"mode": "missed_target", "nodes": 121469, "orbit_dedup": False,
+         "records": 3, "tags": {tag: 3 for tag in _SHAPE_I_TAGS}}),
+    "enumerate-Z36-extended": (
+        ["enumerate-extremal", "--group", "Z36", "--extended"],
+        {"checkpoint.json": "39f2ca4cf0d49fd0981bebe1d17f1474e2d733c82c0cb89ae054a85dba288e2b",
+         "records.jsonl": _ENUM_Z36},
+        _enum_lines("Z36", 1, 17, "missed_target", "true", _SHAPE_I_TAGS),
+        {"mode": "missed_target", "nodes": 30325, "orbit_dedup": True,
+         "records": 1, "tags": _SHAPE_I_TAGS}),
+    "conjecture-2-3-5": (
+        ["conjecture", "--which", "2", "--p", "3", "--q", "5"],
+        {"cert.json": "f957070b072dea65a66a6d3143121d0aca8536819b5495195b7a9d18d43ec20b",
+         "checkpoint.json": "2a3b5bb4414c6f9223537d65a65bdc5762b1b13eafcc90d0ccccc66f9d807ff3",
+         "records.jsonl": _ENUM_Z15},
+        ["conjecture 2 at (p, q) = (3, 5) over Z15: REFUTED",
+         "extremal sets: 28, failing: 24", "campaign <id>: COMPLETE"],
+        {"failing": 24, "outcome": "REFUTED", "total": 28}),
+    "conjecture-1-3-7": (
+        ["conjecture", "--which", "1", "--p", "3", "--q", "7"],
+        {"cert.json": "e90ae4091d4d14fc49de217674be9712cd57f10539f43e25850382a322d39755",
+         "checkpoint.json": "aad4103b76240e5b4b3adab767231110b176f6d85d6e503b8e815ffa41fc4e73",
+         "records.jsonl": "4877becb389f309359acd9f0214577c675c0798645f63c595e4974389fff397f"},
+        ["conjecture 1 at (p, q) = (3, 7) over Z21: REFUTED",
+         "extremal sets: 390, failing: 358", "campaign <id>: COMPLETE"],
+        {"failing": 358, "outcome": "REFUTED", "total": 390}),
+    "verify-main-Z33": (
+        ["verify-main", "--group", "Z33", "--extended"],
+        {"checkpoint.json": "038d33fe213d51de1a1293abdc9803327151b3606d58ee355080046da120e23c",
+         "records.jsonl": "9c10172d616683c433377486722816c1f7cd843e53a5f8c9a5068f96737510e3",
+         "theorem.json": "2f45fd950b769cb670f2b5b888213a9d0ca269a2b96ed1285ecec4e142f1caf9"},
+        ["Z33 (odd case, requires SHAPE_II): VERIFIED",
+         "extremal sets: 2, violations: 0", "campaign <id>: COMPLETE"],
+        {"outcome": "VERIFIED", "total": 2, "violations": 0,
+         "tags": {"HAS_COMPLETE_SUBSET": 2, "SHAPE_B": 2, "SHAPE_II": 2}}),
+    "verify-main-Z36": (
+        ["verify-main", "--group", "Z36", "--extended"],
+        {"checkpoint.json": "dd30bc39434c6414a41891855b361b1232ccf8f38afb27d0cb9bde1cde9f55be",
+         "records.jsonl": _ENUM_Z36,
+         "theorem.json": "2496daddc54cedac8b66212eaa200954e8f4545477b51702de1ce847186dc489"},
+        ["Z36 (even case, requires SHAPE_I): VERIFIED",
+         "extremal sets: 1, violations: 0", "campaign <id>: COMPLETE"],
+        {"outcome": "VERIFIED", "total": 1, "violations": 0,
+         "tags": _SHAPE_I_TAGS}),
+    "fuzz-seed-0": (
+        ["fuzz-bounds", "--trials", "300", "--seed", "0"],
+        {"fuzz.json": "ffd0801fbe5de2d1bad1ea1d55f5f988768e9882fe906716e9f83b2c3cb5a883"},
+        _fuzz_lines(238, 170, 121),
+        {"campaigns": 9, "dirty": 0, "seed": 0, "trials": 300}),
+    "fuzz-seed-7": (
+        ["fuzz-bounds", "--trials", "300", "--seed", "7"],
+        {"fuzz.json": "bc0e44170316b2c57a8269f5620a231b61440b2d48a3c3e4c05ef6bdd8a079aa"},
+        _fuzz_lines(225, 164, 110),
+        {"campaigns": 9, "dirty": 0, "seed": 7, "trials": 300}),
+}
+
+
+def _golden_digest(path):
+    data = path.read_bytes()
+    if path.name in ("checkpoint.json", "cert.json", "theorem.json"):
+        data = re.sub(rb'(?m)^  "records": .*\n', b"", data)
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_golden_artifact_bytes(cli, case):
+    args, hashes, stdout, summary = GOLDEN[case]
+    code, out, _ = cli(*args)
+    assert code == 0
+    (rec,) = _campaigns(cli)
+    masked = (out.replace(rec["campaign_id"], "<id>")
+                 .replace(str(cli.store), "<store>"))
+    assert masked.splitlines() == stdout
+    assert rec["summary"] == summary
+    artifacts = _artifact(cli, rec, "")
+    assert sorted(p.name for p in artifacts.iterdir()) == sorted(hashes)
+    for name, digest in hashes.items():
+        assert _golden_digest(artifacts / name) == digest, name
