@@ -612,6 +612,12 @@ def cmd_report(args, store: CampaignStore) -> int:
 # -- parser ------------------------------------------------------------------------
 
 
+REDUCE_ORBITS_HELP = ("search one avoided target per orbit of the group's "
+                      "automorphisms (sound for every group; the value is "
+                      "exact, the witness canonical only up to those "
+                      "automorphisms; default on)")
+
+
 def _add_budget_flags(p: _Parser, exact_order: bool = False) -> None:
     p.add_argument("--max-nodes", type=int, default=None, metavar="N",
                    help="stop after N search nodes (writes a checkpoint)")
@@ -672,9 +678,7 @@ def build_parser() -> _Parser:
                       help="formula plus search with agreement check (default)")
     p.set_defaults(mode="both")
     p.add_argument("--reduce-orbits", action=argparse.BooleanOptionalAction,
-                   default=True,
-                   help="search one avoided target per unit orbit (sound for "
-                        "cyclic groups; default on)")
+                   default=True, help=REDUCE_ORBITS_HELP)
     _add_budget_flags(p, exact_order=True)
     p.set_defaults(func=cmd_cr)
 
@@ -684,7 +688,7 @@ def build_parser() -> _Parser:
     p.add_argument("--max-order", type=int, default=24,
                    help="largest group order to verify (default 24)")
     p.add_argument("--reduce-orbits", action=argparse.BooleanOptionalAction,
-                   default=True)
+                   default=True, help=REDUCE_ORBITS_HELP)
     _add_budget_flags(p)
     p.set_defaults(func=cmd_verify_theorem_a)
 

@@ -67,12 +67,14 @@ def critical_number_case(group: GroupSpec) -> str:
     or 'general_case3'.
 
     The special arm fires for the six exceptional small groups and
-    whenever |G|/p is an odd prime m with 2 < p <= m <= p + floor(2*sqrt(p-2)) + 1.
-    The lower comparison is inclusive: for |G| = p*p with p an odd prime
-    (so m = p), groups such as Z9 have a non-spanning set of size m + p - 2
-    (in Z9: {1, 3, 4, 7}, whose subset sums hit everything except 0), so
-    they belong with the m + p - 1 arm; the exhaustive cross-check in
-    verify_critical_formula pins this down empirically.
+    whenever |G|/p is an odd prime m with 2 < p <= m <= p + floor(2*sqrt(p-2)) + 1,
+    except that the end m = p of that window belongs to the cyclic group
+    Z_{p^2} alone. There the larger value m + p - 1 holds: Z9 has the
+    non-spanning 4-set {1, 3, 4, 7}, whose subset sums hit everything
+    except 0, and exhaustive search gives cr(Z25) = 9. The other group of
+    order p^2, Z_p + Z_p, takes the general value 2p - 2: search gives
+    cr = 8 on Z5xZ5 and 12 on Z7xZ7 (Z3xZ3 is on the exceptional list).
+    Which of the two a group is comes from its elementary divisors.
     """
     n = group.order
     if n < 3:
@@ -82,7 +84,8 @@ def critical_number_case(group: GroupSpec) -> str:
         return "prime"
     m = n // p
     window = (is_prime(m) and m % 2 == 1 and p > 2
-              and p <= m <= p + two_sqrt_floor(p - 2) + 1)
+              and p <= m <= p + two_sqrt_floor(p - 2) + 1
+              and (m > p or elementary_divisors(group) == (n,)))
     if window or elementary_divisors(group) in _SPECIAL_TYPES:
         return "special_case2"
     return "general_case3"
@@ -134,11 +137,12 @@ def critical_number_search(group: GroupSpec, budget: SearchBudget | None = None,
     least maximum-size set avoiding any of the searched targets. With
     reduce_orbits=False every target is searched and the witness is the
     global lexicographic minimum over all maximum non-spanning sets;
-    with reduction on, the *size* (and hence the value) is still exact,
-    because unit scaling carries a set missing t to one missing t's
-    representative, but the witness is canonical only up to that
-    scaling. The empty set is the size-0 baseline (Sigma(empty) = {0}
-    != G).
+    with reduction on, one target per automorphism orbit is searched
+    (see target_representatives). The *size* (and hence the value) is
+    still exact, because an automorphism carries a set missing t to one
+    missing t's representative, but the witness is canonical only up to
+    the automorphisms used. The empty set is the size-0 baseline
+    (Sigma(empty) = {0} != G).
     """
     n = group.order
     if n < 3:

@@ -43,7 +43,7 @@ class GroupSpec:
         "_strides",
         "_lock",
         "_neg_table",
-        "_cum_masks",
+        "_shift_plan",
         "_subgroups",
         "_units",
     )
@@ -62,10 +62,10 @@ class GroupSpec:
             acc *= n
         self._strides = tuple(reversed(strides))
         # Reentrant: all_subgroups holds the lock while its closure loop
-        # calls translate_bits, which may build _cum_masks under it.
+        # calls translate_bits, which may build _shift_plan under it.
         self._lock = threading.RLock()
         self._neg_table: tuple[int, ...] | None = None
-        self._cum_masks: list[list[int]] | None = None
+        self._shift_plan: tuple[tuple[tuple[int, int, int], ...], ...] | None = None
         self._subgroups: list[SubgroupHandle] | None = None
         self._units: tuple[int, ...] | None = None
 
@@ -143,24 +143,30 @@ class GroupSpec:
                     self._neg_table = tab
         return tab
 
-    def _coordinate_masks(self) -> list[list[int]]:
-        masks = self._cum_masks
-        if masks is None:
+    def _translation_plan(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+        """Per element a, the (mask, up, down) steps that translate by a.
+
+        One step per coordinate j where a is nonzero, say a_j = v: mask
+        selects the slabs with coordinate j below n_j - v, which move up
+        by v*stride_j; the rest wrap around, moving down by (n_j - v)*stride_j.
+        """
+        plan = self._shift_plan
+        if plan is None:
             with self._lock:
-                masks = self._cum_masks
-                if masks is None:
-                    masks = []
+                plan = self._shift_plan
+                if plan is None:
+                    steps = []
                     for n, stride in zip(self.cyclic_orders, self._strides):
-                        period = n * stride
-                        reps = self.order // period
                         # one bit at the base of each superblock
-                        replicator = ((1 << (period * reps)) - 1) // ((1 << period) - 1)
-                        per = []
-                        for c in range(n + 1):
-                            per.append(((1 << (c * stride)) - 1) * replicator)
-                        masks.append(per)
-                    self._cum_masks = masks
-        return masks
+                        replicator = self.full_mask // ((1 << (n * stride)) - 1)
+                        steps.append([(((1 << ((n - v) * stride)) - 1) * replicator,
+                                       v * stride, (n - v) * stride)
+                                      for v in range(n)])
+                    plan = tuple(
+                        tuple(steps[j][v] for j, v in enumerate(self.coords_of(a)) if v)
+                        for a in range(self.order))
+                    self._shift_plan = plan
+        return plan
 
     # -- bitset kernels ----------------------------------------------------
 
@@ -171,13 +177,9 @@ class GroupSpec:
         if len(self.cyclic_orders) == 1:
             n = self.order
             return ((bits << a) | (bits >> (n - a))) & self.full_mask
-        masks = self._coordinate_masks()
-        for j, (n, stride) in enumerate(zip(self.cyclic_orders, self._strides)):
-            v, a = divmod(a, stride)
-            if v == 0:
-                continue
-            low = bits & masks[j][n - v]
-            bits = ((low << (v * stride)) | ((bits ^ low) >> ((n - v) * stride)))
+        for mask, up, down in (self._shift_plan or self._translation_plan())[a]:
+            low = bits & mask
+            bits = (low << up) | ((bits ^ low) >> down)
         return bits
 
     def negate_bits(self, bits: int) -> int:
@@ -395,16 +397,56 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def divisors(n: int) -> list[int]:
-    small, large = [], []
-    f = 1
-    while f * f <= n:
-        if n % f == 0:
-            small.append(f)
-            if f != n // f:
-                large.append(n // f)
-        f += 1
-    return small + large[::-1]
+def _unit_generators(n: int) -> list[int]:
+    """A generating set of the unit group mod n, chosen greedily."""
+    gens, reached = [], {1}
+    for u in range(2, n):
+        if math.gcd(u, n) == 1 and u not in reached:
+            gens.append(u)
+            grown, power = set(reached), u
+            while power != 1:
+                grown.update(r * power % n for r in reached)
+                power = power * u % n
+            reached = grown
+    return gens
+
+
+def automorphism_generators(g: GroupSpec) -> list[tuple[int, ...]]:
+    """Automorphisms of g, each as the element permutation x -> phi(x).
+
+    They generate a subgroup of Aut(g), built from moves on the factor
+    generators e_i (Hillar & Rhea, Automorphisms of finite abelian groups,
+    Amer. Math. Monthly 114, 2007): unit scalings e_i -> u*e_i,
+    transvections e_i -> e_i + c*e_j with c the least positive value such
+    that n_j | c*n_i, and swaps of equal factors. A move is kept only if
+    it is a homomorphism (n_i * phi(e_i) = 0 for every i) and a bijection.
+    """
+    orders = g.cyclic_orders
+    k = len(orders)
+    basis = [tuple(int(i == j) for j in range(k)) for i in range(k)]
+    moves: list[dict[int, tuple[int, ...]]] = []  # factor -> new image
+    for i, n in enumerate(orders):
+        for u in _unit_generators(n):
+            moves.append({i: tuple(u * x for x in basis[i])})
+        for j, m in enumerate(orders):
+            c = m // math.gcd(n, m)
+            if j != i and c < m:
+                moves.append({i: tuple(x + c * y for x, y in zip(basis[i], basis[j]))})
+            if j > i and m == n:
+                moves.append({i: basis[j], j: basis[i]})
+    coords = [g.coords_of(x) for x in range(g.order)]
+    perms = []
+    for move in moves:
+        images = [move.get(i, basis[i]) for i in range(k)]
+        if any((n * y) % m for n, image in zip(orders, images)
+               for y, m in zip(image, orders)):
+            continue
+        perm = tuple(g.index_of(sum(x * image[j] for x, image in zip(xs, images))
+                                for j in range(k))
+                     for xs in coords)
+        if len(set(perm)) == g.order:
+            perms.append(perm)
+    return perms
 
 
 def _closure_extend(g: GroupSpec, sub_bits: int, x: int) -> int:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from math import comb
 from typing import Callable, Iterator
 
-from .groups import GroupSpec, divisors, make_group
+from .groups import GroupSpec, automorphism_generators, make_group
 
 ENGINE_VERSION = "search-1"
 
@@ -67,13 +67,30 @@ def nonzero_mask(g: GroupSpec) -> int:
 def target_representatives(g: GroupSpec, reduce_orbits: bool) -> list[int]:
     """Targets whose avoidance searches jointly cover all non-spanning sets.
 
-    For a single-factor spec with orbit reduction, unit scaling u maps
-    t-avoiding sets to (u*t)-avoiding sets, so one representative per
-    gcd class suffices: the divisors d < n, plus 0.
+    With orbit reduction, one target per orbit of the automorphisms from
+    groups.automorphism_generators: Sigma(phi A) = phi Sigma(A), so A
+    avoids t exactly when phi A avoids phi t, and a set missing t is
+    carried to one missing t's representative. The representative of an
+    orbit is its least index; they are listed ascending with 0 last, which
+    on a single-factor spec gives the divisors d < n followed by 0. A
+    witness found this way is canonical only up to those automorphisms.
     """
-    if reduce_orbits and g.is_cyclic_spec:
-        return sorted(d for d in divisors(g.order) if d < g.order) + [0]
-    return list(range(g.order))
+    if not reduce_orbits:
+        return list(range(g.order))
+    root = list(range(g.order))
+
+    def find(x: int) -> int:
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    for perm in automorphism_generators(g):
+        for x, y in enumerate(perm):
+            rx, ry = find(x), find(y)
+            if rx != ry:
+                root[max(rx, ry)] = min(rx, ry)
+    return [x for x in range(1, g.order) if root[x] == x] + [0]
 
 
 # -- sized enumeration (direct mode) ------------------------------------------
@@ -153,12 +170,14 @@ class SizedEnumerator:
         while True:
             depth = len(path)
             if depth == k:
-                sig = sigs[-1]
+                # step past the leaf before yielding it, so a state() taken
+                # while suspended here resumes after this leaf
+                leaf = tuple(path)
+                path.pop(); cursor.pop(); sig = sigs.pop()
                 if sig != full:
                     stats.emitted += 1
                     stats.nodes = nodes
-                    yield tuple(path), sig
-                path.pop(); cursor.pop(); sigs.pop()
+                    yield leaf, sig
                 continue
             c = cursor[depth]
             if c > order - (k - depth):
@@ -271,10 +290,12 @@ class AvoidingEnumerator:
         while True:
             depth = len(path)
             if depth == k:
+                # step past the leaf before yielding it (see SizedEnumerator)
+                leaf = tuple(path)
+                path.pop(); cursor.pop(); sig = sigs.pop(); negs.pop(); allowed.pop()
                 stats.emitted += 1
                 stats.nodes = nodes
-                yield tuple(path), sigs[-1]
-                path.pop(); cursor.pop(); sigs.pop(); negs.pop(); allowed.pop()
+                yield leaf, sig
                 continue
             m = allowed[depth] & (-1 << cursor[depth])
             if m == 0 or m.bit_count() < k - depth:

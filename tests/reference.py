@@ -121,6 +121,77 @@ def contains_complete_subset_brute(group, indices) -> bool:
     return rec(0, 0, 1)
 
 
+# ------------------------------------------------------------ translation
+
+
+def _coords(orders, index) -> list[int]:
+    """Mixed-radix digits of an element index, last coordinate fastest."""
+    out = []
+    for n in reversed(orders):
+        index, c = divmod(index, n)
+        out.append(c)
+    return out[::-1]
+
+
+def _index(orders, coords) -> int:
+    index = 0
+    for c, n in zip(coords, orders):
+        index = index * n + c % n
+    return index
+
+
+def translate_bits_brute(group, bits: int, a: int) -> int:
+    """Image of a bitmask under x -> x + a, one element at a time, adding
+    coordinates mod each factor order."""
+    orders = group.cyclic_orders
+    shift = _coords(orders, a)
+    out = 0
+    for x in range(group.order):
+        if bits >> x & 1:
+            out |= 1 << _index(orders, [c + s for c, s in
+                                        zip(_coords(orders, x), shift)])
+    return out
+
+
+# ----------------------------------------------------------- automorphisms
+
+
+def automorphism_orbits_brute(group) -> set[frozenset[int]]:
+    """Orbits of the full Aut(G) on G.
+
+    A homomorphism is fixed by the images of the factor generators e_i,
+    which must be elements killed by n_i; every choice of images is tried
+    and kept when the induced map is a bijection.
+    """
+    orders = group.cyclic_orders
+    n = group.order
+    add = [[group.add(x, y) for y in range(n)] for x in range(n)]
+
+    def times(x: int, c: int) -> int:
+        out = 0
+        for _ in range(c):
+            out = add[out][x]
+        return out
+
+    killed = [[x for x in range(n) if times(x, m) == 0] for m in orders]
+    strides = [1]
+    for m in reversed(orders[1:]):
+        strides.insert(0, strides[0] * m)
+    # phi(x) = phi(x - e_j) + phi(e_j), with j the last nonzero coordinate
+    steps = [None] + [max(j for j, c in enumerate(_coords(orders, x)) if c)
+                      for x in range(1, n)]
+    orbit = {x: {x} for x in range(n)}
+    for images in itertools.product(*killed):
+        phi = [0] * n
+        for x in range(1, n):
+            j = steps[x]
+            phi[x] = add[phi[x - strides[j]]][images[j]]
+        if len(set(phi)) == n:
+            for x, y in enumerate(phi):
+                orbit[x].add(y)
+    return {frozenset(o) for o in orbit.values()}
+
+
 # -------------------------------------------------------------- subgroups
 
 

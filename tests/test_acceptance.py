@@ -26,25 +26,44 @@ def _line(n: int, detail: str) -> None:
 # --------------------------------------------------------------- 1
 
 
-def test_criterion_1_critical_number_table_order_3_to_24():
+# cr(G) of every abelian group of order 3..36, as exhaustive search certifies it
+CR_TABLE_TO_36 = {
+    "Z3": 2, "Z2xZ2": 3, "Z4": 3, "Z5": 3, "Z6": 4, "Z7": 4, "Z2xZ2xZ2": 4,
+    "Z2xZ4": 5, "Z8": 5, "Z3xZ3": 5, "Z9": 5, "Z10": 5, "Z11": 6,
+    "Z2xZ6": 6, "Z12": 6, "Z13": 6, "Z14": 7, "Z15": 7, "Z2xZ2xZ2xZ2": 8,
+    "Z2xZ2xZ4": 8, "Z2xZ8": 8, "Z4xZ4": 8, "Z16": 8, "Z17": 7, "Z3xZ6": 9,
+    "Z18": 9, "Z19": 8, "Z2xZ10": 10, "Z20": 10, "Z21": 8, "Z22": 11,
+    "Z23": 9, "Z2xZ2xZ6": 12, "Z2xZ12": 12, "Z24": 12, "Z5xZ5": 8,
+    "Z25": 9, "Z26": 13, "Z3xZ3xZ3": 10, "Z3xZ9": 10, "Z27": 10,
+    "Z2xZ14": 14, "Z28": 14, "Z29": 10, "Z30": 15, "Z31": 10,
+    "Z2xZ2xZ2xZ2xZ2": 16, "Z2xZ2xZ2xZ4": 16, "Z2xZ2xZ8": 16,
+    "Z2xZ4xZ4": 16, "Z2xZ16": 16, "Z4xZ8": 16, "Z32": 16, "Z33": 12,
+    "Z34": 17, "Z35": 11, "Z2xZ18": 18, "Z3xZ12": 18, "Z6xZ6": 18,
+    "Z36": 18,
+}
+
+
+def test_criterion_1_critical_number_table_order_3_to_36():
     t0 = time.monotonic()
-    table = S.verify_critical_formula(24)
+    table = S.verify_critical_formula(36)
     dt = time.monotonic() - t0
     rows = {row.spec: row for row in table.rows}
     want_specs = {S.make_group(t).spec_string
-                  for n in range(3, 25) for t in S.abelian_groups_of_order(n)}
-    assert set(rows) == want_specs and len(rows) == 35
+                  for n in range(3, 37) for t in S.abelian_groups_of_order(n)}
+    assert set(rows) == want_specs == set(CR_TABLE_TO_36) and len(rows) == 60
     for row in table.rows:
         assert row.status == "complete"
         assert row.agree, f"{row.spec}: formula {row.formula} != searched {row.searched}"
-        assert row.searched == row.formula
-    # the six groups on the exceptional list of the middle case, plus the
-    # two smallest products of distinct odd primes
+        assert row.searched == row.formula == CR_TABLE_TO_36[row.spec]
+    assert table.all_agree and not table.disagreements
+    # the six groups on the exceptional list of the middle case, the two
+    # smallest products of distinct odd primes, and both groups of order 25
     for spec, value in (("Z2xZ2", 3), ("Z3xZ3", 5), ("Z4", 3), ("Z6", 4),
-                        ("Z2xZ4", 5), ("Z8", 5), ("Z15", 7), ("Z21", 8)):
+                        ("Z2xZ4", 5), ("Z8", 5), ("Z15", 7), ("Z21", 8),
+                        ("Z25", 9), ("Z5xZ5", 8)):
         assert rows[spec].formula == value
     assert dt <= 300, f"took {dt:.1f}s, budget 300s"
-    _line(1, f"35 groups of order 3..24, search == formula everywhere "
+    _line(1, f"60 groups of order 3..36, search == formula everywhere "
              f"({dt:.2f}s)")
 
 

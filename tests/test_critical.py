@@ -34,6 +34,10 @@ def test_case_selection():
     assert S.critical_number_case(_g("Z9")) == "special_case2"
     assert S.critical_number_case(_g("Z15")) == "special_case2"
     assert S.critical_number_case(_g("Z25")) == "special_case2"
+    assert S.critical_number_case(_g("Z49")) == "special_case2"
+    # the m = p end of the window is Z_{p^2} alone; Z_p + Z_p is general
+    assert S.critical_number_case(_g("Z5xZ5")) == "general_case3"
+    assert S.critical_number_case(_g("Z7xZ7")) == "general_case3"
     # window exceeded: q = 7 > 3 + floor(2*sqrt(1)) + 1 = 6
     assert S.critical_number_case(_g("Z21")) == "general_case3"
     assert S.critical_number_case(_g("Z16")) == "general_case3"
@@ -49,7 +53,7 @@ def test_case_selection():
     # window case: |G|/p + p - 1
     ("Z9", 5), ("Z15", 7), ("Z25", 9),
     # general case: |G|/p + p - 2
-    ("Z12", 6), ("Z16", 8), ("Z21", 8), ("Z18", 9), ("Z24", 12),
+    ("Z5xZ5", 8), ("Z7xZ7", 12), ("Z12", 6), ("Z16", 8), ("Z21", 8), ("Z18", 9), ("Z24", 12),
 ])
 def test_formula_anchors(spec, value):
     assert S.critical_number_formula(_g(spec)) == value
@@ -95,12 +99,16 @@ def test_search_witness_is_lexicographic_least_without_orbit_reduction():
 
 
 def test_search_with_orbit_reduction_finds_same_value():
-    g = _g("Z9")
-    reduced = S.critical_number_search(g, reduce_orbits=True)
-    literal = S.critical_number_search(g, reduce_orbits=False)
-    assert reduced.value == literal.value == 5
-    assert not ref.spans_brute(g, reduced.witness)
-    assert len(reduced.witness) == reduced.max_nonspanning_size
+    for order in range(3, 25):
+        for orders in S.abelian_groups_of_order(order):
+            g = S.make_group(orders)
+            reduced = S.critical_number_search(g, reduce_orbits=True)
+            literal = S.critical_number_search(g, reduce_orbits=False)
+            assert reduced.value == literal.value, g
+            assert len(reduced.witness) == reduced.max_nonspanning_size
+            assert literal.witness <= reduced.witness
+            assert S.subset_sums_bits(g, reduced.witness) != g.full_mask
+    assert S.critical_number_search(_g("Z9"), reduce_orbits=True).value == 5
 
 
 def test_search_respects_budget():
@@ -144,3 +152,12 @@ def test_verify_critical_formula_budget_marks_pending_rows():
         if row.status != "complete":
             assert row.searched is None
             assert not row.agree
+
+
+@pytest.mark.extended
+def test_search_certifies_the_formula_on_z7xz7():
+    g = _g("Z7xZ7")
+    out = S.critical_number_search(g, budget=S.SearchBudget(extended=True))
+    assert out.status == "complete" and out.targets_searched == 2
+    assert out.value == 12 == S.critical_number_formula(g)
+    assert S.subset_sums_bits(g, out.witness) != g.full_mask

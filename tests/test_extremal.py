@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from collections import Counter
 
 import pytest
@@ -102,6 +103,24 @@ def test_enumeration_pause_and_resume_round_trip():
     rest = [tuple(r.indices)
             for r in S.ExtremalEnumeration(g, checkpoint=state).records()]
     assert first + rest == full
+
+
+@pytest.mark.parametrize("spec", ["Z15", "Z21"])
+def test_snapshot_at_every_record_resumes_to_the_same_records(spec, request):
+    # state() taken while records() is suspended at a yield, as the CLI's
+    # periodic checkpoint and its Ctrl-C handler take it
+    full = request.getfixturevalue(f"{spec.lower()}_records")
+    g = _g(spec)
+    enum = S.ExtremalEnumeration(g)
+    assert enum.mode == "direct"
+    snapshots = []
+    for _rec in enum.records():
+        snapshots.append(json.loads(json.dumps(enum.state())))
+    assert len(snapshots) == len(full)
+    for k, state in enumerate(snapshots, start=1):
+        assert state["emitted"] == k
+        rest = list(S.ExtremalEnumeration(g, checkpoint=state).records())
+        assert full[:k] + rest == full, f"{spec}: resume after record {k}"
 
 
 def test_enumeration_rejects_checkpoint_from_other_group():

@@ -8,6 +8,7 @@ import pytest
 
 import reference as ref
 import spanlab as S
+from spanlab.groups import automorphism_generators
 
 
 # ------------------------------------------------------------- parsing
@@ -117,6 +118,29 @@ def test_translate_and_negate_bits_match_elementwise(spec):
         assert shifted == sum(1 << g.add(i, t) for i in idx)
         negged = g.negate_bits(bits)
         assert negged == sum(1 << g.neg(i) for i in idx)
+
+
+def test_translate_bits_matches_coordinatewise_reference():
+    rnd = random.Random(11)
+    for order in range(2, 33):
+        for orders in S.abelian_groups_of_order(order):
+            g = S.make_group(orders)
+            for a in range(order):
+                for _ in range(3):
+                    bits = rnd.getrandbits(order)
+                    assert g.translate_bits(bits, a) == \
+                        ref.translate_bits_brute(g, bits, a), (g, bits, a)
+
+
+def test_automorphism_generators_are_automorphisms():
+    for order in range(2, 37):
+        for orders in S.abelian_groups_of_order(order):
+            g = S.make_group(orders)
+            for perm in automorphism_generators(g):
+                assert sorted(perm) == list(range(order))
+                for x in range(order):
+                    for y in range(order):
+                        assert perm[g.add(x, y)] == g.add(perm[x], perm[y])
 
 
 def test_units_and_scaling():

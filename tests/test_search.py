@@ -86,6 +86,36 @@ def test_target_representatives_cover_unit_orbits():
     assert covered == orbits
 
 
+def test_orbit_targets_meet_every_automorphism_orbit_once():
+    # Aut(G) by brute force over the images of the factor generators; the
+    # generated subgroup turns out to be all of Aut(G) on these groups
+    for order in range(2, 28):
+        for orders in S.abelian_groups_of_order(order):
+            g = S.make_group(orders)
+            orbits = ref.automorphism_orbits_brute(g)
+            reps = S.target_representatives(g, reduce_orbits=True)
+            assert reps[-1] == 0 and reps[:-1] == sorted(reps[:-1])
+            assert {orb for orb in orbits if orb & set(reps)} == orbits, g
+            assert len(reps) == len(orbits), g
+            assert all(min(orb) in reps for orb in orbits), g
+
+
+def test_orbit_targets_on_cyclic_specs_are_the_divisors_then_zero():
+    for n in range(3, 201):
+        g = S.make_group((n,))
+        want = [d for d in range(1, n) if n % d == 0] + [0]
+        assert S.target_representatives(g, reduce_orbits=True) == want, n
+
+
+def test_orbit_targets_shrink_the_noncyclic_searches():
+    counts = {spec: len(S.target_representatives(S.parse_group_spec(spec), True))
+              for spec in ("Z2xZ2xZ2xZ2xZ2", "Z5xZ5", "Z7xZ7", "Z3xZ12")}
+    assert counts == {"Z2xZ2xZ2xZ2xZ2": 2, "Z5xZ5": 2, "Z7xZ7": 2, "Z3xZ12": 6}
+    total = sum(len(S.target_representatives(S.make_group(orders), True))
+                for n in range(3, 37) for orders in S.abelian_groups_of_order(n))
+    assert total == 244
+
+
 # ------------------------------------------------------ enumerators
 
 
