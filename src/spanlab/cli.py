@@ -202,16 +202,19 @@ def _prior_lines(ck: dict, emitted: int) -> list[str]:
 
 def _stream_records(enum: ExtremalEnumeration, records_final: Path,
                     ck_path: Path, command: str, checkpoint_every: int,
-                    prior: list[str], collect) -> str:
+                    prior: list[str], collect) -> str | None:
     """Drive an enumeration, writing one JSON line per record.
 
     Output goes to <records_final>.partial and is atomically renamed on
     completion; the checkpoint is rewritten every `checkpoint_every`
     records, always after the matching lines are flushed, so the pair
-    (partial file, checkpoint) is never ahead of itself.
+    (partial file, checkpoint) is never ahead of itself. Returns None on
+    completion, else why the run stopped. A Ctrl-C can land mid-write or
+    mid-step in the engine, so it saves the last checkpointed state.
     """
     partial = records_final.with_name(records_final.name + ".partial")
     partial.parent.mkdir(parents=True, exist_ok=True)
+    consistent = enum.state()
     written = 0
     with open(partial, "w", encoding="utf-8") as f:
         for line in prior:
@@ -225,17 +228,21 @@ def _stream_records(enum: ExtremalEnumeration, records_final: Path,
                 collect(d)
                 if checkpoint_every and written % checkpoint_every == 0:
                     f.flush()
-                    _write_checkpoint(ck_path, command, records_final,
-                                      enum.state())
-        except (EnumerationPaused, KeyboardInterrupt) as stop:
+                    state = enum.state()
+                    _write_checkpoint(ck_path, command, records_final, state)
+                    consistent = state
+        except EnumerationPaused as pause:
             f.flush()
-            state = stop.state if isinstance(stop, EnumerationPaused) else enum.state()
-            _write_checkpoint(ck_path, command, records_final, state)
-            return STATUS_PARTIAL
+            _write_checkpoint(ck_path, command, records_final, pause.state)
+            return "budget exhausted"
+        except KeyboardInterrupt:
+            f.flush()
+            _write_checkpoint(ck_path, command, records_final, consistent)
+            return "interrupted"
         f.flush()
     os.replace(partial, records_final)
     _write_checkpoint(ck_path, command, records_final, enum.state())
-    return STATUS_COMPLETE
+    return None
 
 
 # -- subcommands -------------------------------------------------------------------
@@ -368,18 +375,17 @@ def _enumerating_run(args, run: _Run, group, orbit_dedup: bool | None,
                    or run.dir / "checkpoint.json")
     for line in prior:
         verdict.add(json.loads(line))
-    status = _stream_records(enum, records_path, ck_path, run.name,
-                             args.checkpoint_every, prior, verdict.add)
-    summary, lines, code = report(enum, status == STATUS_COMPLETE, records_path)
+    stopped = _stream_records(enum, records_path, ck_path, run.name,
+                              args.checkpoint_every, prior, verdict.add)
+    summary, lines, code = report(enum, stopped is None, records_path)
     run.register("checkpoint", ck_path)
-    if status == STATUS_COMPLETE:
+    if stopped is None:
         run.register("records", records_path)
-    else:
-        run.register("records.partial",
-                     records_path.with_name(records_path.name + ".partial"))
-        lines.append(f"budget exhausted; resume with --resume {ck_path}")
-        code = 2
-    return run.finish(status, summary, lines, code)
+        return run.finish(STATUS_COMPLETE, summary, lines, code)
+    run.register("records.partial",
+                 records_path.with_name(records_path.name + ".partial"))
+    lines.append(f"{stopped}; resume with --resume {ck_path}")
+    return run.finish(STATUS_PARTIAL, summary, lines, 2)
 
 
 def cmd_enumerate(args, store: CampaignStore) -> int:

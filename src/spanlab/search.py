@@ -11,8 +11,11 @@ stack, so state can be checkpointed and resumed):
 * target-avoiding maximum search: branch and bound for the largest
   avoiding set, returning the lexicographically first maximum witness.
 
-The avoiding engines maintain (Sigma, -Sigma) incrementally, one translate
-each per node, so the per-node cost is a handful of big-int operations.
+The avoiding engines keep one kill mask per depth, K = t - (Sigma u {0}):
+the elements that would put t into Sigma. It starts at {t}; choosing c
+adds K - c, one translate per node, and the child's candidates are the
+parent's above c minus K. Sigma itself is never formed on the way down;
+the enumerator computes it at each leaf it yields.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from math import comb
 from typing import Callable, Iterator
 
 from .groups import GroupSpec, automorphism_generators, make_group
+from .sums import subset_sums_bits
 
 ENGINE_VERSION = "search-1"
 
@@ -58,6 +62,13 @@ class SearchStats:
     nodes: int = 0
     emitted: int = 0
     targets_done: int = 0
+
+
+def _check_state(state: dict, kind: str, group: GroupSpec) -> None:
+    for key, want in (("engine", ENGINE_VERSION), ("kind", kind),
+                      ("group", group.spec_string)):
+        if state.get(key) != want:
+            raise CheckpointMismatch(f"checkpoint {key} {state.get(key)!r} != {want!r}")
 
 
 def nonzero_mask(g: GroupSpec) -> int:
@@ -130,14 +141,7 @@ class SizedEnumerator:
     @classmethod
     def from_state(cls, group: GroupSpec, state: dict,
                    budget: SearchBudget | None = None) -> "SizedEnumerator":
-        if state.get("engine") != ENGINE_VERSION:
-            raise CheckpointMismatch(
-                f"checkpoint engine {state.get('engine')!r} != {ENGINE_VERSION!r}")
-        if state.get("kind") != "sized":
-            raise CheckpointMismatch(f"checkpoint kind {state.get('kind')!r} != 'sized'")
-        if state.get("group") != group.spec_string:
-            raise CheckpointMismatch(
-                f"checkpoint group {state.get('group')!r} != {group.spec_string!r}")
+        _check_state(state, "sized", group)
         self = cls(group, int(state["k"]), budget)
         self.path = [int(x) for x in state["path"]]
         self.cursor = [int(x) for x in state["cursor"]]
@@ -217,12 +221,10 @@ class AvoidingEnumerator:
         self.target = target
         self.k = k
         self.budget = budget or SearchBudget()
-        root_allowed = nonzero_mask(group) & ~(1 << target)
         self.path: list[int] = []
         self.cursor: list[int] = [0]
-        self.sigs: list[int] = [0]
-        self.negs: list[int] = [0]
-        self.allowed: list[int] = [root_allowed]
+        self.kills: list[int] = [1 << target]
+        self.allowed: list[int] = [nonzero_mask(group) & ~(1 << target)]
         self.stats = SearchStats()
         self.done = False
 
@@ -243,30 +245,25 @@ class AvoidingEnumerator:
     @classmethod
     def from_state(cls, group: GroupSpec, state: dict,
                    budget: SearchBudget | None = None) -> "AvoidingEnumerator":
-        if state.get("engine") != ENGINE_VERSION:
-            raise CheckpointMismatch(
-                f"checkpoint engine {state.get('engine')!r} != {ENGINE_VERSION!r}")
-        if state.get("kind") != "avoiding":
-            raise CheckpointMismatch(f"checkpoint kind {state.get('kind')!r} != 'avoiding'")
-        if state.get("group") != group.spec_string:
-            raise CheckpointMismatch(
-                f"checkpoint group {state.get('group')!r} != {group.spec_string!r}")
+        _check_state(state, "avoiding", group)
         self = cls(group, int(state["target"]), int(state["k"]), budget)
         self.path = [int(x) for x in state["path"]]
         self.cursor = [int(x) for x in state["cursor"]]
-        if len(self.cursor) != len(self.path) + 1:
+        if len(self.cursor) != len(self.path) + 1 or len(self.path) > self.k:
             raise CheckpointMismatch("corrupt checkpoint: cursor/path length mismatch")
         translate = group.translate_bits
         neg_table = group.neg_table()
-        t = self.target
-        sigs, negs, allowed = [0], [0], [self.allowed[0]]
+        kills, allowed = self.kills, self.allowed
         for x in self.path:
-            sig = sigs[-1] | translate(sigs[-1] | 1, x)
-            ng = negs[-1] | translate(negs[-1] | 1, neg_table[x])
-            sigs.append(sig)
-            negs.append(ng)
-            allowed.append(allowed[-1] & (-1 << (x + 1)) & ~translate(ng, t))
-        self.sigs, self.negs, self.allowed = sigs, negs, allowed
+            # off the candidate mask (not ascending, 0, t, or killed) the
+            # run would yield sets whose sums hit the target
+            if not (0 < x < group.order and allowed[-1] >> x & 1):
+                raise CheckpointMismatch(
+                    f"corrupt checkpoint: path {self.path} is not an avoiding "
+                    f"prefix for target {self.target}")
+            kill = kills[-1] | translate(kills[-1], neg_table[x])
+            kills.append(kill)
+            allowed.append(allowed[-1] & (-1 << (x + 1)) & ~kill)
         self.stats.nodes = int(state.get("nodes", 0))
         self.stats.emitted = int(state.get("emitted", 0))
         self.done = bool(state.get("done", False))
@@ -278,10 +275,8 @@ class AvoidingEnumerator:
         g = self.group
         translate = g.translate_bits
         neg_table = g.neg_table()
-        t = self.target
         k = self.k
-        path, cursor = self.path, self.cursor
-        sigs, negs, allowed = self.sigs, self.negs, self.allowed
+        path, cursor, kills, allowed = self.path, self.cursor, self.kills, self.allowed
         stats = self.stats
         budget = self.budget
         deadline = budget.deadline()
@@ -292,10 +287,10 @@ class AvoidingEnumerator:
             if depth == k:
                 # step past the leaf before yielding it (see SizedEnumerator)
                 leaf = tuple(path)
-                path.pop(); cursor.pop(); sig = sigs.pop(); negs.pop(); allowed.pop()
+                path.pop(); cursor.pop(); kills.pop(); allowed.pop()
                 stats.emitted += 1
                 stats.nodes = nodes
-                yield leaf, sig
+                yield leaf, subset_sums_bits(g, leaf)
                 continue
             m = allowed[depth] & (-1 << cursor[depth])
             if m == 0 or m.bit_count() < k - depth:
@@ -303,10 +298,9 @@ class AvoidingEnumerator:
                     self.done = True
                     stats.nodes = nodes
                     return
-                path.pop(); cursor.pop(); sigs.pop(); negs.pop(); allowed.pop()
+                path.pop(); cursor.pop(); kills.pop(); allowed.pop()
                 continue
-            low = m & -m
-            c = low.bit_length() - 1
+            c = (m & -m).bit_length() - 1
             nodes += 1
             if (stop_at is not None and nodes >= stop_at) or (
                     deadline is not None and nodes & _CHECK_MASK == 0
@@ -314,15 +308,12 @@ class AvoidingEnumerator:
                 stats.nodes = nodes
                 raise EnumerationPaused(self.state())
             cursor[depth] = c + 1
-            sig = sigs[depth]
-            new_sig = sig | translate(sig | 1, c)
-            ng = negs[depth]
-            new_neg = ng | translate(ng | 1, neg_table[c])
+            kill = kills[depth]
+            kill |= translate(kill, neg_table[c])
             path.append(c)
             cursor.append(c + 1)
-            sigs.append(new_sig)
-            negs.append(new_neg)
-            allowed.append(m & (-1 << (c + 1)) & ~translate(new_neg, t))
+            kills.append(kill)
+            allowed.append(m & (-1 << (c + 1)) & ~kill)
 
 
 @dataclass
@@ -345,13 +336,10 @@ def max_avoiding(group: GroupSpec, target: int, floor: int = 0,
     budget = budget or SearchBudget()
     translate = group.translate_bits
     neg_table = group.neg_table()
-    t = target
-    root_allowed = nonzero_mask(group) & ~(1 << t)
     path: list[int] = []
     cursor = [0]
-    sigs = [0]
-    negs = [0]
-    allowed = [root_allowed]
+    kills = [1 << target]
+    allowed = [nonzero_mask(group) & ~(1 << target)]
     best_size = floor
     best: tuple[int, ...] | None = None
     nodes = 0
@@ -362,27 +350,23 @@ def max_avoiding(group: GroupSpec, target: int, floor: int = 0,
         if m == 0 or (use_prune and depth + m.bit_count() <= best_size):
             if depth == 0:
                 return MaxSearchResult(best_size, best, nodes, True)
-            path.pop(); cursor.pop(); sigs.pop(); negs.pop(); allowed.pop()
+            path.pop(); cursor.pop(); kills.pop(); allowed.pop()
             continue
-        low = m & -m
-        c = low.bit_length() - 1
+        c = (m & -m).bit_length() - 1
         nodes += 1
         if (budget.max_nodes is not None and nodes >= budget.max_nodes) or (
                 deadline is not None and nodes & _CHECK_MASK == 0
                 and time.monotonic() > deadline):
             return MaxSearchResult(best_size, best, nodes, False)
         cursor[depth] = c + 1
-        sig = sigs[depth]
-        new_sig = sig | translate(sig | 1, c)
-        ng = negs[depth]
-        new_neg = ng | translate(ng | 1, neg_table[c])
+        kill = kills[depth]
+        kill |= translate(kill, neg_table[c])
         path.append(c)
         cursor.append(c + 1)
-        sigs.append(new_sig)
-        negs.append(new_neg)
-        allowed.append(m & (-1 << (c + 1)) & ~translate(new_neg, t))
-        if len(path) > best_size:
-            best_size = len(path)
+        kills.append(kill)
+        allowed.append(m & (-1 << (c + 1)) & ~kill)
+        if depth + 1 > best_size:
+            best_size = depth + 1
             best = tuple(path)
 
 

@@ -9,7 +9,9 @@ import re
 import pytest
 
 import spanlab as S
+import spanlab.cli
 from spanlab.cli import main as cli_main
+from spanlab.extremal import Verdict
 
 
 @pytest.fixture
@@ -169,6 +171,61 @@ def test_enumerate_interrupt_resume_is_byte_identical(cli):
                         "--resume", ck)
     assert code == 0
     assert out_resumed.read_bytes() == out_full.read_bytes()
+
+
+@pytest.mark.parametrize("mode,n", [
+    ([], 28),
+    (["--extended", "--threads", 1], 4),
+    (["--extended", "--threads", 2], 4),
+    (["--extended", "--threads", 1, "--no-orbit-dedup"], 28),
+    (["--extended", "--threads", 2, "--no-orbit-dedup"], 28),
+], ids=["direct", "extended-1", "extended-2", "extended-1-all",
+        "extended-2-all"])
+def test_ctrl_c_at_every_record_resumes_byte_identical(cli, monkeypatch, mode, n):
+    full = cli.tmp / "full.jsonl"
+    assert cli("enumerate-extremal", "--group", "Z15", "--out", full, *mode)[0] == 0
+    want = full.read_bytes()
+    assert len(want.splitlines()) == n
+
+    trip = {"where": None, "at": 0, "seen": 0}
+
+    def tripwire(where):
+        if trip["where"] == where:
+            trip["seen"] += 1
+            if trip["seen"] == trip["at"]:
+                raise KeyboardInterrupt
+
+    real_dump, real_add = spanlab.cli.dump_json, Verdict.add
+
+    def dump(obj, pretty=False):
+        if not pretty:  # a record line, not a checkpoint
+            tripwire("write")
+        return real_dump(obj, pretty)
+
+    def add(self, record):
+        real_add(self, record)
+        tripwire("collect")
+
+    monkeypatch.setattr(spanlab.cli, "dump_json", dump)
+    monkeypatch.setattr(Verdict, "add", add)
+    # Ctrl-C before the k-th line is written, and after it is written but
+    # before the checkpoint that would cover it
+    for where in ("write", "collect"):
+        for k in range(1, n + 1):
+            out = cli.tmp / f"{where}-{k}.jsonl"
+            ck = cli.tmp / f"{where}-{k}.ck.json"
+            trip.update(where=where, at=k, seen=0)
+            code, text, _ = cli("enumerate-extremal", "--group", "Z15",
+                                "--out", out, "--checkpoint", ck,
+                                "--checkpoint-every", 5, *mode)
+            assert code == 2, (where, k)
+            assert f"interrupted; resume with --resume {ck}" in text
+            assert "budget exhausted" not in text
+            trip["where"] = None
+            code, _, err = cli("enumerate-extremal", "--group", "Z15",
+                               "--resume", ck, *mode)
+            assert code == 0, (where, k, err)
+            assert out.read_bytes() == want, (where, k)
 
 
 def test_resume_of_completed_run_is_a_noop(cli):

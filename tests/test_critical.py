@@ -111,6 +111,38 @@ def test_search_with_orbit_reduction_finds_same_value():
     assert S.critical_number_search(_g("Z9"), reduce_orbits=True).value == 5
 
 
+# critical_number_search(g).nodes with orbit-reduced targets, frozen from the
+# engine that kept (Sigma, -Sigma) per node: the kill-mask recurrence must
+# walk the same tree, not just reach the same value
+SEARCH_NODES_TO_36 = {
+    "Z3": 2, "Z2xZ2": 3, "Z4": 5, "Z5": 5, "Z6": 16, "Z7": 11, "Z2xZ2xZ2": 36,
+    "Z2xZ4": 45, "Z8": 39, "Z3xZ3": 33, "Z9": 39, "Z10": 77, "Z11": 59,
+    "Z2xZ6": 215, "Z12": 235, "Z13": 188, "Z14": 312, "Z15": 566,
+    "Z2xZ2xZ2xZ2": 480, "Z2xZ2xZ4": 716, "Z2xZ8": 857, "Z4xZ4": 409,
+    "Z16": 650, "Z17": 740, "Z3xZ6": 734, "Z18": 996, "Z19": 988,
+    "Z2xZ10": 1758, "Z20": 1539, "Z21": 3748, "Z22": 1507, "Z23": 3071,
+    "Z2xZ2xZ6": 4506, "Z2xZ12": 7123, "Z24": 4163, "Z5xZ5": 10600,
+    "Z25": 10572, "Z26": 2993, "Z3xZ3xZ3": 7202, "Z3xZ9": 16345, "Z27": 17820,
+    "Z2xZ14": 10689, "Z28": 6171, "Z29": 16470, "Z30": 10171, "Z31": 31532,
+    "Z2xZ2xZ2xZ2xZ2": 14224, "Z2xZ2xZ2xZ4": 25130, "Z2xZ2xZ8": 36321,
+    "Z2xZ4xZ4": 20451, "Z2xZ16": 35052, "Z4xZ8": 15892, "Z32": 11915,
+    "Z33": 50637, "Z34": 10758, "Z35": 161307, "Z2xZ18": 77860,
+    "Z3xZ12": 28281, "Z6xZ6": 12946, "Z36": 28822,
+}
+
+
+def test_search_walks_the_frozen_tree_to_order_36():
+    nodes = {}
+    for order in range(3, 37):
+        for orders in S.abelian_groups_of_order(order):
+            g = S.make_group(orders)
+            out = S.critical_number_search(g, S.SearchBudget(max_exact_order=36))
+            assert out.status == "complete", g
+            nodes[g.spec_string] = out.nodes
+    assert len(nodes) == 60
+    assert nodes == SEARCH_NODES_TO_36
+
+
 def test_search_respects_budget():
     out = S.critical_number_search(_g("Z21"), budget=S.SearchBudget(max_nodes=50))
     assert out.status == "budget_exceeded"

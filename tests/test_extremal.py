@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 from collections import Counter
 
@@ -9,6 +10,7 @@ import pytest
 
 import reference as ref
 import spanlab as S
+from spanlab.store import dump_json
 
 
 def _g(spec: str) -> S.GroupSpec:
@@ -86,6 +88,20 @@ def test_orbit_dedup_keeps_one_representative_per_orbit(z15_records):
     assert {g.canonical_bits_under_units(b) for b in reduced_bits} == \
         literal_orbits
     assert len(set(reduced_bits)) == len(reduced_bits)
+
+
+@pytest.mark.parametrize("spec", ["Z3xZ3xZ3", "Z2xZ2xZ2xZ2"])
+def test_missed_target_engine_matches_direct_on_noncyclic_groups(spec):
+    # the avoiding engine, one target per element, against the sized engine
+    g = _g(spec)
+    direct = S.ExtremalEnumeration(g)
+    missed = S.ExtremalEnumeration(g, S.SearchBudget(extended=True))
+    assert (direct.mode, missed.mode) == ("direct", "missed_target")
+    assert not missed.orbit_dedup and len(missed.targets) == g.order
+    want = [rec.indices for rec in direct.records()]
+    got = [rec.indices for rec in missed.records()]
+    assert len(got) == len(set(got)) == len(want)
+    assert set(got) == set(want)
 
 
 def test_enumeration_pause_and_resume_round_trip():
@@ -414,3 +430,14 @@ def test_structure_theorem_extended_runs(spec, tag):
     assert not rep.violations and rep.violation_count == 0
     assert rep.extremal_count > 0
     assert rep.tag_counts.get(tag) == rep.extremal_count
+
+
+@pytest.mark.extended
+def test_z55_parallel_missed_target_records_bytes():
+    # the benchmark's extremal-parallel run: 2 pool workers, unit-orbit dedup
+    recs = S.enumerate_extremal(_g("Z55"), S.SearchBudget(extended=True),
+                                threads=2)
+    lines = [dump_json(rec.to_dict()) + "\n" for rec in recs]
+    assert len(lines) == 126
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == (
+        "9903cc8fd6a74cec84127fc7c8ad474f7f93d4bc03d110fce75e0a034dd02434")

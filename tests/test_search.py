@@ -141,6 +141,46 @@ def test_enumerator_sigma_bits_are_correct():
     for idx, sig in S.SizedEnumerator(g, 3).run():
         assert {i for i in range(9) if sig >> i & 1} == \
             ref.subset_sums_brute(g, idx)
+    for spec in ("Z9", "Z3xZ3"):
+        g = S.parse_group_spec(spec)
+        for target in range(g.order):
+            for k in (2, 3, 4):
+                leaves = list(S.AvoidingEnumerator(g, target, k).run())
+                assert [idx for idx, _ in leaves] == [
+                    combo for combo in itertools.combinations(range(1, g.order), k)
+                    if target not in ref.subset_sums_brute(g, combo)]
+                for idx, sig in leaves:
+                    assert {i for i in range(g.order) if sig >> i & 1} == \
+                        ref.subset_sums_brute(g, idx), (spec, target, idx)
+
+
+# AvoidingEnumerator(g, t, cr(g) - 1) node counts for t = 0, 1, ..., |g| - 1,
+# frozen from the engine that kept (Sigma, -Sigma) per node: the kill-mask
+# recurrence walks the same tree
+AVOIDING_NODES = {
+    "Z21": [
+        1507, 1456, 1460, 1406, 1454, 1466, 1395, 1428, 1404, 1354, 1439, 1434,
+        1421, 1460, 1554, 1518, 1623, 1549, 1534, 1466, 1490,
+    ],
+    "Z3xZ3xZ3": [
+        4427, 4612, 4681, 4670, 4670, 4670, 4741, 4741, 4741, 6872, 6824, 6815,
+        6724, 6724, 6724, 6622, 6657, 6639, 6231, 6231, 6231, 6225, 6237, 6231,
+        6226, 6226, 6226,
+    ],
+}
+
+
+@pytest.mark.parametrize("spec", sorted(AVOIDING_NODES))
+def test_avoiding_enumerator_walks_the_frozen_tree(spec):
+    g = S.parse_group_spec(spec)
+    k = S.critical_number_formula(g) - 1
+    nodes = []
+    for target in range(g.order):
+        eng = S.AvoidingEnumerator(g, target, k)
+        for _ in eng.run():
+            pass
+        nodes.append(eng.stats.nodes)
+    assert nodes == AVOIDING_NODES[spec]
 
 
 def test_sized_enumerator_rejects_bad_size():
@@ -197,6 +237,22 @@ def test_avoiding_enumerator_resume_is_lossless():
 
     chunked, _ = _drain_with_pauses(make, 400)
     assert chunked == uninterrupted
+
+
+@pytest.mark.parametrize("path,why", [
+    ([3, 1], "not ascending"),
+    ([0, 1], "zero"),
+    ([2, 4], "the target"),
+    ([1, 3], "killed: 1 + 3 = 4"),
+    ([1, 2, 5, 7], "longer than k"),
+    ([20], "outside the group"),
+])
+def test_avoiding_from_state_rejects_paths_off_the_candidate_mask(path, why):
+    g = S.parse_group_spec("Z15")
+    state = S.AvoidingEnumerator(g, 4, 3).state()
+    state.update(path=path, cursor=[x + 1 for x in path] + [path[-1] + 1])
+    with pytest.raises(S.CheckpointMismatch):
+        S.AvoidingEnumerator.from_state(g, state)
 
 
 def test_from_state_rejects_foreign_checkpoints():
