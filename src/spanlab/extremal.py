@@ -408,8 +408,9 @@ class ExtremalEnumeration:
                     raise CheckpointMismatch(
                         "mid-target checkpoint cannot resume with threads > 1; "
                         "resume single-threaded or restart the target")
-                self._inner = AvoidingEnumerator.from_state(self.group, inner,
-                                                            self.budget)
+                self._inner = AvoidingEnumerator.from_state(
+                    self.group, inner, self.budget,
+                    self._stabilizer(int(inner.get("target", -1))))
                 if self._inner.target != self.targets[self.target_pos]:
                     raise CheckpointMismatch("checkpoint target out of step")
 
@@ -464,11 +465,21 @@ class ExtremalEnumeration:
             indices = tuple(i for i in range(self.group.order) if (mask >> i) & 1)
         return mask, indices
 
+    def _stabilizer(self, t: int) -> tuple[tuple[int, ...], ...]:
+        """The unit scalings u != 1 with u*t = t as permutations, with orbit
+        dedup (else ()): they cut target t's DFS (see search.py)."""
+        if not self.orbit_dedup:
+            return ()
+        n = self.group.order
+        return tuple(tuple(u * x % n for x in range(n))
+                     for u in self.group.units() if u != 1 and u * t % n == t)
+
     def _run_missed_sequential(self) -> Iterator[ExtremalRecord]:
         while self.target_pos < len(self.targets):
             if self._inner is None:
-                self._inner = AvoidingEnumerator(
-                    self.group, self.targets[self.target_pos], self.k, self.budget)
+                t = self.targets[self.target_pos]
+                self._inner = AvoidingEnumerator(self.group, t, self.k, self.budget,
+                                                 self._stabilizer(t))
             else:
                 self._inner.budget = self.budget
             for found, _sig in self._inner.run():
@@ -484,7 +495,6 @@ class ExtremalEnumeration:
 
     def _run_missed_parallel(self) -> Iterator[ExtremalRecord]:
         orders = self.group.cyclic_orders
-        firsts = list(range(1, self.group.order))
         deadline = self.budget.deadline()
         nodes_cap = (None if self.budget.max_nodes is None
                      else self.stats.nodes + self.budget.max_nodes)
@@ -494,8 +504,11 @@ class ExtremalEnumeration:
                         deadline is not None and time.monotonic() > deadline):
                     raise EnumerationPaused(self.state())
                 t = self.targets[self.target_pos]
-                futures = [pool.submit(run_work_unit, orders, t, self.k, f)
-                           for f in firsts]
+                syms = self._stabilizer(t)
+                # a first element above its Stab(t)-orbit's least is cut anyway
+                futures = [pool.submit(run_work_unit, orders, t, self.k, f, syms)
+                           for f in range(1, self.group.order)
+                           if all(s[f] >= f for s in syms)]
                 for fut in futures:
                     masks, nodes = fut.result()
                     self.stats.nodes += nodes

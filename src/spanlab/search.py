@@ -16,6 +16,15 @@ the elements that would put t into Sigma. It starts at {t}; choosing c
 adds K - c, one translate per node, and the child's candidates are the
 parent's above c minus K. Sigma itself is never formed on the way down;
 the enumerator computes it at each leaf it yields.
+
+Given symmetries (automorphisms s with s(t) = t), the enumerator cuts the
+node adding c to the prefix P when some s puts the least element of
+s(P) xor P (at most c, as |s(P)| = |P|) in s(P), as then s(A) <lex A for
+every completion A of P. Under the unit scalings fixing t, the first member
+of a unit orbit that the unpruned DFS yields is its lex-least t-avoiding
+member M; every s(M) avoids t too, so M <=lex s(M) and M is never cut:
+orbit-deduplicated records keep their bytes and order. All s(P) share one
+int, a lane of |G| + 1 bits per s with a guard bit on top.
 """
 
 from __future__ import annotations
@@ -145,11 +154,17 @@ class SizedEnumerator:
         self = cls(group, int(state["k"]), budget)
         self.path = [int(x) for x in state["path"]]
         self.cursor = [int(x) for x in state["cursor"]]
-        if len(self.cursor) != len(self.path) + 1:
-            raise CheckpointMismatch("corrupt checkpoint: cursor/path length mismatch")
+        path, cursor, below = self.path, self.cursor, [0, *self.path]
+        # 0 < path ascending; path[d] (path[-1] at the end) < cursor[d] <= last start
+        if (len(cursor) != len(path) + 1 or len(path) > self.k
+                or any(a >= b for a, b in zip(below, path))
+                or any(not x < c <= group.order - self.k + d + 1
+                       for d, (x, c) in enumerate(zip(path + below[-1:], cursor)))):
+            raise CheckpointMismatch(f"corrupt checkpoint: path {path}, cursor "
+                                     f"{cursor} is no size-{self.k} search position")
         translate = group.translate_bits
         sigs = [0]
-        for x in self.path:
+        for x in path:
             sigs.append(sigs[-1] | translate(sigs[-1] | 1, x))
         self.sigs = sigs
         self.stats.nodes = int(state.get("nodes", 0))
@@ -211,12 +226,16 @@ class SizedEnumerator:
 
 
 class AvoidingEnumerator:
-    """Lexicographic DFS over size-k subsets whose Sigma avoids one fixed target."""
+    """Lexicographic DFS over size-k subsets whose Sigma avoids one fixed
+    target, cut by symmetries fixing it if given (see the module docstring)."""
 
     def __init__(self, group: GroupSpec, target: int, k: int,
-                 budget: SearchBudget | None = None):
+                 budget: SearchBudget | None = None,
+                 symmetries: tuple[tuple[int, ...], ...] = ()):
         if not 0 <= target < group.order:
             raise ValueError(f"target {target} out of range")
+        if any(s[target] != target for s in symmetries):
+            raise ValueError(f"a symmetry moves the target {target}")
         self.group = group
         self.target = target
         self.k = k
@@ -225,6 +244,7 @@ class AvoidingEnumerator:
         self.cursor: list[int] = [0]
         self.kills: list[int] = [1 << target]
         self.allowed: list[int] = [nonzero_mask(group) & ~(1 << target)]
+        self.symmetries = symmetries
         self.stats = SearchStats()
         self.done = False
 
@@ -244,9 +264,10 @@ class AvoidingEnumerator:
 
     @classmethod
     def from_state(cls, group: GroupSpec, state: dict,
-                   budget: SearchBudget | None = None) -> "AvoidingEnumerator":
+                   budget: SearchBudget | None = None,
+                   symmetries: tuple[tuple[int, ...], ...] = ()) -> "AvoidingEnumerator":
         _check_state(state, "avoiding", group)
-        self = cls(group, int(state["target"]), int(state["k"]), budget)
+        self = cls(group, int(state["target"]), int(state["k"]), budget, symmetries)
         self.path = [int(x) for x in state["path"]]
         self.cursor = [int(x) for x in state["cursor"]]
         if len(self.cursor) != len(self.path) + 1 or len(self.path) > self.k:
@@ -282,6 +303,18 @@ class AvoidingEnumerator:
         deadline = budget.deadline()
         nodes = stats.nodes
         stop_at = None if budget.max_nodes is None else nodes + budget.max_nodes
+        syms = self.symmetries
+        if syms:
+            # lane j of imgs[d] holds s_j(path[:d]), of pres[d] path[:d] and
+            # the guard bit, so lanes never borrow from each other
+            w = g.order + 1
+            rep = sum(1 << (j * w) for j in range(len(syms)))
+            image = [sum(1 << (j * w + s[c]) for j, s in enumerate(syms))
+                     for c in range(g.order)]
+            imgs, pres = [0] * (k + 1), [rep << g.order] * (k + 1)
+            for d, x in enumerate(path):
+                imgs[d + 1] = imgs[d] | image[x]
+                pres[d + 1] = pres[d] | rep << x
         while True:
             depth = len(path)
             if depth == k:
@@ -308,6 +341,14 @@ class AvoidingEnumerator:
                 stats.nodes = nodes
                 raise EnumerationPaused(self.state())
             cursor[depth] = c + 1
+            if syms:
+                img = imgs[depth] | image[c]
+                pre = pres[depth] | rep << c
+                # per lane: the lowest bit of s(P) ^ P, else the guard
+                x = img ^ pre
+                if x & ~(x - rep) & img:
+                    continue
+                imgs[depth + 1], pres[depth + 1] = img, pre
             kill = kills[depth]
             kill |= translate(kill, neg_table[c])
             path.append(c)
@@ -416,8 +457,8 @@ def subtree_state(group: GroupSpec, target: int, k: int, first: int) -> dict:
     }
 
 
-def run_work_unit(orders: tuple[int, ...], target: int, k: int,
-                  first: int) -> tuple[list[int], int]:
+def run_work_unit(orders: tuple[int, ...], target: int, k: int, first: int,
+                  symmetries: tuple[tuple[int, ...], ...] = ()) -> tuple[list[int], int]:
     """Enumerate the (target, first) subtree to completion; returns
     (bitmasks of avoiding size-k sets in lex order, node count).
     Module-level and picklable so process pools can run it."""
@@ -425,7 +466,8 @@ def run_work_unit(orders: tuple[int, ...], target: int, k: int,
     root = nonzero_mask(group) & ~(1 << target)
     if not (root >> first) & 1:
         return [], 0
-    eng = AvoidingEnumerator.from_state(group, subtree_state(group, target, k, first))
+    eng = AvoidingEnumerator.from_state(
+        group, subtree_state(group, target, k, first), symmetries=symmetries)
     out = []
     for indices, _sig in eng.run():
         mask = 0

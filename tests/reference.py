@@ -11,6 +11,7 @@ is established separately in test_groups against mixed-radix math.
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
 
 # ---------------------------------------------------------------- numbers
@@ -259,6 +260,31 @@ def max_nonspanning_brute(group) -> tuple[int, tuple[int, ...]]:
             break
         best, witness = r, hit
     return best, witness
+
+
+# -------------------------------------------------------- orbit records
+
+
+def orbit_records_unpruned(group) -> list[tuple[int, ...]]:
+    """Extremal unit-orbit representatives of a cyclic group, in the order
+    the orbit-deduplicated missed-target enumeration emits them, from the
+    unpruned DFS: for each target representative in turn, every leaf of
+    AvoidingEnumerator with no symmetries; the first leaf of each orbit
+    (keyed by its least image under the units, as a bitmask) records that
+    least image."""
+    import spanlab as S
+
+    n = group.order
+    units = [u for u in range(1, n) if math.gcd(u, n) == 1]
+    k = S.critical_number_formula(group) - 1
+    seen, out = set(), []
+    for t in S.target_representatives(group, True):
+        for leaf, _sig in S.AvoidingEnumerator(group, t, k).run():
+            key = min(sum(1 << (u * x % n) for x in leaf) for u in units)
+            if key not in seen:
+                seen.add(key)
+                out.append(tuple(x for x in range(n) if key >> x & 1))
+    return out
 
 
 # ----------------------------------------------------------- coset data

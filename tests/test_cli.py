@@ -403,6 +403,22 @@ def test_verify_main_rejects_group_outside_hypothesis(cli):
     assert "Z16" in err
 
 
+@pytest.mark.extended
+def test_verify_main_z65_at_the_pq_boundary(cli):
+    # Z65: p = 5, q = 13 = 2p + 3, the smallest q of the paper's second result
+    # at p = 5; unit-orbit dedup with the stabilizer-pruned DFS on 2 workers
+    code, out, _ = cli("verify-main", "--group", "Z65", "--extended",
+                       "--threads", 2)
+    assert code == 0
+    assert "VERIFIED" in out and "extremal sets: 110, violations: 0" in out
+    (rec,) = _campaigns(cli)
+    assert rec["summary"]["outcome"] == "VERIFIED"
+    records = _artifact(cli, rec, "records.jsonl")
+    assert len(records.read_text().splitlines()) == 110
+    assert hashlib.sha256(records.read_bytes()).hexdigest() == (
+        "b4708e5cab0c9452d3aba28a01a769c65b978744d8e2ad6e1276c60b604d9cd7")
+
+
 def test_report_lists_campaigns_without_adding_records(cli):
     assert cli("cr", "--group", "Z15", "--formula")[0] == 0
     assert cli("fuzz-bounds", "--lemma", "2.3", "--trials", 50,
@@ -509,7 +525,7 @@ GOLDEN = {
         {"checkpoint.json": "39f2ca4cf0d49fd0981bebe1d17f1474e2d733c82c0cb89ae054a85dba288e2b",
          "records.jsonl": _ENUM_Z36},
         _enum_lines("Z36", 1, 17, "missed_target", "true", _SHAPE_I_TAGS),
-        {"mode": "missed_target", "nodes": 30325, "orbit_dedup": True,
+        {"mode": "missed_target", "nodes": 20112, "orbit_dedup": True,
          "records": 1, "tags": _SHAPE_I_TAGS}),
     "conjecture-2-3-5": (
         ["conjecture", "--which", "2", "--p", "3", "--q", "5"],

@@ -121,22 +121,91 @@ def test_enumeration_pause_and_resume_round_trip():
     assert first + rest == full
 
 
-@pytest.mark.parametrize("spec", ["Z15", "Z21"])
-def test_snapshot_at_every_record_resumes_to_the_same_records(spec, request):
-    # state() taken while records() is suspended at a yield, as the CLI's
-    # periodic checkpoint and its Ctrl-C handler take it
-    full = request.getfixturevalue(f"{spec.lower()}_records")
-    g = _g(spec)
-    enum = S.ExtremalEnumeration(g)
-    assert enum.mode == "direct"
-    snapshots = []
-    for _rec in enum.records():
+def _snapshots(enum):
+    """The records of a run, and state() taken while records() is suspended
+    at each yield, as the CLI's periodic checkpoint and its Ctrl-C handler
+    take it (JSON round-tripped)."""
+    records, snapshots = [], []
+    for rec in enum.records():
+        records.append(rec)
         snapshots.append(json.loads(json.dumps(enum.state())))
-    assert len(snapshots) == len(full)
+    return records, snapshots
+
+
+# Z15 and Z21 run in direct mode; Z33 and Z36 in missed-target mode with
+# orbit dedup, whose snapshots sit inside a target's pruned DFS
+@pytest.mark.parametrize("spec", ["Z15", "Z21", "Z33", "Z36"])
+def test_snapshot_at_every_record_resumes_to_the_same_records(spec):
+    g = _g(spec)
+    extended = spec in ("Z33", "Z36")
+    budget = S.SearchBudget(extended=extended)
+    full, snapshots = _snapshots(S.ExtremalEnumeration(g, budget))
+    assert full == list(S.ExtremalEnumeration(g, budget).records())
+    assert snapshots[0]["mode"] == ("missed_target" if extended else "direct")
+    assert snapshots[0]["orbit_dedup"] is extended
+    assert all(st["inner"] is not None for st in snapshots)
     for k, state in enumerate(snapshots, start=1):
         assert state["emitted"] == k
-        rest = list(S.ExtremalEnumeration(g, checkpoint=state).records())
+        rest = list(S.ExtremalEnumeration(g, budget, checkpoint=state).records())
         assert full[:k] + rest == full, f"{spec}: resume after record {k}"
+
+
+def _cut_by_stabilizer(enum, inner):
+    """True when the pruned DFS never reaches this (target, path): some
+    s in Stab(t) puts the least element of s(P) ^ P in s(P)."""
+    path = set(inner["path"])
+    for s in enum._stabilizer(inner["target"]):
+        image = {s[x] for x in path}
+        if image != path and min(image ^ path) in image:
+            return True
+    return False
+
+
+def test_unpruned_snapshots_resume_under_stabilizer_pruning(monkeypatch):
+    # mid-target orbit-dedup checkpoints written by the unpruned engine, after
+    # every record and at every 4999-node pause, have the same format; resumed
+    # with the pruning they give the same records bytes, also from positions
+    # the pruned DFS cuts
+    g = _g("Z33")
+    budget = S.SearchBudget(extended=True)
+    full = [dump_json(rec.to_dict()) for rec in S.enumerate_extremal(g, budget)]
+    with monkeypatch.context() as m:
+        m.setattr(S.ExtremalEnumeration, "_stabilizer", lambda self, t: ())
+        unpruned, snapshots = _snapshots(S.ExtremalEnumeration(g, budget))
+        state = None
+        while True:
+            enum = S.ExtremalEnumeration(
+                g, S.SearchBudget(extended=True, max_nodes=4999), checkpoint=state)
+            try:
+                for _ in enum.records():
+                    pass
+                break
+            except S.EnumerationPaused as pause:
+                state = json.loads(json.dumps(pause.state))
+                snapshots.append(state)
+    assert [dump_json(rec.to_dict()) for rec in unpruned] == full
+    pruned = S.ExtremalEnumeration(g, budget)
+    assert sum(_cut_by_stabilizer(pruned, st["inner"]) for st in snapshots) >= 5
+    for state in snapshots:
+        k = state["emitted"]
+        rest = S.ExtremalEnumeration(g, budget, checkpoint=state).records()
+        assert full[:k] + [dump_json(rec.to_dict()) for rec in rest] == full, state
+
+
+@pytest.mark.parametrize("n", range(3, 43))
+def test_stabilizer_pruned_orbit_records_match_the_unpruned_tree(n):
+    g = _g(f"Z{n}")
+    enum = S.ExtremalEnumeration(g, S.SearchBudget(extended=True), orbit_dedup=True)
+    assert [tuple(rec.indices) for rec in enum.records()] == \
+        ref.orbit_records_unpruned(g)
+
+
+@pytest.mark.parametrize("spec", ["Z35", "Z36"])
+def test_stabilizer_pruned_orbit_records_match_with_two_workers(spec):
+    g = _g(spec)
+    recs = S.enumerate_extremal(g, S.SearchBudget(extended=True),
+                                orbit_dedup=True, threads=2)
+    assert [tuple(rec.indices) for rec in recs] == ref.orbit_records_unpruned(g)
 
 
 def test_enumeration_rejects_checkpoint_from_other_group():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import pytest
 
@@ -183,6 +184,55 @@ def test_avoiding_enumerator_walks_the_frozen_tree(spec):
     assert nodes == AVOIDING_NODES[spec]
 
 
+def _unit_stabilizer(g, t):
+    n = g.order
+    return tuple(tuple(u * x % n for x in range(n)) for u in range(2, n)
+                 if math.gcd(u, n) == 1 and u * t % n == t)
+
+
+@pytest.mark.parametrize("spec", ["Z21", "Z25", "Z33", "Z36"])
+def test_stabilizer_pruning_keeps_exactly_the_lex_leaders(spec):
+    # the pruned leaves are the subsequence of the unpruned leaves that are
+    # lex-least among their images under Stab(t), by brute force over the
+    # sorted images: no lex-leader is cut, and no other leaf is kept
+    g = S.parse_group_spec(spec)
+    k = S.critical_number_formula(g) - 1
+    full_nodes = pruned_nodes = 0
+    for t in range(g.order):
+        syms = _unit_stabilizer(g, t)
+        full = S.AvoidingEnumerator(g, t, k)
+        leaves = [idx for idx, _ in full.run()]
+        pruned = S.AvoidingEnumerator(g, t, k, symmetries=syms)
+        assert [idx for idx, _ in pruned.run()] == [
+            a for a in leaves
+            if all(tuple(sorted(s[x] for x in a)) >= a for s in syms)], (spec, t)
+        full_nodes += full.stats.nodes
+        pruned_nodes += pruned.stats.nodes
+    assert pruned_nodes < full_nodes
+
+
+def test_pruned_avoiding_enumerator_resume_is_lossless():
+    g = S.parse_group_spec("Z25")
+    syms = _unit_stabilizer(g, 5)
+    uninterrupted = list(S.AvoidingEnumerator(g, 5, 7, symmetries=syms).run())
+    assert len(uninterrupted) == 132
+
+    def make(state):
+        budget = S.SearchBudget(max_nodes=97)
+        if state is None:
+            return S.AvoidingEnumerator(g, 5, 7, budget, syms)
+        return S.AvoidingEnumerator.from_state(g, state, budget, syms)
+
+    chunked, _ = _drain_with_pauses(make, 97)
+    assert chunked == uninterrupted
+
+
+def test_symmetries_must_fix_the_target():
+    g = S.parse_group_spec("Z9")
+    with pytest.raises(ValueError):
+        S.AvoidingEnumerator(g, 1, 3, symmetries=_unit_stabilizer(g, 0))
+
+
 def test_sized_enumerator_rejects_bad_size():
     g = S.parse_group_spec("Z9")
     with pytest.raises(ValueError):
@@ -253,6 +303,25 @@ def test_avoiding_from_state_rejects_paths_off_the_candidate_mask(path, why):
     state.update(path=path, cursor=[x + 1 for x in path] + [path[-1] + 1])
     with pytest.raises(S.CheckpointMismatch):
         S.AvoidingEnumerator.from_state(g, state)
+
+
+@pytest.mark.parametrize("path,cursor,why", [
+    ([9, 1], [10, 2, 2], "not ascending"),
+    ([0, 3], [1, 4, 4], "zero"),
+    ([3, 15], [4, 16, 16], "outside the group"),
+    ([1, 2, 3, 4, 5, 6, 7], [2, 3, 4, 5, 6, 7, 8, 8], "longer than k"),
+    ([3], [3, 4], "depth-0 cursor not past the path element"),
+    ([3], [4, 3], "depth-1 cursor not past the path"),
+    ([3], [11, 4], "depth-0 cursor past its last start 10"),
+    ([3], [4, 12], "depth-1 cursor past its last start 11"),
+])
+def test_sized_from_state_rejects_positions_off_the_tree(path, cursor, why):
+    g = S.parse_group_spec("Z15")
+    state = S.SizedEnumerator(g, 6).state()
+    S.SizedEnumerator.from_state(g, dict(state, path=[3], cursor=[4, 4]))
+    state.update(path=path, cursor=cursor)
+    with pytest.raises(S.CheckpointMismatch):
+        S.SizedEnumerator.from_state(g, state)
 
 
 def test_from_state_rejects_foreign_checkpoints():
