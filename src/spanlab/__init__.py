@@ -33,8 +33,7 @@ from .groups import (Element, ElementSet, GroupSpec, SubgroupHandle,
                      subgroups_of_order)
 from .search import (AvoidingEnumerator, CheckpointMismatch, EnumerationPaused,
                      MaxSearchResult, SearchBudget, SearchStats, SizedEnumerator,
-                     brute_force_max_nonspanning, max_avoiding,
-                     target_representatives)
+                     max_avoiding, target_representatives)
 from .store import CampaignRecord, CampaignStore
 from .sums import (SequenceOverGroup, complete_subgroup_witnesses,
                    contains_complete_subset, is_complete, restricted_sums,
@@ -53,7 +52,7 @@ __all__ = [
     "SHAPE_I", "SHAPE_II", "SearchBudget", "SearchStats", "SequenceOverGroup",
     "SizedEnumerator", "SubgroupHandle", "TheoremReport", "UNCLASSIFIED",
     "VosperReport", "abelian_groups_of_order", "all_subgroups",
-    "brute_force_max_nonspanning", "check_cauchy_davenport", "check_conjecture",
+    "check_cauchy_davenport", "check_conjecture",
     "check_diderrich", "check_folk_lemma", "check_growth_bound",
     "check_hamidoune_dichotomy", "check_observation_31",
     "check_prime_growth_bound", "check_sequence_growth", "check_three_facts",

@@ -27,6 +27,7 @@ import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from math import comb
 from typing import Iterator
 
 from .bounds import two_sqrt_floor
@@ -35,8 +36,7 @@ from .groups import (ElementSet, GroupSpec, SubgroupHandle, cosets, is_prime,
                      make_group, smallest_prime_divisor, subgroups_of_order)
 from .search import (ENGINE_VERSION, AvoidingEnumerator, CheckpointMismatch,
                      EnumerationPaused, SearchBudget, SearchStats,
-                     SizedEnumerator, candidate_count, run_work_unit,
-                     target_representatives)
+                     SizedEnumerator, run_work_unit, target_representatives)
 from .sums import complete_subgroup_witnesses, contains_complete_subset, subset_sums_bits
 
 SCHEMA_VERSION = 1
@@ -330,7 +330,7 @@ class ExtremalEnumeration:
         self.group = group
         self.budget = budget or SearchBudget()
         self.k = critical_number_formula(group) - 1
-        n_candidates = candidate_count(group, self.k)
+        n_candidates = comb(group.order - 1, self.k)
         if self.budget.extended:
             self.mode = "missed_target"
         elif n_candidates <= self.budget.max_candidates:
@@ -348,8 +348,7 @@ class ExtremalEnumeration:
         self.threads = max(1, int(threads))
         self.stats = SearchStats()
         self.done = False
-        self._sized: SizedEnumerator | None = None
-        self._inner: AvoidingEnumerator | None = None
+        self._engine: SizedEnumerator | AvoidingEnumerator | None = None
         self._seen: set[int] = set()
         if self.mode == "missed_target":
             self.targets = target_representatives(group, orbit_dedup)
@@ -372,13 +371,11 @@ class ExtremalEnumeration:
             "orbit_dedup": self.orbit_dedup,
             "emitted": self.stats.emitted,
             "done": self.done,
+            "inner": self._engine.state() if self._engine else None,
         }
-        if self.mode == "direct":
-            st["inner"] = self._sized.state() if self._sized else None
-        else:
+        if self.mode == "missed_target":
             st["targets"] = list(self.targets)
             st["target_pos"] = self.target_pos
-            st["inner"] = self._inner.state() if self._inner else None
             st["seen"] = sorted(format(x, "x") for x in self._seen)
         return st
 
@@ -395,24 +392,32 @@ class ExtremalEnumeration:
         inner = st.get("inner")
         if self.mode == "direct":
             if inner is not None:
-                self._sized = SizedEnumerator.from_state(self.group, inner,
-                                                         self.budget)
+                self._engine = SizedEnumerator.from_state(self.group, inner,
+                                                          self.budget)
         else:
             saved_targets = [int(t) for t in st.get("targets", [])]
             if saved_targets != list(self.targets):
                 raise CheckpointMismatch("checkpoint target list differs")
             self.target_pos = int(st.get("target_pos", 0))
+            # a mid-target state sits at a target; otherwise all may be done
+            last = len(self.targets) - (inner is not None)
+            if not 0 <= self.target_pos <= last:
+                raise CheckpointMismatch(
+                    f"checkpoint target_pos {self.target_pos} outside 0..{last}")
             self._seen = {int(s, 16) for s in st.get("seen", [])}
             if inner is not None:
                 if self.threads > 1:
                     raise CheckpointMismatch(
                         "mid-target checkpoint cannot resume with threads > 1; "
                         "resume single-threaded or restart the target")
-                self._inner = AvoidingEnumerator.from_state(
+                self._engine = AvoidingEnumerator.from_state(
                     self.group, inner, self.budget,
                     self._stabilizer(int(inner.get("target", -1))))
-                if self._inner.target != self.targets[self.target_pos]:
+                if self._engine.target != self.targets[self.target_pos]:
                     raise CheckpointMismatch("checkpoint target out of step")
+        if self._engine is not None and self._engine.k != self.k:
+            raise CheckpointMismatch(
+                f"checkpoint engine size {self._engine.k} != {self.k}")
 
     # record construction -----------------------------------------------------
 
@@ -441,29 +446,28 @@ class ExtremalEnumeration:
         self.done = True
 
     def _run_direct(self) -> Iterator[ExtremalRecord]:
-        if self._sized is None:
-            self._sized = SizedEnumerator(self.group, self.k, self.budget)
-        eng = self._sized
+        if self._engine is None:
+            self._engine = SizedEnumerator(self.group, self.k, self.budget)
+        eng = self._engine
         canonical = self.group.canonical_bits_under_units if self.orbit_dedup else None
-        for indices, _sig in eng.run():
+        for indices in eng.run():
             self.stats.nodes = eng.stats.nodes
             if canonical is not None:
-                mask = 0
-                for i in indices:
-                    mask |= 1 << i
+                mask = sum(1 << i for i in indices)
                 if canonical(mask) != mask:
                     continue
             yield self._emit(indices)
         self.stats.nodes = eng.stats.nodes
 
-    def _key_and_indices(self, indices: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-        mask = 0
-        for i in indices:
-            mask |= 1 << i
+    def _first_sighting(self, mask: int) -> tuple[int, ...] | None:
+        """The indices of an avoiding leaf's dedup key (its least unit image
+        with orbit dedup), or None when an earlier leaf had that key."""
         if self.orbit_dedup:
             mask = self.group.canonical_bits_under_units(mask)
-            indices = tuple(i for i in range(self.group.order) if (mask >> i) & 1)
-        return mask, indices
+        if mask in self._seen:
+            return None
+        self._seen.add(mask)
+        return tuple(i for i in range(self.group.order) if (mask >> i) & 1)
 
     def _stabilizer(self, t: int) -> tuple[tuple[int, ...], ...]:
         """The unit scalings u != 1 with u*t = t as permutations, with orbit
@@ -476,22 +480,19 @@ class ExtremalEnumeration:
 
     def _run_missed_sequential(self) -> Iterator[ExtremalRecord]:
         while self.target_pos < len(self.targets):
-            if self._inner is None:
+            if self._engine is None:
                 t = self.targets[self.target_pos]
-                self._inner = AvoidingEnumerator(self.group, t, self.k, self.budget,
-                                                 self._stabilizer(t))
+                self._engine = AvoidingEnumerator(self.group, t, self.k, self.budget,
+                                                  self._stabilizer(t))
             else:
-                self._inner.budget = self.budget
-            for found, _sig in self._inner.run():
-                key, indices = self._key_and_indices(found)
-                if key in self._seen:
-                    continue
-                self._seen.add(key)
-                yield self._emit(indices)
-            self.stats.nodes += self._inner.stats.nodes
-            self._inner = None
+                self._engine.budget = self.budget
+            for found in self._engine.run():
+                indices = self._first_sighting(sum(1 << i for i in found))
+                if indices is not None:
+                    yield self._emit(indices)
+            self.stats.nodes += self._engine.stats.nodes
+            self._engine = None
             self.target_pos += 1
-            self.stats.targets_done = self.target_pos
 
     def _run_missed_parallel(self) -> Iterator[ExtremalRecord]:
         orders = self.group.cyclic_orders
@@ -513,15 +514,10 @@ class ExtremalEnumeration:
                     masks, nodes = fut.result()
                     self.stats.nodes += nodes
                     for mask in masks:
-                        indices = tuple(i for i in range(self.group.order)
-                                        if (mask >> i) & 1)
-                        key, indices = self._key_and_indices(indices)
-                        if key in self._seen:
-                            continue
-                        self._seen.add(key)
-                        yield self._emit(indices)
+                        indices = self._first_sighting(mask)
+                        if indices is not None:
+                            yield self._emit(indices)
                 self.target_pos += 1
-                self.stats.targets_done = self.target_pos
 
 
 def enumerate_extremal(group: GroupSpec, budget: SearchBudget | None = None,

@@ -1,21 +1,24 @@
 """Depth-first search engines over subsets of a group, bitset-backed.
 
-Three engines share one skeleton (lexicographic DFS with an explicit
-stack, so state can be checkpointed and resumed):
+Two engines walk the size-k subsets of G \\ {0} in lexicographic order,
+each by an explicit-stack DFS whose position (the path and a cursor per
+depth) is its checkpoint; they share that position, state() and the
+validated from_state(), and each keeps its own loop:
 
-* sized enumeration: all size-k subsets of G \\ {0} whose subset sums miss
-  at least one element, pruned on spanning prefixes;
-* target-avoiding enumeration: all size-k subsets whose subset sums avoid
-  a fixed target t, with per-node candidate masks (an element c is dead
-  once t - c is reachable);
-* target-avoiding maximum search: branch and bound for the largest
-  avoiding set, returning the lexicographically first maximum witness.
+* SizedEnumerator yields the sets whose subset sums miss some element.
+  It keeps Sigma per depth and cuts a prefix that already spans;
+* AvoidingEnumerator yields the sets whose Sigma avoids a fixed target t.
+  It keeps one kill mask per depth, K = t - (Sigma u {0}): the elements
+  that would put t into Sigma. It starts at {t}; choosing c adds K - c,
+  one translate per node, and the child's candidates are the parent's
+  above c minus K, so a candidate that would hit t is never tried. Sigma
+  itself is never formed.
 
-The avoiding engines keep one kill mask per depth, K = t - (Sigma u {0}):
-the elements that would put t into Sigma. It starts at {t}; choosing c
-adds K - c, one translate per node, and the child's candidates are the
-parent's above c minus K. Sigma itself is never formed on the way down;
-the enumerator computes it at each leaf it yields.
+The sized walk stays a loop of its own: run on the kill-mask loop it
+measured 30-45% slower per node. max_avoiding is the avoiding loop started
+at k = floor + 1 that, at each leaf, keeps the witness and raises k by
+one instead of stepping back: branch and bound for the largest avoiding
+set, whose first maximum found is the lexicographically least.
 
 Given symmetries (automorphisms s with s(t) = t), the enumerator cuts the
 node adding c to the prefix P when some s puts the least element of
@@ -30,12 +33,10 @@ int, a lane of |G| + 1 bits per s with a guard bit on top.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from math import comb
-from typing import Callable, Iterator
+from dataclasses import dataclass
+from typing import Iterator
 
 from .groups import GroupSpec, automorphism_generators, make_group
-from .sums import subset_sums_bits
 
 ENGINE_VERSION = "search-1"
 
@@ -70,18 +71,6 @@ class SearchBudget:
 class SearchStats:
     nodes: int = 0
     emitted: int = 0
-    targets_done: int = 0
-
-
-def _check_state(state: dict, kind: str, group: GroupSpec) -> None:
-    for key, want in (("engine", ENGINE_VERSION), ("kind", kind),
-                      ("group", group.spec_string)):
-        if state.get(key) != want:
-            raise CheckpointMismatch(f"checkpoint {key} {state.get(key)!r} != {want!r}")
-
-
-def nonzero_mask(g: GroupSpec) -> int:
-    return g.full_mask ^ 1
 
 
 def target_representatives(g: GroupSpec, reduce_orbits: bool) -> list[int]:
@@ -113,12 +102,22 @@ def target_representatives(g: GroupSpec, reduce_orbits: bool) -> list[int]:
     return [x for x in range(1, g.order) if root[x] == x] + [0]
 
 
-# -- sized enumeration (direct mode) ------------------------------------------
+# -- the engines ----------------------------------------------------------------
 
 
-class SizedEnumerator:
-    """Lexicographic DFS over size-k subsets of G \\ {0}, pruning any prefix
-    that already spans. Yields (indices, sigma_bits) for non-spanning leaves."""
+class _Engine:
+    """A lexicographic DFS over size-k subsets of G \\ {0} and its checkpoint.
+
+    The position is path (the elements chosen) and cursor (cursor[d], the
+    least element depth d tries next; past path[d] while that is chosen).
+    A kind names its state fields and root cursor, keeps its own per-depth
+    stacks, and pushes one element with _descend, which returns False where
+    its run() would cut that child.
+    """
+
+    kind = ""
+    fields: tuple[str, ...] = ("k",)
+    root = 0
 
     def __init__(self, group: GroupSpec, k: int, budget: SearchBudget | None = None):
         if not 0 < k < group.order:
@@ -127,19 +126,16 @@ class SizedEnumerator:
         self.k = k
         self.budget = budget or SearchBudget()
         self.path: list[int] = []
-        self.cursor: list[int] = [1]
-        self.sigs: list[int] = [0]
+        self.cursor: list[int] = [self.root]
         self.stats = SearchStats()
         self.done = False
-
-    # checkpoint round-trip ----------------------------------------------
 
     def state(self) -> dict:
         return {
             "engine": ENGINE_VERSION,
-            "kind": "sized",
+            "kind": self.kind,
             "group": self.group.spec_string,
-            "k": self.k,
+            **{f: getattr(self, f) for f in self.fields},
             "path": list(self.path),
             "cursor": list(self.cursor),
             "nodes": self.stats.nodes,
@@ -149,30 +145,55 @@ class SizedEnumerator:
 
     @classmethod
     def from_state(cls, group: GroupSpec, state: dict,
-                   budget: SearchBudget | None = None) -> "SizedEnumerator":
-        _check_state(state, "sized", group)
-        self = cls(group, int(state["k"]), budget)
-        self.path = [int(x) for x in state["path"]]
-        self.cursor = [int(x) for x in state["cursor"]]
-        path, cursor, below = self.path, self.cursor, [0, *self.path]
-        # 0 < path ascending; path[d] (path[-1] at the end) < cursor[d] <= last start
+                   budget: SearchBudget | None = None, *args, **kwargs):
+        """Rebuild an engine at a state() position; the trailing arguments
+        go to the constructor after budget (AvoidingEnumerator: symmetries).
+        Raises CheckpointMismatch for a position the run cannot reach."""
+        for key, want in (("engine", ENGINE_VERSION), ("kind", cls.kind),
+                          ("group", group.spec_string)):
+            if state.get(key) != want:
+                raise CheckpointMismatch(f"checkpoint {key} {state.get(key)!r} != {want!r}")
+        self = cls(group, *(int(state[f]) for f in cls.fields), budget, *args, **kwargs)
+        path = [int(x) for x in state["path"]]
+        cursor = [int(x) for x in state["cursor"]]
+        below = [self.root - 1, *path]
+        last = group.order - self.k + 1  # past the last start at depth 0
+        # root <= path ascending; path[d] (path[-1] at the top) < cursor[d]
+        # <= last + d; every prefix kept by the kind's prune
         if (len(cursor) != len(path) + 1 or len(path) > self.k
                 or any(a >= b for a, b in zip(below, path))
-                or any(not x < c <= group.order - self.k + d + 1
-                       for d, (x, c) in enumerate(zip(path + below[-1:], cursor)))):
-            raise CheckpointMismatch(f"corrupt checkpoint: path {path}, cursor "
-                                     f"{cursor} is no size-{self.k} search position")
-        translate = group.translate_bits
-        sigs = [0]
-        for x in path:
-            sigs.append(sigs[-1] | translate(sigs[-1] | 1, x))
-        self.sigs = sigs
+                or any(not x < c <= last + d
+                       for d, (x, c) in enumerate(zip(path + below[-1:], cursor)))
+                or not all(self._descend(x) for x in path)):
+            raise CheckpointMismatch(
+                f"corrupt checkpoint: path {path}, cursor {cursor} is no "
+                f"{self.kind} size-{self.k} search position")
+        self.cursor = cursor
         self.stats.nodes = int(state.get("nodes", 0))
         self.stats.emitted = int(state.get("emitted", 0))
         self.done = bool(state.get("done", False))
         return self
 
-    def run(self) -> Iterator[tuple[tuple[int, ...], int]]:
+
+class SizedEnumerator(_Engine):
+    """Lexicographic DFS over size-k subsets of G \\ {0}, pruning any prefix
+    that already spans. Yields the non-spanning leaves as index tuples."""
+
+    kind = "sized"
+    root = 1
+
+    def __init__(self, group: GroupSpec, k: int, budget: SearchBudget | None = None):
+        super().__init__(group, k, budget)
+        self.sigs: list[int] = [0]
+
+    def _descend(self, x: int) -> bool:
+        sig = self.sigs[-1]
+        sig |= self.group.translate_bits(sig | 1, x)
+        self.path.append(x)
+        self.sigs.append(sig)
+        return sig != self.group.full_mask
+
+    def run(self) -> Iterator[tuple[int, ...]]:
         if self.done:
             return
         g = self.group
@@ -192,11 +213,10 @@ class SizedEnumerator:
                 # step past the leaf before yielding it, so a state() taken
                 # while suspended here resumes after this leaf
                 leaf = tuple(path)
-                path.pop(); cursor.pop(); sig = sigs.pop()
-                if sig != full:
-                    stats.emitted += 1
-                    stats.nodes = nodes
-                    yield leaf, sig
+                path.pop(); cursor.pop(); sigs.pop()
+                stats.emitted += 1
+                stats.nodes = nodes
+                yield leaf
                 continue
             c = cursor[depth]
             if c > order - (k - depth):
@@ -222,12 +242,13 @@ class SizedEnumerator:
             sigs.append(new_sig)
 
 
-# -- target-avoiding engines ---------------------------------------------------
-
-
-class AvoidingEnumerator:
+class AvoidingEnumerator(_Engine):
     """Lexicographic DFS over size-k subsets whose Sigma avoids one fixed
-    target, cut by symmetries fixing it if given (see the module docstring)."""
+    target, cut by symmetries fixing it if given (see the module docstring).
+    Yields the leaves as index tuples."""
+
+    kind = "avoiding"
+    fields = ("target", "k")
 
     def __init__(self, group: GroupSpec, target: int, k: int,
                  budget: SearchBudget | None = None,
@@ -236,61 +257,26 @@ class AvoidingEnumerator:
             raise ValueError(f"target {target} out of range")
         if any(s[target] != target for s in symmetries):
             raise ValueError(f"a symmetry moves the target {target}")
-        self.group = group
+        super().__init__(group, k, budget)
         self.target = target
-        self.k = k
-        self.budget = budget or SearchBudget()
-        self.path: list[int] = []
-        self.cursor: list[int] = [0]
-        self.kills: list[int] = [1 << target]
-        self.allowed: list[int] = [nonzero_mask(group) & ~(1 << target)]
         self.symmetries = symmetries
-        self.stats = SearchStats()
-        self.done = False
+        self.kills: list[int] = [1 << target]
+        self.allowed: list[int] = [group.full_mask & ~(1 | 1 << target)]
+        self._grow = False  # set by max_avoiding only
 
-    def state(self) -> dict:
-        return {
-            "engine": ENGINE_VERSION,
-            "kind": "avoiding",
-            "group": self.group.spec_string,
-            "target": self.target,
-            "k": self.k,
-            "path": list(self.path),
-            "cursor": list(self.cursor),
-            "nodes": self.stats.nodes,
-            "emitted": self.stats.emitted,
-            "done": self.done,
-        }
+    def _descend(self, x: int) -> bool:
+        # off the candidate mask (not ascending, 0, t, or killed) the run would
+        # yield sets whose sums hit the target
+        if not self.allowed[-1] >> x & 1:
+            return False
+        kill = self.kills[-1]
+        kill |= self.group.translate_bits(kill, self.group.neg_table()[x])
+        self.path.append(x)
+        self.kills.append(kill)
+        self.allowed.append(self.allowed[-1] & (-1 << (x + 1)) & ~kill)
+        return True
 
-    @classmethod
-    def from_state(cls, group: GroupSpec, state: dict,
-                   budget: SearchBudget | None = None,
-                   symmetries: tuple[tuple[int, ...], ...] = ()) -> "AvoidingEnumerator":
-        _check_state(state, "avoiding", group)
-        self = cls(group, int(state["target"]), int(state["k"]), budget, symmetries)
-        self.path = [int(x) for x in state["path"]]
-        self.cursor = [int(x) for x in state["cursor"]]
-        if len(self.cursor) != len(self.path) + 1 or len(self.path) > self.k:
-            raise CheckpointMismatch("corrupt checkpoint: cursor/path length mismatch")
-        translate = group.translate_bits
-        neg_table = group.neg_table()
-        kills, allowed = self.kills, self.allowed
-        for x in self.path:
-            # off the candidate mask (not ascending, 0, t, or killed) the
-            # run would yield sets whose sums hit the target
-            if not (0 < x < group.order and allowed[-1] >> x & 1):
-                raise CheckpointMismatch(
-                    f"corrupt checkpoint: path {self.path} is not an avoiding "
-                    f"prefix for target {self.target}")
-            kill = kills[-1] | translate(kills[-1], neg_table[x])
-            kills.append(kill)
-            allowed.append(allowed[-1] & (-1 << (x + 1)) & ~kill)
-        self.stats.nodes = int(state.get("nodes", 0))
-        self.stats.emitted = int(state.get("emitted", 0))
-        self.done = bool(state.get("done", False))
-        return self
-
-    def run(self) -> Iterator[tuple[tuple[int, ...], int]]:
+    def run(self) -> Iterator[tuple[int, ...]]:
         if self.done:
             return
         g = self.group
@@ -303,6 +289,7 @@ class AvoidingEnumerator:
         deadline = budget.deadline()
         nodes = stats.nodes
         stop_at = None if budget.max_nodes is None else nodes + budget.max_nodes
+        grow = self._grow
         syms = self.symmetries
         if syms:
             # lane j of imgs[d] holds s_j(path[:d]), of pres[d] path[:d] and
@@ -318,12 +305,16 @@ class AvoidingEnumerator:
         while True:
             depth = len(path)
             if depth == k:
-                # step past the leaf before yielding it (see SizedEnumerator)
                 leaf = tuple(path)
-                path.pop(); cursor.pop(); kills.pop(); allowed.pop()
+                if grow:
+                    # max_avoiding: a witness of size k; now look for k + 1
+                    k = self.k = k + 1
+                else:
+                    # step past the leaf before yielding it (see SizedEnumerator)
+                    path.pop(); cursor.pop(); kills.pop(); allowed.pop()
                 stats.emitted += 1
                 stats.nodes = nodes
-                yield leaf, subset_sums_bits(g, leaf)
+                yield leaf
                 continue
             m = allowed[depth] & (-1 << cursor[depth])
             if m == 0 or m.bit_count() < k - depth:
@@ -366,95 +357,28 @@ class MaxSearchResult:
 
 
 def max_avoiding(group: GroupSpec, target: int, floor: int = 0,
-                 budget: SearchBudget | None = None,
-                 use_prune: bool = True) -> MaxSearchResult:
+                 budget: SearchBudget | None = None) -> MaxSearchResult:
     """Largest subset of G \\ {0} whose Sigma avoids target; only sets larger
     than floor are reported. First maximum found is the lexicographic least.
 
-    use_prune=False disables the feasibility bound (slow path for regression
-    tests); the candidate filtering itself is exact, not a heuristic.
+    Branch and bound on the avoiding walk: from k = floor + 1, each leaf is
+    a new witness and raises k by one, which cuts every node that cannot
+    beat it.
     """
-    budget = budget or SearchBudget()
-    translate = group.translate_bits
-    neg_table = group.neg_table()
-    path: list[int] = []
-    cursor = [0]
-    kills = [1 << target]
-    allowed = [nonzero_mask(group) & ~(1 << target)]
-    best_size = floor
-    best: tuple[int, ...] | None = None
-    nodes = 0
-    deadline = budget.deadline()
-    while True:
-        depth = len(path)
-        m = allowed[depth] & (-1 << cursor[depth])
-        if m == 0 or (use_prune and depth + m.bit_count() <= best_size):
-            if depth == 0:
-                return MaxSearchResult(best_size, best, nodes, True)
-            path.pop(); cursor.pop(); kills.pop(); allowed.pop()
-            continue
-        c = (m & -m).bit_length() - 1
-        nodes += 1
-        if (budget.max_nodes is not None and nodes >= budget.max_nodes) or (
-                deadline is not None and nodes & _CHECK_MASK == 0
-                and time.monotonic() > deadline):
-            return MaxSearchResult(best_size, best, nodes, False)
-        cursor[depth] = c + 1
-        kill = kills[depth]
-        kill |= translate(kill, neg_table[c])
-        path.append(c)
-        cursor.append(c + 1)
-        kills.append(kill)
-        allowed.append(m & (-1 << (c + 1)) & ~kill)
-        if depth + 1 > best_size:
-            best_size = depth + 1
-            best = tuple(path)
-
-
-def brute_force_max_nonspanning(group: GroupSpec) -> tuple[int, tuple[int, ...]]:
-    """Reference oracle: walk every subset of G \\ {0} with an incremental DFS
-    and return (max size, lexicographically least witness of that size)."""
-    order = group.order
-    full = group.full_mask
-    translate = group.translate_bits
-    best_size, best = 0, ()
-    path: list[int] = []
-    sigs = [0]
-
-    def rec(start: int) -> None:
-        nonlocal best_size, best
-        sig = sigs[-1]
-        if sig != full and len(path) > best_size:
-            best_size, best = len(path), tuple(path)
-        for c in range(start, order):
-            new_sig = sig | translate(sig | 1, c)
-            path.append(c)
-            sigs.append(new_sig)
-            rec(c + 1)
-            path.pop()
-            sigs.pop()
-
-    rec(1)
-    return best_size, best
+    if floor >= group.order - 1:  # no subset of G \ {0} is larger
+        return MaxSearchResult(floor, None, 0, True)
+    eng = AvoidingEnumerator(group, target, floor + 1, budget)
+    eng._grow = True
+    witness = None
+    try:
+        for witness in eng.run():
+            pass
+    except EnumerationPaused:
+        pass
+    return MaxSearchResult(eng.k - 1, witness, eng.stats.nodes, eng.done)
 
 
 # -- parallel work units for extended enumeration ------------------------------
-
-
-def subtree_state(group: GroupSpec, target: int, k: int, first: int) -> dict:
-    """Engine state restricted to the subtree rooted at a forced first element."""
-    return {
-        "engine": ENGINE_VERSION,
-        "kind": "avoiding",
-        "group": group.spec_string,
-        "target": target,
-        "k": k,
-        "path": [first],
-        "cursor": [group.order, first + 1],
-        "nodes": 0,
-        "emitted": 0,
-        "done": False,
-    }
 
 
 def run_work_unit(orders: tuple[int, ...], target: int, k: int, first: int,
@@ -463,17 +387,14 @@ def run_work_unit(orders: tuple[int, ...], target: int, k: int, first: int,
     (bitmasks of avoiding size-k sets in lex order, node count).
     Module-level and picklable so process pools can run it."""
     group = _worker_group(orders)
-    root = nonzero_mask(group) & ~(1 << target)
-    if not (root >> first) & 1:
+    last = group.order - k  # the last first element of a size-k set
+    if not 0 < first <= last or first == target:
         return [], 0
-    eng = AvoidingEnumerator.from_state(
-        group, subtree_state(group, target, k, first), symmetries=symmetries)
-    out = []
-    for indices, _sig in eng.run():
-        mask = 0
-        for i in indices:
-            mask |= 1 << i
-        out.append(mask)
+    # first chosen, and the root cursor past the last start
+    state = dict(AvoidingEnumerator(group, target, k).state(),
+                 path=[first], cursor=[last + 1, first + 1])
+    eng = AvoidingEnumerator.from_state(group, state, None, symmetries)
+    out = [sum(1 << i for i in leaf) for leaf in eng.run()]
     return out, eng.stats.nodes
 
 
@@ -486,7 +407,3 @@ def _worker_group(orders: tuple[int, ...]) -> GroupSpec:
         g = make_group(orders)
         _worker_groups[orders] = g
     return g
-
-
-def candidate_count(group: GroupSpec, k: int) -> int:
-    return comb(group.order - 1, k)

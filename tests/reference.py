@@ -279,7 +279,7 @@ def orbit_records_unpruned(group) -> list[tuple[int, ...]]:
     k = S.critical_number_formula(group) - 1
     seen, out = set(), []
     for t in S.target_representatives(group, True):
-        for leaf, _sig in S.AvoidingEnumerator(group, t, k).run():
+        for leaf in S.AvoidingEnumerator(group, t, k).run():
             key = min(sum(1 << (u * x % n) for x in leaf) for u in units)
             if key not in seen:
                 seen.add(key)

@@ -220,6 +220,36 @@ def test_enumeration_rejects_checkpoint_from_other_group():
         list(S.ExtremalEnumeration(_g("Z15"), checkpoint=state).records())
 
 
+def _state_after_first_record(spec, budget):
+    enum = S.ExtremalEnumeration(_g(spec), budget)
+    next(enum.records())
+    state = json.loads(json.dumps(enum.state()))
+    assert state["inner"] is not None
+    return state
+
+
+# Z21 --extended has 4 targets: 7 is past them mid-target, and -1 (between
+# targets) would restart at the last target and emit its records again
+@pytest.mark.parametrize("target_pos,mid_target", [(7, True), (-1, False)])
+def test_enumeration_rejects_target_pos_out_of_range(target_pos, mid_target):
+    budget = S.SearchBudget(extended=True)
+    state = _state_after_first_record("Z21", budget)
+    state["target_pos"] = target_pos
+    if not mid_target:
+        state["inner"] = None
+    with pytest.raises(S.CheckpointMismatch):
+        S.ExtremalEnumeration(_g("Z21"), budget, checkpoint=state)
+
+
+@pytest.mark.parametrize("spec,extended", [("Z15", False), ("Z21", True)])
+def test_enumeration_rejects_an_inner_engine_of_another_size(spec, extended):
+    budget = S.SearchBudget(extended=extended)
+    state = _state_after_first_record(spec, budget)
+    state["inner"]["k"] -= 1
+    with pytest.raises(S.CheckpointMismatch):
+        S.ExtremalEnumeration(_g(spec), budget, checkpoint=state)
+
+
 # ------------------------------------------------------ extremality
 
 

@@ -14,7 +14,7 @@ import spanlab as S
 # ----------------------------------------------------- brute parity
 
 
-@pytest.mark.parametrize("spec", ["Z5", "Z7", "Z8", "Z9", "Z2xZ4"])
+@pytest.mark.parametrize("spec", ["Z5", "Z7", "Z8", "Z9", "Z11", "Z2xZ4"])
 def test_max_avoiding_matches_brute_force_every_target(spec):
     g = S.parse_group_spec(spec)
     for target in range(1, g.order):
@@ -34,14 +34,6 @@ def test_max_avoiding_matches_brute_force_every_target(spec):
         assert len(res.witness) == res.size
 
 
-def test_max_avoiding_prune_toggle_agrees():
-    g = S.parse_group_spec("Z11")
-    for target in range(1, 11):
-        fast = S.max_avoiding(g, target, use_prune=True)
-        slow = S.max_avoiding(g, target, use_prune=False)
-        assert fast.size == slow.size
-
-
 def test_max_avoiding_floor_reports_only_larger_witnesses():
     g = S.parse_group_spec("Z9")
     baseline = S.max_avoiding(g, 1)
@@ -59,14 +51,14 @@ def test_budget_exhaustion_reports_incomplete():
     assert not res.complete
 
 
-@pytest.mark.parametrize("spec,expected", [("Z7", 3), ("Z9", 4), ("Z15", 6)])
-def test_brute_force_max_nonspanning(spec, expected):
+@pytest.mark.parametrize("spec", ["Z7", "Z9", "Z15"])
+def test_search_witness_is_lexicographic_least_without_orbit_reduction(spec):
+    # every target searched, so the witness is the lex-least maximum
+    # non-spanning set: (1,2,3), (1,2,3,8) and (1,2,3,4,13,14)
     g = S.parse_group_spec(spec)
-    size, witness = S.brute_force_max_nonspanning(g)
-    assert size == expected
-    assert not ref.spans_brute(g, witness)
-    ref_size, ref_witness = ref.max_nonspanning_brute(g)
-    assert (size, witness) == (ref_size, ref_witness)
+    out = S.critical_number_search(g, reduce_orbits=False)
+    assert out.status == "complete"
+    assert (out.value - 1, out.witness) == ref.max_nonspanning_brute(g)
 
 
 # ----------------------------------------------------------- targets
@@ -122,7 +114,7 @@ def test_orbit_targets_shrink_the_noncyclic_searches():
 
 def test_sized_enumerator_yields_exactly_the_nonspanning_sets():
     g = S.parse_group_spec("Z9")
-    got = {idx for idx, _ in S.SizedEnumerator(g, 3).run()}
+    got = set(S.SizedEnumerator(g, 3).run())
     want = {combo for combo in itertools.combinations(range(1, 9), 3)
             if not ref.spans_brute(g, combo)}
     assert got == want
@@ -131,28 +123,24 @@ def test_sized_enumerator_yields_exactly_the_nonspanning_sets():
 def test_avoiding_enumerator_yields_exactly_the_avoiding_sets():
     g = S.parse_group_spec("Z9")
     target = 4
-    got = {idx for idx, _ in S.AvoidingEnumerator(g, target, 3).run()}
+    got = set(S.AvoidingEnumerator(g, target, 3).run())
     want = {combo for combo in itertools.combinations(range(1, 9), 3)
             if target not in ref.subset_sums_brute(g, combo)}
     assert got == want
 
 
-def test_enumerator_sigma_bits_are_correct():
-    g = S.parse_group_spec("Z9")
-    for idx, sig in S.SizedEnumerator(g, 3).run():
-        assert {i for i in range(9) if sig >> i & 1} == \
-            ref.subset_sums_brute(g, idx)
+def test_enumerators_yield_the_brute_force_sets_in_lex_order():
     for spec in ("Z9", "Z3xZ3"):
         g = S.parse_group_spec(spec)
-        for target in range(g.order):
-            for k in (2, 3, 4):
-                leaves = list(S.AvoidingEnumerator(g, target, k).run())
-                assert [idx for idx, _ in leaves] == [
-                    combo for combo in itertools.combinations(range(1, g.order), k)
-                    if target not in ref.subset_sums_brute(g, combo)]
-                for idx, sig in leaves:
-                    assert {i for i in range(g.order) if sig >> i & 1} == \
-                        ref.subset_sums_brute(g, idx), (spec, target, idx)
+        combos = {k: list(itertools.combinations(range(1, g.order), k))
+                  for k in (2, 3, 4)}
+        for k, sets in combos.items():
+            assert list(S.SizedEnumerator(g, k).run()) == [
+                a for a in sets if not ref.spans_brute(g, a)], (spec, k)
+            for target in range(g.order):
+                assert list(S.AvoidingEnumerator(g, target, k).run()) == [
+                    a for a in sets if target not in ref.subset_sums_brute(g, a)
+                ], (spec, target, k)
 
 
 # AvoidingEnumerator(g, t, cr(g) - 1) node counts for t = 0, 1, ..., |g| - 1,
@@ -201,9 +189,9 @@ def test_stabilizer_pruning_keeps_exactly_the_lex_leaders(spec):
     for t in range(g.order):
         syms = _unit_stabilizer(g, t)
         full = S.AvoidingEnumerator(g, t, k)
-        leaves = [idx for idx, _ in full.run()]
+        leaves = list(full.run())
         pruned = S.AvoidingEnumerator(g, t, k, symmetries=syms)
-        assert [idx for idx, _ in pruned.run()] == [
+        assert list(pruned.run()) == [
             a for a in leaves
             if all(tuple(sorted(s[x] for x in a)) >= a for s in syms)], (spec, t)
         full_nodes += full.stats.nodes
@@ -296,11 +284,16 @@ def test_avoiding_enumerator_resume_is_lossless():
     ([1, 3], "killed: 1 + 3 = 4"),
     ([1, 2, 5, 7], "longer than k"),
     ([20], "outside the group"),
+    # (path, cursor): after the subtree of 1 the depth-0 cursor 0 would
+    # start over at 1 and yield the same leaves again
+    (([1], [0, 2]), "depth-0 cursor not past the path element"),
 ])
 def test_avoiding_from_state_rejects_paths_off_the_candidate_mask(path, why):
     g = S.parse_group_spec("Z15")
     state = S.AvoidingEnumerator(g, 4, 3).state()
-    state.update(path=path, cursor=[x + 1 for x in path] + [path[-1] + 1])
+    path, cursor = path if isinstance(path, tuple) else (
+        path, [x + 1 for x in path] + [path[-1] + 1])
+    state.update(path=path, cursor=cursor)
     with pytest.raises(S.CheckpointMismatch):
         S.AvoidingEnumerator.from_state(g, state)
 
