@@ -33,7 +33,7 @@ from .groups import (Element, ElementSet, GroupSpec, SubgroupHandle,
                      subgroups_of_order)
 from .search import (AvoidingEnumerator, CheckpointMismatch, EnumerationPaused,
                      MaxSearchResult, SearchBudget, SearchStats, SizedEnumerator,
-                     max_avoiding, target_representatives)
+                     max_avoiding, target_representatives, target_symmetries)
 from .store import CampaignRecord, CampaignStore
 from .sums import (SequenceOverGroup, complete_subgroup_witnesses,
                    contains_complete_subset, is_complete, restricted_sums,
@@ -66,7 +66,7 @@ __all__ = [
     "max_avoiding", "parse_group_spec", "restricted_sums", "run_all_campaigns",
     "run_campaign", "spans", "subgroups_of_order", "subset_sums",
     "subset_sums_bits", "subset_sums_with_zero", "sumset",
-    "target_representatives", "theorem_main_hypothesis",
+    "target_representatives", "target_symmetries", "theorem_main_hypothesis",
     "two_sqrt_floor", "verify_critical_formula", "verify_theorem_main",
     "__version__",
 ]

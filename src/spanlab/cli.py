@@ -632,7 +632,7 @@ def _add_budget_flags(p: _Parser, exact_order: bool = False) -> None:
     if exact_order:
         p.add_argument("--max-exact-order", type=int, default=None, metavar="N",
                        help="largest group order searched exhaustively "
-                            "(default 24; larger orders are skipped)")
+                            "(default 64; larger orders are skipped)")
     p.add_argument("--extended", action="store_true",
                    help="allow long-running searches (missed-target engine)")
 

@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 from .bounds import two_sqrt_floor
 from .groups import (GroupSpec, abelian_groups_of_order, is_prime, make_group,
                      smallest_prime_divisor)
-from .search import SearchBudget, max_avoiding, target_representatives
+from .search import (SearchBudget, max_avoiding, target_representatives,
+                     target_symmetries)
 from .sums import subset_sums_bits
 
 # Isomorphism types (as sorted prime-power elementary divisors) that take
@@ -142,7 +143,9 @@ def critical_number_search(group: GroupSpec, budget: SearchBudget | None = None,
     still exact, because an automorphism carries a set missing t to one
     missing t's representative, but the witness is canonical only up to
     the automorphisms used. The empty set is the size-0 baseline
-    (Sigma(empty) = {0} != G).
+    (Sigma(empty) = {0} != G). Each target's walk is cut by the
+    automorphisms fixing it (search.target_symmetries), on cyclic and
+    non-cyclic specs alike; that keeps each target's size and witness.
     """
     n = group.order
     if n < 3:
@@ -164,7 +167,8 @@ def critical_number_search(group: GroupSpec, budget: SearchBudget | None = None,
             return CriticalSearchOutcome("budget_exceeded", None, None, None, nodes, i)
         res = max_avoiding(group, t, floor=max(best_size - 1, 0),
                            budget=SearchBudget(max_nodes=rem_nodes,
-                                               max_seconds=rem_secs))
+                                               max_seconds=rem_secs),
+                           symmetries=target_symmetries(group, t))
         nodes += res.nodes
         if not res.complete:
             return CriticalSearchOutcome("budget_exceeded", None, None, None, nodes, i)

@@ -36,7 +36,8 @@ from .groups import (ElementSet, GroupSpec, SubgroupHandle, cosets, is_prime,
                      make_group, smallest_prime_divisor, subgroups_of_order)
 from .search import (ENGINE_VERSION, AvoidingEnumerator, CheckpointMismatch,
                      EnumerationPaused, SearchBudget, SearchStats,
-                     SizedEnumerator, run_work_unit, target_representatives)
+                     SizedEnumerator, run_work_unit, target_representatives,
+                     target_symmetries)
 from .sums import complete_subgroup_witnesses, contains_complete_subset, subset_sums_bits
 
 SCHEMA_VERSION = 1
@@ -470,13 +471,9 @@ class ExtremalEnumeration:
         return tuple(i for i in range(self.group.order) if (mask >> i) & 1)
 
     def _stabilizer(self, t: int) -> tuple[tuple[int, ...], ...]:
-        """The unit scalings u != 1 with u*t = t as permutations, with orbit
-        dedup (else ()): they cut target t's DFS (see search.py)."""
-        if not self.orbit_dedup:
-            return ()
-        n = self.group.order
-        return tuple(tuple(u * x % n for x in range(n))
-                     for u in self.group.units() if u != 1 and u * t % n == t)
+        """The unit scalings fixing t with orbit dedup (else ()): they cut
+        target t's DFS (see search.py)."""
+        return target_symmetries(self.group, t) if self.orbit_dedup else ()
 
     def _run_missed_sequential(self) -> Iterator[ExtremalRecord]:
         while self.target_pos < len(self.targets):

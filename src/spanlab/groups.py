@@ -32,8 +32,9 @@ class GroupSpec:
     """A finite abelian group presented as a direct sum of cyclic factors.
 
     Immutable after construction. Lazily built lookup tables (negation,
-    coordinate slab masks, subgroup list) are initialized exactly once
-    under a lock, so instances are safe to share across threads.
+    coordinate slab masks, subgroup list, units, automorphism generators)
+    are initialized exactly once under a lock, so instances are safe to
+    share across threads.
     """
 
     __slots__ = (
@@ -46,6 +47,7 @@ class GroupSpec:
         "_shift_plan",
         "_subgroups",
         "_units",
+        "_automorphisms",
     )
 
     def __init__(self, cyclic_orders: tuple[int, ...]):
@@ -68,6 +70,7 @@ class GroupSpec:
         self._shift_plan: tuple[tuple[tuple[int, int, int], ...], ...] | None = None
         self._subgroups: list[SubgroupHandle] | None = None
         self._units: tuple[int, ...] | None = None
+        self._automorphisms: tuple[tuple[int, ...], ...] | None = None
 
     # -- identity ----------------------------------------------------------
 
@@ -411,7 +414,7 @@ def _unit_generators(n: int) -> list[int]:
     return gens
 
 
-def automorphism_generators(g: GroupSpec) -> list[tuple[int, ...]]:
+def automorphism_generators(g: GroupSpec) -> tuple[tuple[int, ...], ...]:
     """Automorphisms of g, each as the element permutation x -> phi(x).
 
     They generate a subgroup of Aut(g), built from moves on the factor
@@ -420,7 +423,18 @@ def automorphism_generators(g: GroupSpec) -> list[tuple[int, ...]]:
     transvections e_i -> e_i + c*e_j with c the least positive value such
     that n_j | c*n_i, and swaps of equal factors. A move is kept only if
     it is a homomorphism (n_i * phi(e_i) = 0 for every i) and a bijection.
+    Built once per group and cached on it.
     """
+    perms = g._automorphisms
+    if perms is None:
+        with g._lock:
+            perms = g._automorphisms
+            if perms is None:
+                perms = g._automorphisms = _build_automorphism_generators(g)
+    return perms
+
+
+def _build_automorphism_generators(g: GroupSpec) -> tuple[tuple[int, ...], ...]:
     orders = g.cyclic_orders
     k = len(orders)
     basis = [tuple(int(i == j) for j in range(k)) for i in range(k)]
@@ -446,7 +460,7 @@ def automorphism_generators(g: GroupSpec) -> list[tuple[int, ...]]:
                      for xs in coords)
         if len(set(perm)) == g.order:
             perms.append(perm)
-    return perms
+    return tuple(perms)
 
 
 def _closure_extend(g: GroupSpec, sub_bits: int, x: int) -> int:

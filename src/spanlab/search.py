@@ -20,14 +20,23 @@ at k = floor + 1 that, at each leaf, keeps the witness and raises k by
 one instead of stepping back: branch and bound for the largest avoiding
 set, whose first maximum found is the lexicographically least.
 
-Given symmetries (automorphisms s with s(t) = t), the enumerator cuts the
-node adding c to the prefix P when some s puts the least element of
+Given symmetries (automorphisms s with s(t) = t), the avoiding loop cuts
+the node adding c to the prefix P when some s puts the least element of
 s(P) xor P (at most c, as |s(P)| = |P|) in s(P), as then s(A) <lex A for
-every completion A of P. Under the unit scalings fixing t, the first member
-of a unit orbit that the unpruned DFS yields is its lex-least t-avoiding
-member M; every s(M) avoids t too, so M <=lex s(M) and M is never cut:
-orbit-deduplicated records keep their bytes and order. All s(P) share one
-int, a lane of |G| + 1 bits per s with a guard bit on top.
+every completion A of P: the lex-leader cut of Crawford, Ginsberg, Luks &
+Roy (KR 1996). A set M with M <=lex s(M) for every s is never cut.
+target_symmetries(g, t) is the set both users pass:
+
+* max_avoiding, on every spec: every s(M) of the lex-least maximum
+  t-avoiding set M is a maximum too, so M is reached and each target's
+  size and witness stay those of the unpruned walk;
+* the orbit-deduplicated extremal enumeration (single-factor specs, the
+  unit scalings fixing t): the first member of a unit orbit that the
+  unpruned DFS yields is its lex-least t-avoiding member M, so records
+  keep their bytes and order.
+
+All s(P) share one int, a lane of |G| + 1 bits per s with a guard bit on
+top.
 """
 
 from __future__ import annotations
@@ -59,7 +68,7 @@ class CheckpointMismatch(ValueError):
 class SearchBudget:
     max_nodes: int | None = None
     max_seconds: float | None = None
-    max_exact_order: int = 24
+    max_exact_order: int = 64
     max_candidates: int = 5_000_000
     extended: bool = False
 
@@ -100,6 +109,18 @@ def target_representatives(g: GroupSpec, reduce_orbits: bool) -> list[int]:
             if rx != ry:
                 root[max(rx, ry)] = min(rx, ry)
     return [x for x in range(1, g.order) if root[x] == x] + [0]
+
+
+def target_symmetries(g: GroupSpec, t: int) -> tuple[tuple[int, ...], ...]:
+    """Automorphisms fixing t, as element permutations, that cut t's avoiding
+    DFS (see the module docstring): on a single-factor spec every unit
+    scaling u != 1 with u*t = t, otherwise the members of
+    groups.automorphism_generators that fix t."""
+    if not g.is_cyclic_spec:
+        return tuple(s for s in automorphism_generators(g) if s[t] == t)
+    n = g.order
+    return tuple(tuple(u * x % n for x in range(n))
+                 for u in g.units() if u != 1 and u * t % n == t)
 
 
 # -- the engines ----------------------------------------------------------------
@@ -298,7 +319,8 @@ class AvoidingEnumerator(_Engine):
             rep = sum(1 << (j * w) for j in range(len(syms)))
             image = [sum(1 << (j * w + s[c]) for j, s in enumerate(syms))
                      for c in range(g.order)]
-            imgs, pres = [0] * (k + 1), [rep << g.order] * (k + 1)
+            # |G| + 1 deep: max_avoiding raises k at each leaf
+            imgs, pres = [0] * (g.order + 1), [rep << g.order] * (g.order + 1)
             for d, x in enumerate(path):
                 imgs[d + 1] = imgs[d] | image[x]
                 pres[d + 1] = pres[d] | rep << x
@@ -357,17 +379,21 @@ class MaxSearchResult:
 
 
 def max_avoiding(group: GroupSpec, target: int, floor: int = 0,
-                 budget: SearchBudget | None = None) -> MaxSearchResult:
+                 budget: SearchBudget | None = None,
+                 symmetries: tuple[tuple[int, ...], ...] = ()) -> MaxSearchResult:
     """Largest subset of G \\ {0} whose Sigma avoids target; only sets larger
     than floor are reported. First maximum found is the lexicographic least.
 
     Branch and bound on the avoiding walk: from k = floor + 1, each leaf is
     a new witness and raises k by one, which cuts every node that cannot
-    beat it.
+    beat it. Symmetries fixing the target (as from target_symmetries) cut
+    the walk further and keep size and witness: each s(M) of the lex-least
+    maximum M avoids the target too, so M <=lex s(M) and no prefix of M is
+    cut.
     """
     if floor >= group.order - 1:  # no subset of G \ {0} is larger
         return MaxSearchResult(floor, None, 0, True)
-    eng = AvoidingEnumerator(group, target, floor + 1, budget)
+    eng = AvoidingEnumerator(group, target, floor + 1, budget, symmetries)
     eng._grow = True
     witness = None
     try:

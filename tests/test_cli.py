@@ -84,12 +84,12 @@ def test_cr_search_budget_yields_partial(cli):
 
 
 def test_cr_search_skipped_above_exact_order_cap(cli):
-    code, out, _ = cli("cr", "--group", "Z30")
+    code, out, _ = cli("cr", "--group", "Z65")
     assert code == 0
     (rec,) = _campaigns(cli)
     payload = json.loads(_artifact(cli, rec, "cr.json").read_text())
     assert payload["formula"] == S.critical_number_formula(
-        S.parse_group_spec("Z30"))
+        S.parse_group_spec("Z65"))
     assert payload["search"] is None or payload["search"].get("value") is None
 
 

@@ -111,9 +111,9 @@ def test_search_with_orbit_reduction_finds_same_value():
     assert S.critical_number_search(_g("Z9"), reduce_orbits=True).value == 5
 
 
-# critical_number_search(g).nodes with orbit-reduced targets, frozen from the
-# engine that kept (Sigma, -Sigma) per node: the kill-mask recurrence must
-# walk the same tree, not just reach the same value
+# critical_number_search(g).nodes with orbit-reduced targets and no symmetry
+# cut, frozen from the engine that kept (Sigma, -Sigma) per node: the
+# kill-mask recurrence must walk the same tree, not just reach the same value
 SEARCH_NODES_TO_36 = {
     "Z3": 2, "Z2xZ2": 3, "Z4": 5, "Z5": 5, "Z6": 16, "Z7": 11, "Z2xZ2xZ2": 36,
     "Z2xZ4": 45, "Z8": 39, "Z3xZ3": 33, "Z9": 39, "Z10": 77, "Z11": 59,
@@ -131,16 +131,55 @@ SEARCH_NODES_TO_36 = {
 }
 
 
+# critical_number_search(g).nodes, each target's walk cut by the
+# automorphisms fixing it (target_symmetries)
+PRUNED_SEARCH_NODES_TO_36 = {
+    "Z3": 2, "Z2xZ2": 3, "Z4": 5, "Z5": 5, "Z6": 16, "Z7": 10, "Z2xZ2xZ2": 17,
+    "Z2xZ4": 38, "Z8": 36, "Z3xZ3": 22, "Z9": 35, "Z10": 66, "Z11": 32,
+    "Z2xZ6": 166, "Z12": 206, "Z13": 90, "Z14": 221, "Z15": 369,
+    "Z2xZ2xZ2xZ2": 55, "Z2xZ2xZ4": 273, "Z2xZ8": 501, "Z4xZ4": 241,
+    "Z16": 425, "Z17": 330, "Z3xZ6": 562, "Z18": 769, "Z19": 449,
+    "Z2xZ10": 1319, "Z20": 1097, "Z21": 2006, "Z22": 952, "Z23": 1362,
+    "Z2xZ2xZ6": 1666, "Z2xZ12": 4173, "Z24": 2975, "Z5xZ5": 3037,
+    "Z25": 4567, "Z26": 1837, "Z3xZ3xZ3": 773, "Z3xZ9": 9152, "Z27": 7937,
+    "Z2xZ14": 8040, "Z28": 4072, "Z29": 7309, "Z30": 7256, "Z31": 14321,
+    "Z2xZ2xZ2xZ2xZ2": 173, "Z2xZ2xZ2xZ4": 1853, "Z2xZ2xZ8": 9701,
+    "Z2xZ4xZ4": 5403, "Z2xZ16": 22591, "Z4xZ8": 7201, "Z32": 6805,
+    "Z33": 26764, "Z34": 6473, "Z35": 64950, "Z2xZ18": 64590,
+    "Z3xZ12": 16015, "Z6xZ6": 7568, "Z36": 19454,
+}
+
+
+def _unpruned_search(g):
+    """critical_number_search's target loop with no symmetry cut: (size,
+    witness, nodes) under the same floor carry."""
+    best_size, best_wit, nodes = 0, (), 0
+    for t in S.target_representatives(g, True):
+        res = S.max_avoiding(g, t, floor=max(best_size - 1, 0), symmetries=())
+        assert res.complete
+        nodes += res.nodes
+        if res.witness is not None and (
+                res.size > best_size
+                or (res.size == best_size and res.witness < best_wit)):
+            best_size, best_wit = res.size, res.witness
+    return best_size, best_wit, nodes
+
+
 def test_search_walks_the_frozen_tree_to_order_36():
-    nodes = {}
+    unpruned, pruned = {}, {}
     for order in range(3, 37):
         for orders in S.abelian_groups_of_order(order):
             g = S.make_group(orders)
-            out = S.critical_number_search(g, S.SearchBudget(max_exact_order=36))
+            out = S.critical_number_search(g)
             assert out.status == "complete", g
-            nodes[g.spec_string] = out.nodes
-    assert len(nodes) == 60
-    assert nodes == SEARCH_NODES_TO_36
+            size, witness, unpruned[g.spec_string] = _unpruned_search(g)
+            # the cut keeps the value and the witness
+            assert (out.max_nonspanning_size, out.witness) == (size, witness), g
+            pruned[g.spec_string] = out.nodes
+    assert len(unpruned) == 60
+    assert unpruned == SEARCH_NODES_TO_36
+    assert pruned == PRUNED_SEARCH_NODES_TO_36
+    assert sum(pruned.values()) == 348_336 < sum(unpruned.values()) == 706_032
 
 
 def test_search_respects_budget():
@@ -184,6 +223,37 @@ def test_verify_critical_formula_budget_marks_pending_rows():
         if row.status != "complete":
             assert row.searched is None
             assert not row.agree
+
+
+# cr(G) by exhaustive search for every abelian group of order 37..64
+SEARCHED_CR_37_TO_64 = {
+    "Z37": 11, "Z38": 19, "Z39": 14, "Z2xZ2xZ10": 20, "Z2xZ20": 20, "Z40": 20,
+    "Z41": 12, "Z42": 21, "Z43": 12, "Z2xZ22": 22, "Z44": 22, "Z3xZ15": 16,
+    "Z45": 16, "Z46": 23, "Z47": 13, "Z2xZ2xZ2xZ6": 24, "Z2xZ2xZ12": 24,
+    "Z2xZ24": 24, "Z4xZ12": 24, "Z48": 24, "Z7xZ7": 12, "Z49": 13,
+    "Z5xZ10": 25, "Z50": 25, "Z51": 18, "Z2xZ26": 26, "Z52": 26, "Z53": 14,
+    "Z3xZ3xZ6": 27, "Z3xZ18": 27, "Z54": 27, "Z55": 14, "Z2xZ2xZ14": 28,
+    "Z2xZ28": 28, "Z56": 28, "Z57": 20, "Z58": 29, "Z59": 15, "Z2xZ30": 30,
+    "Z60": 30, "Z61": 15, "Z62": 31, "Z3xZ21": 22, "Z63": 22,
+    "Z2xZ2xZ2xZ2xZ2xZ2": 32, "Z2xZ2xZ2xZ2xZ4": 32, "Z2xZ2xZ2xZ8": 32,
+    "Z2xZ2xZ4xZ4": 32, "Z2xZ2xZ16": 32, "Z2xZ4xZ8": 32, "Z2xZ32": 32,
+    "Z4xZ4xZ4": 32, "Z4xZ16": 32, "Z8xZ8": 32, "Z64": 32,
+}
+
+
+@pytest.mark.extended
+def test_search_certifies_the_formula_to_order_64():
+    searched = {}
+    for order in range(37, 65):
+        for orders in S.abelian_groups_of_order(order):
+            g = S.make_group(orders)
+            out = S.critical_number_search(g)
+            assert out.status == "complete", g
+            assert out.value == S.critical_number_formula(g), g
+            assert S.subset_sums_bits(g, out.witness) != g.full_mask, g
+            searched[g.spec_string] = out.value
+    assert len(searched) == 55
+    assert searched == SEARCHED_CR_37_TO_64
 
 
 @pytest.mark.extended
