@@ -76,15 +76,10 @@ def _budget_from_args(args) -> SearchBudget:
     return b
 
 
-def _config_echo(args, keys: list[str]) -> dict:
-    out = {}
-    for key in keys:
-        val = getattr(args, key, None)
-        if isinstance(val, Path):
-            val = str(val)
-        out[key.replace("_", "-")] = val
-    out["store"] = str(args.store)
-    return out
+def _config(args) -> dict:
+    """The effective configuration: every flag the subcommand declares."""
+    return {key.replace("_", "-"): str(val) if isinstance(val, Path) else val
+            for key, val in vars(args).items() if key not in ("subcommand", "func")}
 
 
 def _normalized_command(name: str, config: dict) -> str:
@@ -103,10 +98,10 @@ def _normalized_command(name: str, config: dict) -> str:
 class _Run:
     """One campaign: id, ledger record, artifact registration, final print."""
 
-    def __init__(self, store: CampaignStore, name: str, group: str | None,
-                 config: dict):
+    def __init__(self, store: CampaignStore, args, group: str | None):
         self.store = store
-        self.name = name
+        self.name = name = args.subcommand
+        config = _config(args)
         self.campaign_id = store.new_campaign_id(name)
         self.record = CampaignRecord(
             campaign_id=self.campaign_id,
@@ -249,9 +244,7 @@ def _stream_records(enum: ExtremalEnumeration, records_final: Path,
 
 
 def cmd_cr(args, store: CampaignStore) -> int:
-    config = _config_echo(args, ["group", "mode", "reduce_orbits", "max_nodes",
-                                 "max_seconds", "max_exact_order", "extended"])
-    run = _Run(store, "cr", args.group, config)
+    run = _Run(store, args, args.group)
     try:
         group = parse_group_spec(args.group)
         budget = _budget_from_args(args)
@@ -283,8 +276,8 @@ def cmd_cr(args, store: CampaignStore) -> int:
             elif out.status == "skipped":
                 lines.append(
                     f"search skipped: order {group.order} above the exact-search "
-                    f"cap ({budget.max_exact_order}); pass --extended or raise "
-                    f"--max-exact-order to force it")
+                    f"cap ({budget.max_exact_order}); raise --max-exact-order "
+                    f"to force it")
             else:
                 lines.append("search ran out of budget before certifying")
                 status, code = STATUS_PARTIAL, 2
@@ -298,9 +291,7 @@ def cmd_cr(args, store: CampaignStore) -> int:
 
 
 def cmd_verify_theorem_a(args, store: CampaignStore) -> int:
-    config = _config_echo(args, ["max_order", "reduce_orbits", "max_nodes",
-                                 "max_seconds"])
-    run = _Run(store, "verify-theorem-a", None, config)
+    run = _Run(store, args, None)
     try:
         budget = _budget_from_args(args)
         budget.max_exact_order = args.max_order
@@ -389,10 +380,7 @@ def _enumerating_run(args, run: _Run, group, orbit_dedup: bool | None,
 
 
 def cmd_enumerate(args, store: CampaignStore) -> int:
-    config = _config_echo(args, ["group", "out", "orbit_dedup", "extended",
-                                 "threads", "max_nodes", "max_seconds",
-                                 "max_candidates", "checkpoint_every", "resume"])
-    run = _Run(store, "enumerate-extremal", args.group, config)
+    run = _Run(store, args, args.group)
     try:
         tally = Verdict(None)
 
@@ -415,8 +403,7 @@ def cmd_enumerate(args, store: CampaignStore) -> int:
 
 
 def cmd_classify(args, store: CampaignStore) -> int:
-    config = _config_echo(args, ["group", "set"])
-    run = _Run(store, "classify", args.group, config)
+    run = _Run(store, args, args.group)
     try:
         group = parse_group_spec(args.group)
         try:
@@ -434,10 +421,7 @@ def cmd_classify(args, store: CampaignStore) -> int:
 
 
 def cmd_conjecture(args, store: CampaignStore) -> int:
-    config = _config_echo(args, ["which", "p", "q", "extended", "threads",
-                                 "max_nodes", "max_seconds", "checkpoint_every",
-                                 "resume"])
-    run = _Run(store, "conjecture", f"Z{args.p * args.q}", config)
+    run = _Run(store, args, f"Z{args.p * args.q}")
     try:
         which, p, q = args.which, args.p, args.q
         verdict = Verdict(conjecture_claim(which, p, q)[0])
@@ -460,10 +444,7 @@ def cmd_conjecture(args, store: CampaignStore) -> int:
 
 
 def cmd_verify_main(args, store: CampaignStore) -> int:
-    config = _config_echo(args, ["group", "orbit_dedup", "extended", "threads",
-                                 "max_nodes", "max_seconds", "checkpoint_every",
-                                 "resume"])
-    run = _Run(store, "verify-main", args.group, config)
+    run = _Run(store, args, args.group)
     try:
         group = parse_group_spec(args.group)
         verdict = theorem_verdict(group)
@@ -488,8 +469,7 @@ def cmd_verify_main(args, store: CampaignStore) -> int:
 
 
 def cmd_fuzz(args, store: CampaignStore) -> int:
-    config = _config_echo(args, ["lemma", "trials", "seed", "exhaustive"])
-    run = _Run(store, "fuzz-bounds", None, config)
+    run = _Run(store, args, None)
     try:
         lemmas = args.lemma or list(CAMPAIGNS)
         reports = run_all_campaigns(args.trials, args.seed, lemmas,
@@ -624,25 +604,23 @@ REDUCE_ORBITS_HELP = ("search one avoided target per orbit of the group's "
                       "automorphisms; default on)")
 
 
-def _add_budget_flags(p: _Parser, exact_order: bool = False) -> None:
+def _add_budget_flags(p: _Parser, scope: str) -> None:
     p.add_argument("--max-nodes", type=int, default=None, metavar="N",
-                   help="stop after N search nodes (writes a checkpoint)")
+                   help=f"stop after N search nodes {scope}")
     p.add_argument("--max-seconds", type=float, default=None, metavar="S",
-                   help="stop after S seconds (writes a checkpoint)")
-    if exact_order:
-        p.add_argument("--max-exact-order", type=int, default=None, metavar="N",
-                       help="largest group order searched exhaustively "
-                            "(default 64; larger orders are skipped)")
+                   help=f"stop after S seconds {scope}")
+
+
+def _add_enum_flags(p: _Parser, orbit_dedup: bool = True) -> None:
+    _add_budget_flags(p, "in all, at any --threads (writes a checkpoint)")
     p.add_argument("--extended", action="store_true",
                    help="allow long-running searches (missed-target engine)")
-
-
-def _add_enum_flags(p: _Parser) -> None:
-    p.add_argument("--orbit-dedup", action=argparse.BooleanOptionalAction,
-                   default=None,
-                   help="emit one representative per unit-scaling orbit "
-                        "(default: on for extended runs on cyclic groups, "
-                        "off otherwise)")
+    if orbit_dedup:
+        p.add_argument("--orbit-dedup", action=argparse.BooleanOptionalAction,
+                       default=None,
+                       help="emit one representative per unit-scaling orbit "
+                            "(default: on for extended runs on cyclic groups, "
+                            "off otherwise)")
     p.add_argument("--threads", type=int,
                    default=_env_int("SPANLAB_THREADS", 1),
                    help="worker processes for extended enumeration "
@@ -685,7 +663,10 @@ def build_parser() -> _Parser:
     p.set_defaults(mode="both")
     p.add_argument("--reduce-orbits", action=argparse.BooleanOptionalAction,
                    default=True, help=REDUCE_ORBITS_HELP)
-    _add_budget_flags(p, exact_order=True)
+    _add_budget_flags(p, "in all")
+    p.add_argument("--max-exact-order", type=int, default=None, metavar="N",
+                   help="largest group order searched exhaustively "
+                        "(default 64; larger orders are skipped)")
     p.set_defaults(func=cmd_cr)
 
     p = sub.add_parser("verify-theorem-a",
@@ -695,7 +676,8 @@ def build_parser() -> _Parser:
                    help="largest group order to verify (default 24)")
     p.add_argument("--reduce-orbits", action=argparse.BooleanOptionalAction,
                    default=True, help=REDUCE_ORBITS_HELP)
-    _add_budget_flags(p)
+    _add_budget_flags(p, "per group (each group's search gets the whole "
+                         "allowance)")
     p.set_defaults(func=cmd_verify_theorem_a)
 
     p = sub.add_parser("enumerate-extremal",
@@ -708,7 +690,6 @@ def build_parser() -> _Parser:
     p.add_argument("--max-candidates", type=int, default=None, metavar="N",
                    help="largest C(|G|-1, k) the direct engine will walk "
                         "(default 5000000)")
-    _add_budget_flags(p)
     _add_enum_flags(p)
     p.set_defaults(func=cmd_enumerate)
 
@@ -725,15 +706,13 @@ def build_parser() -> _Parser:
     p.add_argument("--which", type=int, required=True, choices=(1, 2))
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
-    _add_budget_flags(p)
-    _add_enum_flags(p)
+    _add_enum_flags(p, orbit_dedup=False)
     p.set_defaults(func=cmd_conjecture)
 
     p = sub.add_parser("verify-main",
                        help="check the structure theorem's shape claim on "
                             "every extremal set")
     p.add_argument("--group", required=True)
-    _add_budget_flags(p)
     _add_enum_flags(p)
     p.set_defaults(func=cmd_verify_main)
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 from .bounds import two_sqrt_floor
 from .groups import (GroupSpec, abelian_groups_of_order, is_prime, make_group,
-                     smallest_prime_divisor)
+                     prime_factors, smallest_prime_divisor)
 from .search import (SearchBudget, max_avoiding, target_representatives,
                      target_symmetries)
 from .sums import subset_sums_bits
@@ -39,28 +39,10 @@ _SPECIAL_TYPES = frozenset({
 })
 
 
-def _prime_power_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            q = 1
-            while n % d == 0:
-                n //= d
-                q *= d
-            out.append(q)
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def elementary_divisors(group: GroupSpec) -> tuple[int, ...]:
     """Sorted prime-power decomposition; equal tuples <=> isomorphic groups."""
-    parts: list[int] = []
-    for n in group.cyclic_orders:
-        parts.extend(_prime_power_factors(n))
-    return tuple(sorted(parts))
+    return tuple(sorted(p ** e for n in group.cyclic_orders
+                        for p, e in prime_factors(n).items()))
 
 
 def critical_number_case(group: GroupSpec) -> str:
@@ -146,12 +128,14 @@ def critical_number_search(group: GroupSpec, budget: SearchBudget | None = None,
     (Sigma(empty) = {0} != G). Each target's walk is cut by the
     automorphisms fixing it (search.target_symmetries), on cyclic and
     non-cyclic specs alike; that keeps each target's size and witness.
+    The budget's max_nodes and max_seconds bound the whole search, shared
+    across targets; orders above its max_exact_order are skipped.
     """
     n = group.order
     if n < 3:
         raise ValueError(f"critical number requires order >= 3, got {n}")
     budget = budget or SearchBudget()
-    if n > budget.max_exact_order and not budget.extended:
+    if n > budget.max_exact_order:
         return CriticalSearchOutcome("skipped", None, None, None, 0, 0)
     targets = target_representatives(group, reduce_orbits)
     best_size = 0
@@ -159,15 +143,10 @@ def critical_number_search(group: GroupSpec, budget: SearchBudget | None = None,
     nodes = 0
     start = time.monotonic()
     for i, t in enumerate(targets):
-        rem_nodes = None if budget.max_nodes is None else budget.max_nodes - nodes
-        rem_secs = (None if budget.max_seconds is None
-                    else budget.max_seconds - (time.monotonic() - start))
-        if (rem_nodes is not None and rem_nodes <= 0) or (
-                rem_secs is not None and rem_secs <= 0):
+        left = budget.remaining(nodes, start)
+        if left is None:
             return CriticalSearchOutcome("budget_exceeded", None, None, None, nodes, i)
-        res = max_avoiding(group, t, floor=max(best_size - 1, 0),
-                           budget=SearchBudget(max_nodes=rem_nodes,
-                                               max_seconds=rem_secs),
+        res = max_avoiding(group, t, floor=max(best_size - 1, 0), budget=left,
                            symmetries=target_symmetries(group, t))
         nodes += res.nodes
         if not res.complete:

@@ -26,6 +26,7 @@ from __future__ import annotations
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from math import comb
 from typing import Iterator
@@ -318,11 +319,12 @@ class ExtremalEnumeration:
     per divisor class), by raw bitmask otherwise (all targets searched).
 
     The current position is always exportable via state() and restorable
-    via the checkpoint argument; a budget overrun raises EnumerationPaused
-    carrying that state. threads > 1 fans missed-target subtrees (split by
+    via the checkpoint argument, under any thread count; a budget overrun
+    raises EnumerationPaused carrying that state. The budget bounds the
+    whole records() call. threads > 1 fans missed-target subtrees (split by
     first element) over a process pool; outputs are merged in lexicographic
-    order so results are byte-identical to a sequential run, but pausing
-    and resuming then happen at target granularity only.
+    order so results are byte-identical to a single-worker run, but the
+    pool pauses between targets only.
     """
 
     def __init__(self, group: GroupSpec, budget: SearchBudget | None = None,
@@ -407,10 +409,6 @@ class ExtremalEnumeration:
                     f"checkpoint target_pos {self.target_pos} outside 0..{last}")
             self._seen = {int(s, 16) for s in st.get("seen", [])}
             if inner is not None:
-                if self.threads > 1:
-                    raise CheckpointMismatch(
-                        "mid-target checkpoint cannot resume with threads > 1; "
-                        "resume single-threaded or restart the target")
                 self._engine = AvoidingEnumerator.from_state(
                     self.group, inner, self.budget,
                     self._stabilizer(int(inner.get("target", -1))))
@@ -436,10 +434,8 @@ class ExtremalEnumeration:
         try:
             if self.mode == "direct":
                 yield from self._run_direct()
-            elif self.threads > 1:
-                yield from self._run_missed_parallel()
             else:
-                yield from self._run_missed_sequential()
+                yield from self._run_missed()
         except EnumerationPaused:
             # re-raise carrying the enumeration-level state, not the raw
             # engine state, so a resume restores dedup and target position
@@ -475,45 +471,45 @@ class ExtremalEnumeration:
         target t's DFS (see search.py)."""
         return target_symmetries(self.group, t) if self.orbit_dedup else ()
 
-    def _run_missed_sequential(self) -> Iterator[ExtremalRecord]:
-        while self.target_pos < len(self.targets):
-            if self._engine is None:
-                t = self.targets[self.target_pos]
-                self._engine = AvoidingEnumerator(self.group, t, self.k, self.budget,
-                                                  self._stabilizer(t))
-            else:
-                self._engine.budget = self.budget
-            for found in self._engine.run():
-                indices = self._first_sighting(sum(1 << i for i in found))
-                if indices is not None:
-                    yield self._emit(indices)
-            self.stats.nodes += self._engine.stats.nodes
-            self._engine = None
-            self.target_pos += 1
+    def _run_missed(self) -> Iterator[ExtremalRecord]:
+        """Walk the targets from target_pos on one budget for the whole call.
 
-    def _run_missed_parallel(self) -> Iterator[ExtremalRecord]:
-        orders = self.group.cyclic_orders
-        deadline = self.budget.deadline()
-        nodes_cap = (None if self.budget.max_nodes is None
-                     else self.stats.nodes + self.budget.max_nodes)
-        with ProcessPoolExecutor(max_workers=self.threads) as pool:
+        A target's leaves come from its AvoidingEnumerator with one worker
+        or when the run resumes inside that target, and the engine pauses
+        mid-target; otherwise from the pool, one run_work_unit per first
+        element merged in lexicographic order, and the budget is checked
+        between targets. Either way the records are the same bytes.
+        """
+        start, nodes0 = time.monotonic(), self.stats.nodes
+        with (ProcessPoolExecutor(max_workers=self.threads) if self.threads > 1
+              else nullcontext()) as pool:
             while self.target_pos < len(self.targets):
-                if (nodes_cap is not None and self.stats.nodes >= nodes_cap) or (
-                        deadline is not None and time.monotonic() > deadline):
+                left = self.budget.remaining(self.stats.nodes - nodes0, start)
+                if left is None:
                     raise EnumerationPaused(self.state())
                 t = self.targets[self.target_pos]
                 syms = self._stabilizer(t)
-                # a first element above its Stab(t)-orbit's least is cut anyway
-                futures = [pool.submit(run_work_unit, orders, t, self.k, f, syms)
-                           for f in range(1, self.group.order)
-                           if all(s[f] >= f for s in syms)]
-                for fut in futures:
-                    masks, nodes = fut.result()
-                    self.stats.nodes += nodes
-                    for mask in masks:
-                        indices = self._first_sighting(mask)
-                        if indices is not None:
-                            yield self._emit(indices)
+                eng = self._engine
+                if eng is not None or pool is None:
+                    eng = self._engine = eng or AvoidingEnumerator(
+                        self.group, t, self.k, left, syms)
+                    # a resumed engine's count includes the checkpoint's nodes
+                    eng.budget, before = left, eng.stats.nodes
+                    leaves = (sum(1 << i for i in leaf) for leaf in eng.run())
+                else:
+                    # a first element above its Stab(t)-orbit's least is cut anyway
+                    units = [pool.submit(run_work_unit, self.group.cyclic_orders,
+                                         t, self.k, f, syms)
+                             for f in range(1, self.group.order)
+                             if all(s[f] >= f for s in syms)]
+                    leaves = (mask for unit in units for mask in unit.result()[0])
+                for mask in leaves:
+                    indices = self._first_sighting(mask)
+                    if indices is not None:
+                        yield self._emit(indices)
+                self.stats.nodes += (eng.stats.nodes - before if eng is not None
+                                     else sum(unit.result()[1] for unit in units))
+                self._engine = None
                 self.target_pos += 1
 
 

@@ -32,7 +32,7 @@ from .bounds import (check_cauchy_davenport, check_diderrich, check_folk_lemma,
                      check_growth_bound, check_hamidoune_dichotomy,
                      check_prime_growth_bound, check_sequence_growth,
                      check_three_facts, check_vosper, two_sqrt_floor)
-from .groups import ElementSet, GroupSpec, abelian_groups_of_order, make_group
+from .groups import ElementSet, GroupSpec, abelian_groups_of_order, cached_group
 from .sums import SequenceOverGroup, restricted_sums, subset_sums_bits
 
 _SEED_STRIDE = 1_000_003
@@ -81,25 +81,14 @@ def _groups_menu(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(abelian_groups_of_order(n))
 
 
-_group_cache: dict[tuple[int, ...], GroupSpec] = {}
-
-
-def _cached_group(orders: tuple[int, ...]) -> GroupSpec:
-    g = _group_cache.get(orders)
-    if g is None:
-        g = make_group(orders)
-        _group_cache[orders] = g
-    return g
-
-
 def _random_group(rng: random.Random, min_order: int, max_order: int) -> GroupSpec:
     n = rng.randint(min_order, max_order)
-    return _cached_group(rng.choice(_groups_menu(n)))
+    return cached_group(rng.choice(_groups_menu(n)))
 
 
 def _prime_group(rng: random.Random, min_p: int = 3, max_p: int = 31) -> GroupSpec:
     p = rng.choice([q for q in _PRIMES if min_p <= q <= max_p])
-    return _cached_group((p,))
+    return cached_group((p,))
 
 
 def _random_subset(rng: random.Random, g: GroupSpec, size: int,
@@ -229,7 +218,7 @@ def _exhaustive_midpoint_z13() -> dict:
     not); the bare form |Sigma_3(A)| = p provably fails on some sets, so
     its failure count is reported as an observation.
     """
-    g = _cached_group((13,))
+    g = cached_group((13,))
     p, m = 13, 6
     t = (m + 1) // 2
     total = adjoined_failures = bare_failures = 0
@@ -255,7 +244,7 @@ def _exhaustive_full_span_z11() -> dict:
     floor(2 sqrt(p-2)) = 6 must have Sigma covering Z_11. Sets containing
     0 are counted separately -- the clause genuinely fails there, which is
     why it carries the zero-free hypothesis."""
-    g = _cached_group((11,))
+    g = cached_group((11,))
     p = 11
     threshold = two_sqrt_floor(p - 2)
     zero_free = zf_failures = with_zero = wz_failures = 0
@@ -281,7 +270,7 @@ def _exhaustive_full_span_z11() -> dict:
 def _exhaustive_sequences() -> dict:
     total = failures = 0
     for p in (3, 5, 7, 11, 13):
-        g = _cached_group((p,))
+        g = cached_group((p,))
         for length in range(2, 7):
             for terms in combinations_with_replacement(range(1, p), length):
                 total += 1

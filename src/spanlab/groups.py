@@ -16,6 +16,7 @@ import math
 import re
 import threading
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 MAX_GROUP_ORDER = 10**6
@@ -365,6 +366,13 @@ def make_group(cyclic_orders: Iterable[int], max_order: int = MAX_GROUP_ORDER) -
     return GroupSpec(orders)
 
 
+@lru_cache(maxsize=None)
+def cached_group(orders: tuple[int, ...]) -> GroupSpec:
+    """make_group, one GroupSpec (and its lazy tables) per spec per process:
+    pool workers and fuzz trials reuse it."""
+    return make_group(orders)
+
+
 def parse_group_spec(text: str) -> GroupSpec:
     """Parse "Z15" or "Z2xZ4" (case-insensitive) into a GroupSpec."""
     cleaned = text.strip()
@@ -385,6 +393,20 @@ def smallest_prime_divisor(n: int) -> int:
             return f
         f += 2
     return n
+
+
+def prime_factors(n: int) -> dict[int, int]:
+    """{p: e} with n = prod p**e, primes ascending, by trial division."""
+    out: dict[int, int] = {}
+    f = 2
+    while f * f <= n:
+        while n % f == 0:
+            out[f] = out.get(f, 0) + 1
+            n //= f
+        f += 1
+    if n > 1:
+        out[n] = 1
+    return out
 
 
 def is_prime(n: int) -> bool:
@@ -554,19 +576,9 @@ def abelian_groups_of_order(n: int) -> list[tuple[int, ...]]:
     """Invariant-factor presentations (ascending) of all abelian groups of order n."""
     if n < 2:
         raise ValueError("order must be at least 2")
-    factors: dict[int, int] = {}
-    m = n
-    f = 2
-    while f * f <= m:
-        while m % f == 0:
-            factors[f] = factors.get(f, 0) + 1
-            m //= f
-        f += 1
-    if m > 1:
-        factors[m] = factors.get(m, 0) + 1
-
-    primes = sorted(factors)
-    choices = [_partitions(factors[p]) for p in primes]
+    factors = prime_factors(n)
+    primes = list(factors)
+    choices = [_partitions(e) for e in factors.values()]
     out = []
 
     def rec(i: int, chosen: list[tuple[int, ...]]) -> None:

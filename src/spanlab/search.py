@@ -42,10 +42,10 @@ top.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator
 
-from .groups import GroupSpec, automorphism_generators, make_group
+from .groups import GroupSpec, automorphism_generators, cached_group
 
 ENGINE_VERSION = "search-1"
 
@@ -66,6 +66,9 @@ class CheckpointMismatch(ValueError):
 
 @dataclass
 class SearchBudget:
+    """Limits of one search call; extended selects the missed-target engine
+    of the extremal enumeration."""
+
     max_nodes: int | None = None
     max_seconds: float | None = None
     max_exact_order: int = 64
@@ -73,7 +76,19 @@ class SearchBudget:
     extended: bool = False
 
     def deadline(self) -> float | None:
-        return time.monotonic() + self.max_seconds if self.max_seconds else None
+        return None if self.max_seconds is None else time.monotonic() + self.max_seconds
+
+    def remaining(self, nodes: int, since: float) -> SearchBudget | None:
+        """This budget less `nodes` nodes and the seconds since the
+        time.monotonic() stamp `since`, or None once either limit is spent:
+        one allowance shared by a run's successive engines."""
+        left_nodes = None if self.max_nodes is None else self.max_nodes - nodes
+        left_secs = (None if self.max_seconds is None
+                     else self.max_seconds - (time.monotonic() - since))
+        if (left_nodes is not None and left_nodes <= 0) or (
+                left_secs is not None and left_secs <= 0):
+            return None
+        return replace(self, max_nodes=left_nodes, max_seconds=left_secs)
 
 
 @dataclass
@@ -412,7 +427,7 @@ def run_work_unit(orders: tuple[int, ...], target: int, k: int, first: int,
     """Enumerate the (target, first) subtree to completion; returns
     (bitmasks of avoiding size-k sets in lex order, node count).
     Module-level and picklable so process pools can run it."""
-    group = _worker_group(orders)
+    group = cached_group(orders)
     last = group.order - k  # the last first element of a size-k set
     if not 0 < first <= last or first == target:
         return [], 0
@@ -423,13 +438,3 @@ def run_work_unit(orders: tuple[int, ...], target: int, k: int, first: int,
     out = [sum(1 << i for i in leaf) for leaf in eng.run()]
     return out, eng.stats.nodes
 
-
-_worker_groups: dict[tuple[int, ...], GroupSpec] = {}
-
-
-def _worker_group(orders: tuple[int, ...]) -> GroupSpec:
-    g = _worker_groups.get(orders)
-    if g is None:
-        g = make_group(orders)
-        _worker_groups[orders] = g
-    return g

@@ -107,6 +107,21 @@ def test_unknown_flag_exits_one(cli):
     assert code == 1
 
 
+@pytest.mark.parametrize("args", [
+    ["cr", "--group", "Z15", "--extended"],
+    ["verify-theorem-a", "--max-order", 5, "--extended"],
+    ["conjecture", "--which", 2, "--p", 3, "--q", 5, "--orbit-dedup"],
+    ["conjecture", "--which", 2, "--p", 3, "--q", 5, "--no-orbit-dedup"],
+], ids=["cr-extended", "theorem-a-extended", "conjecture-orbit-dedup",
+        "conjecture-no-orbit-dedup"])
+def test_removed_flags_exit_one(cli, args):
+    # flags that had no effect on these commands are not accepted
+    code, _, err = cli(*args)
+    assert code == 1
+    assert "unrecognized arguments" in err
+    assert _campaigns(cli) == []
+
+
 def test_mutually_exclusive_modes_exit_one(cli):
     code, _, _ = cli("cr", "--group", "Z15", "--formula", "--search")
     assert code == 1
@@ -139,6 +154,18 @@ def test_enumerate_writes_classified_records(cli):
                           "witnesses", "profile"}
     assert first["group"] == "Z15"
     assert rec["summary"]["records"] == 28
+
+
+def test_ledger_config_echoes_every_declared_flag(cli):
+    ck = cli.tmp / "ck.json"
+    assert cli("enumerate-extremal", "--group", "Z15", "--checkpoint", ck)[0] == 0
+    (rec,) = _campaigns(cli)
+    assert set(rec["config"]) == {
+        "store", "group", "out", "checkpoint", "max-candidates", "max-nodes",
+        "max-seconds", "extended", "orbit-dedup", "threads", "resume",
+        "checkpoint-every"}
+    assert rec["config"]["checkpoint"] == str(ck)
+    assert f"--checkpoint={ck}" in rec["command"].split()
 
 
 def test_enumerate_output_is_deterministic(cli):
@@ -257,8 +284,7 @@ def test_resume_of_finished_run_rebuilds_from_records(cli, monkeypatch, args,
     def no_search(self):
         raise AssertionError("a finished checkpoint must not search again")
 
-    for engine in ("_run_direct", "_run_missed_sequential",
-                   "_run_missed_parallel"):
+    for engine in ("_run_direct", "_run_missed"):
         monkeypatch.setattr(S.ExtremalEnumeration, engine, no_search)
     code, again, _ = cli(*args, "--resume", ck)
     assert code == 0

@@ -208,6 +208,55 @@ def test_stabilizer_pruned_orbit_records_match_with_two_workers(spec):
     assert [tuple(rec.indices) for rec in recs] == ref.orbit_records_unpruned(g)
 
 
+def _run_to_pause(g, budget, checkpoint=None, threads=1):
+    """(records, JSON round-tripped pause state or None) of one invocation."""
+    enum = S.ExtremalEnumeration(g, budget, checkpoint=checkpoint, threads=threads)
+    records = []
+    try:
+        for rec in enum.records():
+            records.append(tuple(rec.indices))
+    except S.EnumerationPaused as pause:
+        return records, json.loads(json.dumps(pause.state))
+    return records, None
+
+
+def test_node_budget_bounds_the_whole_run_at_any_thread_count():
+    # 158,618 nodes over 27 targets: a 10,000-node allowance for the whole
+    # invocation pauses it, where one allowance per target would not
+    g = _g("Z3xZ3xZ3")
+    straight = [tuple(rec.indices)
+                for rec in S.enumerate_extremal(g, S.SearchBudget(extended=True))]
+    budget = S.SearchBudget(extended=True, max_nodes=10_000)
+    for threads in (1, 2):
+        records, state = _run_to_pause(g, budget, threads=threads)
+        assert state is not None, threads
+        while state is not None:
+            more, state = _run_to_pause(g, budget, state, threads)
+            records += more
+        assert records == straight, threads
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_zero_second_budget_pauses_before_the_first_target(threads):
+    records, state = _run_to_pause(
+        _g("Z3xZ3xZ3"), S.SearchBudget(extended=True, max_seconds=0), threads=threads)
+    assert records == [] and state["target_pos"] == 0 and state["inner"] is None
+
+
+@pytest.mark.parametrize("spec", ["Z3xZ3xZ3", "Z35"])
+def test_mid_target_checkpoint_resumes_with_two_workers(spec):
+    # a one-worker snapshot inside a target's DFS (Z35: the stabilizer-cut
+    # orbit-dedup walk) finishes that target on its engine, then the pool
+    g = _g(spec)
+    budget = S.SearchBudget(extended=True)
+    full, snapshots = _snapshots(S.ExtremalEnumeration(g, budget))
+    k = len(full) // 2
+    state = snapshots[k - 1]
+    assert state["inner"] is not None and state["emitted"] == k
+    rest = S.ExtremalEnumeration(g, budget, checkpoint=state, threads=2).records()
+    assert full[:k] + list(rest) == full
+
+
 def test_enumeration_rejects_checkpoint_from_other_group():
     enum = S.ExtremalEnumeration(_g("Z21"),
                                  budget=S.SearchBudget(max_nodes=3000))
