@@ -9,7 +9,7 @@ non-spanning sets with conjecture certificates (`extremal`), checkpointable
 search engines (`search`), and a persistent campaign store (`store`).
 """
 
-from .bounds import (APWitness, BoundReport, VosperReport, check_cauchy_davenport,
+from .bounds import (APWitness, BoundReport, check_cauchy_davenport,
                      check_diderrich, check_folk_lemma, check_growth_bound,
                      check_hamidoune_dichotomy, check_prime_growth_bound,
                      check_sequence_growth, check_three_facts, check_vosper,
@@ -51,7 +51,7 @@ __all__ = [
     "MaxSearchResult", "ObservationReport", "SHAPE_B", "SHAPE_EX1", "SHAPE_EX2",
     "SHAPE_I", "SHAPE_II", "SearchBudget", "SearchStats", "SequenceOverGroup",
     "SizedEnumerator", "SubgroupHandle", "TheoremReport", "UNCLASSIFIED",
-    "VosperReport", "abelian_groups_of_order", "all_subgroups",
+    "abelian_groups_of_order", "all_subgroups",
     "check_cauchy_davenport", "check_conjecture",
     "check_diderrich", "check_folk_lemma", "check_growth_bound",
     "check_hamidoune_dichotomy", "check_observation_31",

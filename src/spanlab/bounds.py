@@ -260,35 +260,17 @@ def check_diderrich(sets: Sequence[ElementSet]) -> BoundReport:
                                "sign_assignment": assignment})
 
 
-@dataclass(frozen=True)
-class VosperReport:
-    p: int
-    sizes: tuple[int, int]
-    sumset_size: int
-    triggered: bool
-    holds: bool
-    b1_witness: APWitness | None = None
-    b2_witness: APWitness | None = None
-    differences_match: bool | None = None
+def check_vosper(b1: ElementSet, b2: ElementSet) -> BoundReport:
+    """Critical pair structure in Z_p: |B1+B2| >= min(p-1, |B1|+|B2|)
+    unless both sets are progressions with the same canonical difference.
 
-    def to_dict(self) -> dict:
-        return {"p": self.p, "sizes": list(self.sizes), "sumset_size": self.sumset_size,
-                "triggered": self.triggered, "holds": self.holds,
-                "b1_witness": self.b1_witness.to_dict() if self.b1_witness else None,
-                "b2_witness": self.b2_witness.to_dict() if self.b2_witness else None,
-                "differences_match": self.differences_match}
-
-
-def check_vosper(b1: ElementSet, b2: ElementSet) -> VosperReport:
-    """Critical pair structure in Z_p: when |B1+B2| < min(p, |B1|+|B2|)
-    and |B1+B2| <= p-2, both sets must be progressions with the same
-    canonical difference.
-
-    The sumset cap is part of the underlying theorem, not a convenience:
-    pairs whose sumset misses exactly one element form a genuine
-    exceptional family that need not be progressions (B1 = {1,2,3,5},
-    B2 = {0,1,3} in Z7 has |B1+B2| = 6 = p-1 with neither set an AP), so
-    such pairs report triggered=False.
+    The check applies when the sumset is below that bound, i.e. when
+    |B1+B2| < min(p, |B1|+|B2|) and |B1+B2| <= p-2, and then holds when
+    the two progressions match. The sumset cap is part of the underlying
+    theorem, not a convenience: pairs whose sumset misses exactly one
+    element form a genuine exceptional family that need not be
+    progressions (B1 = {1,2,3,5}, B2 = {0,1,3} in Z7 has |B1+B2| = 6 = p-1
+    with neither set an AP), so such pairs report applied=False.
     """
     p = _prime_cyclic_order(b1)
     if p == 2 or not is_prime(p):
@@ -299,14 +281,16 @@ def check_vosper(b1: ElementSet, b2: ElementSet) -> VosperReport:
         if not 2 <= b.cardinality <= p - 2:
             raise ValueError("needs 2 <= |B_i| <= p-2")
     s = sumset(b1, b2).cardinality
-    triggered = s < min(p, b1.cardinality + b2.cardinality) and s <= p - 2
-    if not triggered:
-        return VosperReport(p, (b1.cardinality, b2.cardinality), s, False, True)
+    bound = min(p - 1, b1.cardinality + b2.cardinality)
+    detail: dict = {"p": p, "sizes": [b1.cardinality, b2.cardinality]}
+    if s >= bound:
+        return BoundReport("vosper", False, True, actual=s, bound=bound, detail=detail)
     w1, w2 = detect_ap(b1), detect_ap(b2)
     # canonical differences live in [1,(p-1)/2], so {d,-d} classes compare equal
     match = bool(w1.is_ap and w2.is_ap and w1.difference == w2.difference)
-    return VosperReport(p, (b1.cardinality, b2.cardinality), s, True,
-                        w1.is_ap and w2.is_ap and match, w1, w2, match)
+    detail.update(b1_witness=w1.to_dict(), b2_witness=w2.to_dict(),
+                  differences_match=match)
+    return BoundReport("vosper", True, match, actual=s, bound=bound, detail=detail)
 
 
 def check_three_facts(a: ElementSet, h: int) -> BoundReport:

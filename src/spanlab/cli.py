@@ -26,8 +26,9 @@ import os
 import sys
 from pathlib import Path
 
-from .critical import (critical_number_case, critical_number_formula,
-                       critical_number_search, verify_critical_formula)
+from .critical import (MAX_EXACT_ORDER, critical_number_case,
+                       critical_number_formula, critical_number_search,
+                       verify_critical_formula)
 from .extremal import (ConjectureReport, ExtremalEnumeration, TheoremReport,
                        Verdict, classify, conjecture_claim, theorem_verdict)
 from .fuzz import CAMPAIGNS, DEFAULT_TRIALS, run_all_campaigns
@@ -61,21 +62,6 @@ def _env_int(name: str, default: int) -> int:
         raise SystemExit(1) from None
 
 
-def _budget_from_args(args) -> SearchBudget:
-    b = SearchBudget()
-    if getattr(args, "max_nodes", None) is not None:
-        b.max_nodes = args.max_nodes
-    if getattr(args, "max_seconds", None) is not None:
-        b.max_seconds = args.max_seconds
-    if getattr(args, "max_candidates", None) is not None:
-        b.max_candidates = args.max_candidates
-    if getattr(args, "max_exact_order", None) is not None:
-        b.max_exact_order = args.max_exact_order
-    if getattr(args, "extended", False):
-        b.extended = True
-    return b
-
-
 def _config(args) -> dict:
     """The effective configuration: every flag the subcommand declares."""
     return {key.replace("_", "-"): str(val) if isinstance(val, Path) else val
@@ -98,7 +84,7 @@ def _normalized_command(name: str, config: dict) -> str:
 class _Run:
     """One campaign: id, ledger record, artifact registration, final print."""
 
-    def __init__(self, store: CampaignStore, args, group: str | None):
+    def __init__(self, store: CampaignStore, args):
         self.store = store
         self.name = name = args.subcommand
         config = _config(args)
@@ -106,7 +92,7 @@ class _Run:
         self.record = CampaignRecord(
             campaign_id=self.campaign_id,
             command=_normalized_command(name, config),
-            group=group,
+            group=getattr(args, "group", None),
             status=STATUS_FAILED,
             started=utc_stamp(),
             finished="",
@@ -167,6 +153,10 @@ def _load_checkpoint(path: Path, command: str) -> dict:
             f"column {exc.colno}") from None
     if not isinstance(data, dict) or "state" not in data:
         raise CheckpointMismatch(f"corrupt checkpoint {path}: missing 'state'")
+    if data.get("schema") != CHECKPOINT_SCHEMA:
+        raise CheckpointMismatch(
+            f"checkpoint {path} has schema {data.get('schema')!r}, this "
+            f"version reads {CHECKPOINT_SCHEMA}")
     if data.get("command") != command:
         raise CheckpointMismatch(
             f"checkpoint {path} was written by {data.get('command')!r}, "
@@ -243,86 +233,79 @@ def _stream_records(enum: ExtremalEnumeration, records_final: Path,
 # -- subcommands -------------------------------------------------------------------
 
 
-def cmd_cr(args, store: CampaignStore) -> int:
-    run = _Run(store, args, args.group)
-    try:
-        group = parse_group_spec(args.group)
-        budget = _budget_from_args(args)
-        formula = critical_number_formula(group)
-        case = critical_number_case(group)
-        result = {"group": group.spec_string, "order": group.order,
-                  "formula": formula, "case": case, "search": None,
-                  "agree": None}
-        lines = []
-        if args.mode in ("both", "formula"):
-            lines.append(f"cr({group.spec_string}) = {formula} by formula "
-                         f"(case {case})")
-        status, code = STATUS_COMPLETE, 0
-        if args.mode in ("both", "search"):
-            out = critical_number_search(group, budget,
-                                         reduce_orbits=args.reduce_orbits)
-            result["search"] = out.to_dict()
-            if out.status == "complete":
-                result["agree"] = out.value == formula
-                lines.append(
-                    f"search: cr = {out.value}, max non-spanning witness "
-                    f"{list(out.witness)} ({out.nodes} nodes)")
-                if out.value != formula:
-                    lines.append(f"DISAGREEMENT: formula {formula} (case {case}) "
-                                 f"!= searched {out.value}")
-                    code = 1
-                else:
-                    lines.append("formula and exhaustive search agree")
-            elif out.status == "skipped":
-                lines.append(
-                    f"search skipped: order {group.order} above the exact-search "
-                    f"cap ({budget.max_exact_order}); raise --max-exact-order "
-                    f"to force it")
+def _budget(args) -> SearchBudget:
+    return SearchBudget(args.max_nodes, args.max_seconds)
+
+
+def cmd_cr(args, run: _Run) -> int:
+    group = parse_group_spec(args.group)
+    formula = critical_number_formula(group)
+    case = critical_number_case(group)
+    result = {"group": group.spec_string, "order": group.order,
+              "formula": formula, "case": case, "search": None,
+              "agree": None}
+    lines = []
+    if args.mode in ("both", "formula"):
+        lines.append(f"cr({group.spec_string}) = {formula} by formula "
+                     f"(case {case})")
+    status, code = STATUS_COMPLETE, 0
+    if args.mode in ("both", "search"):
+        out = critical_number_search(group, _budget(args), args.reduce_orbits,
+                                     args.max_exact_order)
+        result["search"] = out.to_dict()
+        if out.status == "complete":
+            result["agree"] = out.value == formula
+            lines.append(
+                f"search: cr = {out.value}, max non-spanning witness "
+                f"{list(out.witness)} ({out.nodes} nodes)")
+            if out.value != formula:
+                lines.append(f"DISAGREEMENT: formula {formula} (case {case}) "
+                             f"!= searched {out.value}")
+                code = 1
             else:
-                lines.append("search ran out of budget before certifying")
-                status, code = STATUS_PARTIAL, 2
-        run.artifact("cr.json", result)
-        return run.finish(status, {"formula": formula, "case": case,
-                                   "search": result["search"] and
-                                   result["search"]["status"],
-                                   "agree": result["agree"]}, lines, code)
-    except Exception as exc:  # noqa: BLE001 - every failure must land in the ledger
-        return run.fail(exc)
-
-
-def cmd_verify_theorem_a(args, store: CampaignStore) -> int:
-    run = _Run(store, args, None)
-    try:
-        budget = _budget_from_args(args)
-        budget.max_exact_order = args.max_order
-        table = verify_critical_formula(args.max_order, budget,
-                                        reduce_orbits=args.reduce_orbits)
-        run.artifact("table.json", table.to_dict())
-        md = render_critical_table(table.to_dict(), "markdown")
-        md_path = run.dir / "table.md"
-        atomic_write_text(md_path, md)
-        run.register("table.md", md_path)
-        complete_rows = [r for r in table.rows if r.status == "complete"]
-        pending = [r for r in table.rows if r.status == "budget_exceeded"]
-        bad = table.disagreements
-        lines = [f"checked {len(table.rows)} groups of order 3..{args.max_order}: "
-                 f"{len(complete_rows)} searched, {len(bad)} disagreements"]
-        for r in bad:
-            lines.append(f"  MISMATCH {r.spec}: formula {r.formula}, "
-                         f"search {r.searched}")
-        if bad:
-            status, code = STATUS_COMPLETE, 1
-        elif pending:
-            status, code = STATUS_PARTIAL, 2
-            lines.append(f"{len(pending)} groups ran out of budget")
+                lines.append("formula and exhaustive search agree")
+        elif out.status == "skipped":
+            lines.append(
+                f"search skipped: order {group.order} above the exact-search "
+                f"cap ({args.max_exact_order}); raise --max-exact-order "
+                f"to force it")
         else:
-            status, code = STATUS_COMPLETE, 0
-            lines.append("formula matches exhaustive search on every group")
-        return run.finish(status, {"groups": len(table.rows),
-                                   "disagreements": len(bad),
-                                   "pending": len(pending)}, lines, code)
-    except Exception as exc:  # noqa: BLE001
-        return run.fail(exc)
+            lines.append("search ran out of budget before certifying")
+            status, code = STATUS_PARTIAL, 2
+    run.artifact("cr.json", result)
+    return run.finish(status, {"formula": formula, "case": case,
+                               "search": result["search"] and
+                               result["search"]["status"],
+                               "agree": result["agree"]}, lines, code)
+
+
+def cmd_verify_theorem_a(args, run: _Run) -> int:
+    table = verify_critical_formula(args.max_order, _budget(args),
+                                    reduce_orbits=args.reduce_orbits)
+    run.artifact("table.json", table.to_dict())
+    md = render_critical_table(table.to_dict(), "markdown")
+    md_path = run.dir / "table.md"
+    atomic_write_text(md_path, md)
+    run.register("table.md", md_path)
+    complete_rows = [r for r in table.rows if r.status == "complete"]
+    pending = [r for r in table.rows if r.status == "budget_exceeded"]
+    bad = table.disagreements
+    lines = [f"checked {len(table.rows)} groups of order 3..{args.max_order}: "
+             f"{len(complete_rows)} searched, {len(bad)} disagreements"]
+    for r in bad:
+        lines.append(f"  MISMATCH {r.spec}: formula {r.formula}, "
+                     f"search {r.searched}")
+    if bad:
+        status, code = STATUS_COMPLETE, 1
+    elif pending:
+        status, code = STATUS_PARTIAL, 2
+        lines.append(f"{len(pending)} groups ran out of budget")
+    else:
+        status, code = STATUS_COMPLETE, 0
+        lines.append("formula matches exhaustive search on every group")
+    return run.finish(status, {"groups": len(table.rows),
+                               "disagreements": len(bad),
+                               "pending": len(pending)}, lines, code)
 
 
 def _resume_setup(args, command: str, group_spec: str):
@@ -357,9 +340,8 @@ def _enumerating_run(args, run: _Run, group, orbit_dedup: bool | None,
     lines, exit code); a PARTIAL run exits 2 with a resume hint instead.
     """
     state, prior, inherited = _resume_setup(args, run.name, group.spec_string)
-    enum = ExtremalEnumeration(group, _budget_from_args(args),
-                               orbit_dedup=orbit_dedup, checkpoint=state,
-                               threads=args.threads)
+    enum = ExtremalEnumeration(group, _budget(args), args.extended, orbit_dedup,
+                               state, args.threads)
     out = getattr(args, "out", None)
     records_path = Path(out) if out else inherited or run.dir / "records.jsonl"
     ck_path = Path(getattr(args, "checkpoint", None) or args.resume
@@ -379,119 +361,99 @@ def _enumerating_run(args, run: _Run, group, orbit_dedup: bool | None,
     return run.finish(STATUS_PARTIAL, summary, lines, 2)
 
 
-def cmd_enumerate(args, store: CampaignStore) -> int:
-    run = _Run(store, args, args.group)
+def cmd_enumerate(args, run: _Run) -> int:
+    tally = Verdict(None)
+
+    def report(enum, complete, records_path):
+        lines = [f"{enum.group.spec_string}: {enum.stats.emitted} extremal "
+                 f"records (size {enum.k}, mode {enum.mode}, "
+                 f"orbit_dedup {str(enum.orbit_dedup).lower()})"]
+        if complete:
+            lines.append(f"records written to {records_path}")
+            lines += [f"  {tag}: {n}"
+                      for tag, n in sorted(tally.tag_counts.items())]
+        return ({"records": enum.stats.emitted, "mode": enum.mode,
+                 "orbit_dedup": enum.orbit_dedup, "tags": tally.tag_counts,
+                 "nodes": enum.stats.nodes}, lines, 0)
+
+    return _enumerating_run(args, run, parse_group_spec(args.group),
+                            args.orbit_dedup, tally, report)
+
+
+def cmd_classify(args, run: _Run) -> int:
+    group = parse_group_spec(args.group)
     try:
-        tally = Verdict(None)
-
-        def report(enum, complete, records_path):
-            lines = [f"{enum.group.spec_string}: {enum.stats.emitted} extremal "
-                     f"records (size {enum.k}, mode {enum.mode}, "
-                     f"orbit_dedup {str(enum.orbit_dedup).lower()})"]
-            if complete:
-                lines.append(f"records written to {records_path}")
-                lines += [f"  {tag}: {n}"
-                          for tag, n in sorted(tally.tag_counts.items())]
-            return ({"records": enum.stats.emitted, "mode": enum.mode,
-                     "orbit_dedup": enum.orbit_dedup, "tags": tally.tag_counts,
-                     "nodes": enum.stats.nodes}, lines, 0)
-
-        return _enumerating_run(args, run, parse_group_spec(args.group),
-                                args.orbit_dedup, tally, report)
-    except Exception as exc:  # noqa: BLE001
-        return run.fail(exc)
+        indices = [int(part) for part in args.set.replace(" ", "").split(",") if part]
+    except ValueError:
+        raise ValueError(f"--set must be comma-separated indices, got {args.set!r}")
+    a = ElementSet.from_indices(group, indices)
+    record = classify(a)
+    d = record.to_dict()
+    run.artifact("record.json", d)
+    lines = [dump_json(d, pretty=True).rstrip()]
+    return run.finish(STATUS_COMPLETE, {"tags": list(record.tags)}, lines, 0)
 
 
-def cmd_classify(args, store: CampaignStore) -> int:
-    run = _Run(store, args, args.group)
-    try:
-        group = parse_group_spec(args.group)
-        try:
-            indices = [int(part) for part in args.set.replace(" ", "").split(",") if part]
-        except ValueError:
-            raise ValueError(f"--set must be comma-separated indices, got {args.set!r}")
-        a = ElementSet.from_indices(group, indices)
-        record = classify(a)
-        d = record.to_dict()
-        run.artifact("record.json", d)
-        lines = [dump_json(d, pretty=True).rstrip()]
-        return run.finish(STATUS_COMPLETE, {"tags": list(record.tags)}, lines, 0)
-    except Exception as exc:  # noqa: BLE001
-        return run.fail(exc)
+def cmd_conjecture(args, run: _Run) -> int:
+    which, p, q = args.which, args.p, args.q
+    run.record.group = f"Z{p * q}"
+    verdict = Verdict(conjecture_claim(which, p, q)[0])
+
+    def report(enum, complete, records_path):
+        rep = ConjectureReport.from_verdict(which, p, q, verdict, complete)
+        run.artifact("cert.json", {**rep.to_dict(),
+                                   "records": str(records_path)})
+        lines = [f"conjecture {which} at (p, q) = ({p}, {q}) over "
+                 f"{rep.group}: {rep.outcome}",
+                 f"extremal sets: {rep.extremal_count}, failing: "
+                 f"{rep.failing_count}"]
+        return ({"outcome": rep.outcome, "total": rep.extremal_count,
+                 "failing": rep.failing_count}, lines, 0)
+
+    return _enumerating_run(args, run, parse_group_spec(f"Z{p * q}"), False,
+                            verdict, report)
 
 
-def cmd_conjecture(args, store: CampaignStore) -> int:
-    run = _Run(store, args, f"Z{args.p * args.q}")
-    try:
-        which, p, q = args.which, args.p, args.q
-        verdict = Verdict(conjecture_claim(which, p, q)[0])
+def cmd_verify_main(args, run: _Run) -> int:
+    group = parse_group_spec(args.group)
+    verdict = theorem_verdict(group)
 
-        def report(enum, complete, records_path):
-            rep = ConjectureReport.from_verdict(which, p, q, verdict, complete)
-            run.artifact("cert.json", {**rep.to_dict(),
-                                       "records": str(records_path)})
-            lines = [f"conjecture {which} at (p, q) = ({p}, {q}) over "
-                     f"{rep.group}: {rep.outcome}",
-                     f"extremal sets: {rep.extremal_count}, failing: "
-                     f"{rep.failing_count}"]
-            return ({"outcome": rep.outcome, "total": rep.extremal_count,
-                     "failing": rep.failing_count}, lines, 0)
+    def report(enum, complete, records_path):
+        rep = TheoremReport.from_verdict(group, verdict, complete,
+                                         enum.orbit_dedup)
+        run.artifact("theorem.json", {**rep.to_dict(),
+                                      "records": str(records_path)})
+        lines = [f"{rep.group} ({rep.case} case, requires "
+                 f"{rep.required_tag}): {rep.outcome}",
+                 f"extremal sets: {rep.extremal_count}, violations: "
+                 f"{rep.violation_count}"]
+        return ({"outcome": rep.outcome, "total": rep.extremal_count,
+                 "violations": rep.violation_count, "tags": rep.tag_counts},
+                lines, 0 if rep.outcome == "VERIFIED" else 1)
 
-        return _enumerating_run(args, run, parse_group_spec(f"Z{p * q}"), False,
-                                verdict, report)
-    except Exception as exc:  # noqa: BLE001
-        return run.fail(exc)
+    return _enumerating_run(args, run, group, args.orbit_dedup, verdict, report)
 
 
-def cmd_verify_main(args, store: CampaignStore) -> int:
-    run = _Run(store, args, args.group)
-    try:
-        group = parse_group_spec(args.group)
-        verdict = theorem_verdict(group)
-
-        def report(enum, complete, records_path):
-            rep = TheoremReport.from_verdict(group, verdict, complete,
-                                             enum.orbit_dedup)
-            run.artifact("theorem.json", {**rep.to_dict(),
-                                          "records": str(records_path)})
-            lines = [f"{rep.group} ({rep.case} case, requires "
-                     f"{rep.required_tag}): {rep.outcome}",
-                     f"extremal sets: {rep.extremal_count}, violations: "
-                     f"{rep.violation_count}"]
-            return ({"outcome": rep.outcome, "total": rep.extremal_count,
-                     "violations": rep.violation_count, "tags": rep.tag_counts},
-                    lines, 0 if rep.outcome == "VERIFIED" else 1)
-
-        return _enumerating_run(args, run, group, args.orbit_dedup, verdict,
-                                report)
-    except Exception as exc:  # noqa: BLE001
-        return run.fail(exc)
-
-
-def cmd_fuzz(args, store: CampaignStore) -> int:
-    run = _Run(store, args, None)
-    try:
-        lemmas = args.lemma or list(CAMPAIGNS)
-        reports = run_all_campaigns(args.trials, args.seed, lemmas,
-                                    exhaustive=args.exhaustive)
-        run.artifact("fuzz.json", [r.to_dict() for r in reports])
-        dirty = [r for r in reports if not r.clean]
-        lines = []
-        for r in reports:
-            mark = "ok" if r.clean else "VIOLATIONS"
-            extra = ""
-            if r.exhaustive:
-                extra = f", exhaustive {r.exhaustive['violations']} violations"
-            lines.append(f"  {r.lemma}: trials {r.trials}, applied {r.applied}, "
-                         f"violations {r.violations}{extra} [{mark}]")
-        lines.append(f"{len(reports)} campaigns, {len(dirty)} with violations")
-        code = 1 if dirty else 0
-        return run.finish(STATUS_COMPLETE,
-                          {"campaigns": len(reports), "dirty": len(dirty),
-                           "seed": args.seed, "trials": args.trials},
-                          lines, code)
-    except Exception as exc:  # noqa: BLE001
-        return run.fail(exc)
+def cmd_fuzz(args, run: _Run) -> int:
+    lemmas = args.lemma or list(CAMPAIGNS)
+    reports = run_all_campaigns(args.trials, args.seed, lemmas,
+                                exhaustive=args.exhaustive)
+    run.artifact("fuzz.json", [r.to_dict() for r in reports])
+    dirty = [r for r in reports if not r.clean]
+    lines = []
+    for r in reports:
+        mark = "ok" if r.clean else "VIOLATIONS"
+        extra = ""
+        if r.exhaustive:
+            extra = f", exhaustive {r.exhaustive['violations']} violations"
+        lines.append(f"  {r.lemma}: trials {r.trials}, applied {r.applied}, "
+                     f"violations {r.violations}{extra} [{mark}]")
+    lines.append(f"{len(reports)} campaigns, {len(dirty)} with violations")
+    code = 1 if dirty else 0
+    return run.finish(STATUS_COMPLETE,
+                      {"campaigns": len(reports), "dirty": len(dirty),
+                       "seed": args.seed, "trials": args.trials},
+                      lines, code)
 
 
 # -- report rendering ---------------------------------------------------------------
@@ -664,9 +626,11 @@ def build_parser() -> _Parser:
     p.add_argument("--reduce-orbits", action=argparse.BooleanOptionalAction,
                    default=True, help=REDUCE_ORBITS_HELP)
     _add_budget_flags(p, "in all")
-    p.add_argument("--max-exact-order", type=int, default=None, metavar="N",
-                   help="largest group order searched exhaustively "
-                        "(default 64; larger orders are skipped)")
+    p.add_argument("--max-exact-order", type=int, default=MAX_EXACT_ORDER,
+                   metavar="N",
+                   help=f"largest group order searched exhaustively "
+                        f"(default {MAX_EXACT_ORDER}; larger orders are "
+                        f"skipped)")
     p.set_defaults(func=cmd_cr)
 
     p = sub.add_parser("verify-theorem-a",
@@ -687,9 +651,6 @@ def build_parser() -> _Parser:
                                  "artifact directory)")
     p.add_argument("--checkpoint", help="checkpoint file location (default: "
                                         "inside the campaign artifact directory)")
-    p.add_argument("--max-candidates", type=int, default=None, metavar="N",
-                   help="largest C(|G|-1, k) the direct engine will walk "
-                        "(default 5000000)")
     _add_enum_flags(p)
     p.set_defaults(func=cmd_enumerate)
 
@@ -738,10 +699,18 @@ def build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command. Every command but report is a campaign: one _Run,
+    whose ledger record a failure also lands in (status FAILED, exit 1)."""
     args = build_parser().parse_args(argv)
     store = CampaignStore(args.store)
     try:
-        return args.func(args, store)
+        if args.func is cmd_report:
+            return cmd_report(args, store)
+        run = _Run(store, args)
+        try:
+            return args.func(args, run)
+        except Exception as exc:  # noqa: BLE001 - every failure must land in the ledger
+            return run.fail(exc)
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         return 1

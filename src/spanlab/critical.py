@@ -27,6 +27,8 @@ from .search import (SearchBudget, max_avoiding, target_representatives,
                      target_symmetries)
 from .sums import subset_sums_bits
 
+MAX_EXACT_ORDER = 64  # cr searches up to this order unless told otherwise
+
 # Isomorphism types (as sorted prime-power elementary divisors) that take
 # the larger value |G|/p + p - 1 unconditionally.
 _SPECIAL_TYPES = frozenset({
@@ -110,7 +112,9 @@ class CriticalSearchOutcome:
 
 
 def critical_number_search(group: GroupSpec, budget: SearchBudget | None = None,
-                           reduce_orbits: bool = True) -> CriticalSearchOutcome:
+                           reduce_orbits: bool = True,
+                           max_exact_order: int = MAX_EXACT_ORDER
+                           ) -> CriticalSearchOutcome:
     """Certified cr(G) by exhaustive search.
 
     For each avoided target t, branch and bound finds the largest subset
@@ -128,14 +132,14 @@ def critical_number_search(group: GroupSpec, budget: SearchBudget | None = None,
     (Sigma(empty) = {0} != G). Each target's walk is cut by the
     automorphisms fixing it (search.target_symmetries), on cyclic and
     non-cyclic specs alike; that keeps each target's size and witness.
-    The budget's max_nodes and max_seconds bound the whole search, shared
-    across targets; orders above its max_exact_order are skipped.
+    The budget bounds the whole search, shared across targets; orders
+    above max_exact_order are skipped.
     """
     n = group.order
     if n < 3:
         raise ValueError(f"critical number requires order >= 3, got {n}")
     budget = budget or SearchBudget()
-    if n > budget.max_exact_order:
+    if n > max_exact_order:
         return CriticalSearchOutcome("skipped", None, None, None, 0, 0)
     targets = target_representatives(group, reduce_orbits)
     best_size = 0
@@ -143,10 +147,8 @@ def critical_number_search(group: GroupSpec, budget: SearchBudget | None = None,
     nodes = 0
     start = time.monotonic()
     for i, t in enumerate(targets):
-        left = budget.remaining(nodes, start)
-        if left is None:
-            return CriticalSearchOutcome("budget_exceeded", None, None, None, nodes, i)
-        res = max_avoiding(group, t, floor=max(best_size - 1, 0), budget=left,
+        res = max_avoiding(group, t, floor=max(best_size - 1, 0),
+                           budget=budget.remaining(nodes, start),
                            symmetries=target_symmetries(group, t))
         nodes += res.nodes
         if not res.complete:
@@ -209,15 +211,14 @@ class CriticalTable:
 
 def verify_critical_formula(max_order: int, budget: SearchBudget | None = None,
                             reduce_orbits: bool = True) -> CriticalTable:
-    """Formula vs exhaustive search on every abelian group of order 3..max_order."""
-    budget = budget or SearchBudget(max_exact_order=max_order)
+    """Formula vs exhaustive search on every abelian group of order
+    3..max_order, each group's search on the whole budget."""
     table = CriticalTable(max_order=max_order)
     for n in range(3, max_order + 1):
         for orders in abelian_groups_of_order(n):
             g = make_group(orders)
             formula = critical_number_formula(g)
-            out = critical_number_search(g, budget=budget,
-                                         reduce_orbits=reduce_orbits)
+            out = critical_number_search(g, budget, reduce_orbits, max_order)
             agree = (out.value == formula) if out.status == "complete" else None
             table.rows.append(CriticalRow(
                 spec=g.spec_string, order=n, formula=formula,

@@ -42,6 +42,7 @@ from .search import (ENGINE_VERSION, AvoidingEnumerator, CheckpointMismatch,
 from .sums import complete_subgroup_witnesses, contains_complete_subset, subset_sums_bits
 
 SCHEMA_VERSION = 1
+MAX_CANDIDATES = 5_000_000  # the largest C(|G|-1, k) the direct engine walks
 
 SHAPE_I = "SHAPE_I"
 SHAPE_II = "SHAPE_II"
@@ -55,7 +56,7 @@ _SHAPE_TAGS = frozenset({SHAPE_I, SHAPE_II, SHAPE_B, SHAPE_EX1, SHAPE_EX2})
 
 
 class EnumerationBudgetError(ValueError):
-    """The candidate space is too large for the configured budget."""
+    """The candidate space is too large for the direct engine."""
 
 
 # -- coset profiles -------------------------------------------------------------
@@ -311,40 +312,42 @@ class ExtremalEnumeration:
     """Streams every extremal set of a group exactly once, classified.
 
     Two engines: "direct" walks all size-k subsets of G \\ {0} with a
-    spanning prune (used when C(|G|-1, k) fits the candidate budget);
+    spanning prune (up to MAX_CANDIDATES candidate sets); with extended,
     "missed_target" runs one target-avoiding DFS per missed value, which
     scales to far larger spaces but revisits sets missing several targets,
     so it deduplicates -- by unit-orbit canonical form when orbit_dedup is
     on (single-factor groups; target list shrinks to one representative
     per divisor class), by raw bitmask otherwise (all targets searched).
 
-    The current position is always exportable via state() and restorable
-    via the checkpoint argument, under any thread count; a budget overrun
-    raises EnumerationPaused carrying that state. The budget bounds the
-    whole records() call. threads > 1 fans missed-target subtrees (split by
-    first element) over a process pool; outputs are merged in lexicographic
-    order so results are byte-identical to a single-worker run, but the
-    pool pauses between targets only.
+    threads > 1 fans each target's subtrees, one per first element, over a
+    process pool and merges them in lexicographic order, so the records
+    are the bytes of a single-worker run. The budget bounds the whole
+    records() call under one rule at any thread count: a walk pauses once
+    its allowance is spent, a single worker before its next node, the pool
+    at its next first-element boundary, and before the first node when
+    the allowance is spent already. The pause raises EnumerationPaused
+    with state(), which the checkpoint argument restores under any thread
+    count. stats.nodes counts the nodes this call walked, paused or not.
     """
 
     def __init__(self, group: GroupSpec, budget: SearchBudget | None = None,
-                 orbit_dedup: bool | None = None, checkpoint: dict | None = None,
-                 threads: int = 1):
+                 extended: bool = False, orbit_dedup: bool | None = None,
+                 checkpoint: dict | None = None, threads: int = 1):
         self.group = group
         self.budget = budget or SearchBudget()
         self.k = critical_number_formula(group) - 1
         n_candidates = comb(group.order - 1, self.k)
-        if self.budget.extended:
+        if extended:
             self.mode = "missed_target"
-        elif n_candidates <= self.budget.max_candidates:
+        elif n_candidates <= MAX_CANDIDATES:
             self.mode = "direct"
         else:
             raise EnumerationBudgetError(
                 f"{group.spec_string}: {n_candidates} candidate sets exceed the "
-                f"direct-mode budget of {self.budget.max_candidates}; "
+                f"direct-mode budget of {MAX_CANDIDATES}; "
                 f"rerun with extended search")
         if orbit_dedup is None:
-            orbit_dedup = self.mode == "missed_target" and group.is_cyclic_spec
+            orbit_dedup = extended and group.is_cyclic_spec
         if orbit_dedup and not group.is_cyclic_spec:
             raise ValueError("orbit dedup requires a single-factor group spec")
         self.orbit_dedup = orbit_dedup
@@ -353,18 +356,15 @@ class ExtremalEnumeration:
         self.done = False
         self._engine: SizedEnumerator | AvoidingEnumerator | None = None
         self._seen: set[int] = set()
-        if self.mode == "missed_target":
-            self.targets = target_representatives(group, orbit_dedup)
-            self.target_pos = 0
-        else:
-            self.targets = []
-            self.target_pos = 0
+        self.targets = target_representatives(group, orbit_dedup) if extended else []
+        self.target_pos = 0
         if checkpoint is not None:
             self._load(checkpoint)
 
     # state round-trip ------------------------------------------------------
 
     def state(self) -> dict:
+        eng = self._engine
         st = {
             "engine": ENGINE_VERSION,
             "kind": "extremal",
@@ -374,7 +374,8 @@ class ExtremalEnumeration:
             "orbit_dedup": self.orbit_dedup,
             "emitted": self.stats.emitted,
             "done": self.done,
-            "inner": self._engine.state() if self._engine else None,
+            # an engine that has walked no node holds no position yet
+            "inner": eng.state() if eng and eng.stats.nodes else None,
         }
         if self.mode == "missed_target":
             st["targets"] = list(self.targets)
@@ -395,8 +396,7 @@ class ExtremalEnumeration:
         inner = st.get("inner")
         if self.mode == "direct":
             if inner is not None:
-                self._engine = SizedEnumerator.from_state(self.group, inner,
-                                                          self.budget)
+                self._engine = SizedEnumerator.from_state(self.group, inner)
         else:
             saved_targets = [int(t) for t in st.get("targets", [])]
             if saved_targets != list(self.targets):
@@ -410,7 +410,7 @@ class ExtremalEnumeration:
             self._seen = {int(s, 16) for s in st.get("seen", [])}
             if inner is not None:
                 self._engine = AvoidingEnumerator.from_state(
-                    self.group, inner, self.budget,
+                    self.group, inner, None,
                     self._stabilizer(int(inner.get("target", -1))))
                 if self._engine.target != self.targets[self.target_pos]:
                     raise CheckpointMismatch("checkpoint target out of step")
@@ -431,30 +431,39 @@ class ExtremalEnumeration:
     def records(self) -> Iterator[ExtremalRecord]:
         if self.done:
             return
+        start = time.monotonic()
         try:
             if self.mode == "direct":
-                yield from self._run_direct()
+                yield from self._run_direct(start)
             else:
-                yield from self._run_missed()
+                yield from self._run_missed(start)
         except EnumerationPaused:
             # re-raise carrying the enumeration-level state, not the raw
             # engine state, so a resume restores dedup and target position
             raise EnumerationPaused(self.state()) from None
         self.done = True
 
-    def _run_direct(self) -> Iterator[ExtremalRecord]:
-        if self._engine is None:
-            self._engine = SizedEnumerator(self.group, self.k, self.budget)
-        eng = self._engine
+    def _walk(self, eng: SizedEnumerator | AvoidingEnumerator, leaves: Iterator,
+              start: float) -> Iterator:
+        """`leaves`, the leaves of eng's walk, on what this records() call
+        has left of the budget; the nodes eng walks, to a pause or to the
+        end, go into stats.nodes."""
+        eng.budget = self.budget.remaining(self.stats.nodes, start)
+        before = eng.stats.nodes
+        try:
+            yield from leaves
+        finally:
+            self.stats.nodes += eng.stats.nodes - before
+
+    def _run_direct(self, start: float) -> Iterator[ExtremalRecord]:
+        eng = self._engine = self._engine or SizedEnumerator(self.group, self.k)
         canonical = self.group.canonical_bits_under_units if self.orbit_dedup else None
-        for indices in eng.run():
-            self.stats.nodes = eng.stats.nodes
+        for indices in self._walk(eng, eng.run(), start):
             if canonical is not None:
                 mask = sum(1 << i for i in indices)
                 if canonical(mask) != mask:
                     continue
             yield self._emit(indices)
-        self.stats.nodes = eng.stats.nodes
 
     def _first_sighting(self, mask: int) -> tuple[int, ...] | None:
         """The indices of an avoiding leaf's dedup key (its least unit image
@@ -471,55 +480,66 @@ class ExtremalEnumeration:
         target t's DFS (see search.py)."""
         return target_symmetries(self.group, t) if self.orbit_dedup else ()
 
-    def _run_missed(self) -> Iterator[ExtremalRecord]:
-        """Walk the targets from target_pos on one budget for the whole call.
-
-        A target's leaves come from its AvoidingEnumerator with one worker
-        or when the run resumes inside that target, and the engine pauses
-        mid-target; otherwise from the pool, one run_work_unit per first
-        element merged in lexicographic order, and the budget is checked
-        between targets. Either way the records are the same bytes.
-        """
-        start, nodes0 = time.monotonic(), self.stats.nodes
+    def _run_missed(self, start: float) -> Iterator[ExtremalRecord]:
+        """Walk the targets from target_pos, each on its AvoidingEnumerator:
+        run in this process with one worker or when resumed below the root,
+        otherwise split over the pool by _pooled."""
         with (ProcessPoolExecutor(max_workers=self.threads) if self.threads > 1
               else nullcontext()) as pool:
             while self.target_pos < len(self.targets):
-                left = self.budget.remaining(self.stats.nodes - nodes0, start)
-                if left is None:
-                    raise EnumerationPaused(self.state())
                 t = self.targets[self.target_pos]
-                syms = self._stabilizer(t)
-                eng = self._engine
-                if eng is not None or pool is None:
-                    eng = self._engine = eng or AvoidingEnumerator(
-                        self.group, t, self.k, left, syms)
-                    # a resumed engine's count includes the checkpoint's nodes
-                    eng.budget, before = left, eng.stats.nodes
-                    leaves = (sum(1 << i for i in leaf) for leaf in eng.run())
-                else:
-                    # a first element above its Stab(t)-orbit's least is cut anyway
-                    units = [pool.submit(run_work_unit, self.group.cyclic_orders,
-                                         t, self.k, f, syms)
-                             for f in range(1, self.group.order)
-                             if all(s[f] >= f for s in syms)]
-                    leaves = (mask for unit in units for mask in unit.result()[0])
-                for mask in leaves:
+                eng = self._engine = self._engine or AvoidingEnumerator(
+                    self.group, t, self.k, None, self._stabilizer(t))
+                leaves = (self._pooled(eng, pool) if pool and not eng.path else
+                          (sum(1 << i for i in leaf) for leaf in eng.run()))
+                for mask in self._walk(eng, leaves, start):
                     indices = self._first_sighting(mask)
                     if indices is not None:
                         yield self._emit(indices)
-                self.stats.nodes += (eng.stats.nodes - before if eng is not None
-                                     else sum(unit.result()[1] for unit in units))
                 self._engine = None
                 self.target_pos += 1
 
+    def _pooled(self, eng: AvoidingEnumerator, pool: ProcessPoolExecutor
+                ) -> Iterator[int]:
+        """The leaves (as bitmasks) of eng's walk from its root cursor on,
+        one run_work_unit per first element, in lexicographic order.
+
+        The first elements are the root's nodes: the candidates f with at
+        least k candidates from f on. One cut by the stabilizer is a node
+        with no subtree. After each f the root cursor moves to f + 1 and
+        eng counts the node and its subtree, as its own run() would, then
+        pauses there if the allowance is spent, cancelling pending units.
+        """
+        eng._start()
+        rest = eng.allowed[0] & (-1 << eng.cursor[0])
+        units = []
+        while rest.bit_count() >= self.k:
+            f = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            cut = any(s[f] < f for s in eng.symmetries)
+            units.append((f, None if cut else pool.submit(
+                run_work_unit, self.group.cyclic_orders, eng.target, self.k, f,
+                eng.symmetries)))
+        try:
+            for f, unit in units:
+                leaves, nodes = unit.result() if unit else ([], 0)
+                yield from leaves
+                eng.stats.nodes += 1 + nodes
+                eng.cursor[0] = f + 1
+                eng._check(eng.stats.nodes)
+        finally:
+            for _, unit in units:
+                if unit:
+                    unit.cancel()
+
 
 def enumerate_extremal(group: GroupSpec, budget: SearchBudget | None = None,
-                       orbit_dedup: bool | None = None,
+                       extended: bool = False, orbit_dedup: bool | None = None,
                        checkpoint: dict | None = None,
                        threads: int = 1) -> Iterator[ExtremalRecord]:
     """Convenience wrapper: stream classified extremal records."""
-    yield from ExtremalEnumeration(group, budget, orbit_dedup, checkpoint,
-                                   threads).records()
+    yield from ExtremalEnumeration(group, budget, extended, orbit_dedup,
+                                   checkpoint, threads).records()
 
 
 # -- named example constructions -------------------------------------------------
@@ -703,7 +723,7 @@ def conjecture_claim(which: int, p: int, q: int) -> tuple[str, str]:
 
 
 def check_conjecture(which: int, p: int, q: int,
-                     budget: SearchBudget | None = None,
+                     budget: SearchBudget | None = None, extended: bool = False,
                      checkpoint: dict | None = None,
                      threads: int = 1) -> ConjectureReport:
     """Enumerate every extremal set of Z_pq and test the conjectured property.
@@ -720,8 +740,9 @@ def check_conjecture(which: int, p: int, q: int,
     report then carries the checkpoint).
     """
     verdict = Verdict(conjecture_claim(which, p, q)[0])
-    enum = ExtremalEnumeration(make_group((p * q,)), budget, orbit_dedup=False,
-                               checkpoint=checkpoint, threads=threads)
+    enum = ExtremalEnumeration(make_group((p * q,)), budget, extended,
+                               orbit_dedup=False, checkpoint=checkpoint,
+                               threads=threads)
     paused = verdict.feed(enum)
     return ConjectureReport.from_verdict(which, p, q, verdict, paused is None,
                                          paused)
@@ -793,15 +814,15 @@ def theorem_verdict(group: GroupSpec) -> Verdict:
 
 
 def verify_theorem_main(group: GroupSpec, budget: SearchBudget | None = None,
-                        orbit_dedup: bool | None = None,
+                        extended: bool = False, orbit_dedup: bool | None = None,
                         checkpoint: dict | None = None,
                         threads: int = 1) -> TheoremReport:
     """Check that every extremal set has the shape the structure theorem
     demands: SHAPE_I when p = 2, SHAPE_II when p is odd. Violations list
     the first MAX_COUNTEREXAMPLES failing sets."""
     verdict = theorem_verdict(group)
-    enum = ExtremalEnumeration(group, budget, orbit_dedup=orbit_dedup,
-                               checkpoint=checkpoint, threads=threads)
+    enum = ExtremalEnumeration(group, budget, extended, orbit_dedup,
+                               checkpoint, threads)
     paused = verdict.feed(enum)
     return TheoremReport.from_verdict(group, verdict, paused is None,
                                       enum.orbit_dedup, paused)

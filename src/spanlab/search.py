@@ -42,14 +42,14 @@ top.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator
 
 from .groups import GroupSpec, automorphism_generators, cached_group
 
 ENGINE_VERSION = "search-1"
 
-_CHECK_MASK = 0xFFF  # budget re-check cadence in nodes
+_CLOCK_EVERY = 4096  # nodes between two reads of the clock
 
 
 class EnumerationPaused(Exception):
@@ -66,29 +66,22 @@ class CheckpointMismatch(ValueError):
 
 @dataclass
 class SearchBudget:
-    """Limits of one search call; extended selects the missed-target engine
-    of the extremal enumeration."""
+    """The allowance of one search call: nodes walked and seconds spent.
+    An engine pauses once it has walked max_nodes nodes, or once it reads
+    the clock (every 4,096 nodes) max_seconds after its run() started;
+    before its first node if either is spent already (<= 0)."""
 
     max_nodes: int | None = None
     max_seconds: float | None = None
-    max_exact_order: int = 64
-    max_candidates: int = 5_000_000
-    extended: bool = False
 
-    def deadline(self) -> float | None:
-        return None if self.max_seconds is None else time.monotonic() + self.max_seconds
-
-    def remaining(self, nodes: int, since: float) -> SearchBudget | None:
+    def remaining(self, nodes: int, since: float) -> SearchBudget:
         """This budget less `nodes` nodes and the seconds since the
-        time.monotonic() stamp `since`, or None once either limit is spent:
-        one allowance shared by a run's successive engines."""
-        left_nodes = None if self.max_nodes is None else self.max_nodes - nodes
-        left_secs = (None if self.max_seconds is None
-                     else self.max_seconds - (time.monotonic() - since))
-        if (left_nodes is not None and left_nodes <= 0) or (
-                left_secs is not None and left_secs <= 0):
-            return None
-        return replace(self, max_nodes=left_nodes, max_seconds=left_secs)
+        time.monotonic() stamp `since`: one allowance shared by a run's
+        successive engines."""
+        return SearchBudget(
+            None if self.max_nodes is None else self.max_nodes - nodes,
+            None if self.max_seconds is None
+            else self.max_seconds - (time.monotonic() - since))
 
 
 @dataclass
@@ -148,7 +141,9 @@ class _Engine:
     least element depth d tries next; past path[d] while that is chosen).
     A kind names its state fields and root cursor, keeps its own per-depth
     stacks, and pushes one element with _descend, which returns False where
-    its run() would cut that child.
+    its run() would cut that child. Both run() loops take their stop point
+    from _start and _check: a run pauses before the first node it may not
+    walk, so stats.nodes counts every node walked once across a pause.
     """
 
     kind = ""
@@ -210,6 +205,30 @@ class _Engine:
         self.done = bool(state.get("done", False))
         return self
 
+    def _start(self) -> int:
+        """Fix this run's stop point: max_nodes past the nodes counted so far
+        and max_seconds from now. Pauses at once if that allowance is
+        already spent, else returns the count at which to _check next."""
+        b = self.budget
+        self._stop = None if b.max_nodes is None else self.stats.nodes + b.max_nodes
+        self._deadline = (None if b.max_seconds is None
+                          else time.monotonic() + b.max_seconds)
+        return self._check(self.stats.nodes)
+
+    def _check(self, nodes: int) -> int:
+        """Pause with `nodes` walked if the allowance is spent, else return
+        the count at which to check again (-1: never). The run loops call
+        this when their count reaches that value, before walking the next
+        node, so the clock is read every _CLOCK_EVERY nodes."""
+        if (self._stop is not None and nodes >= self._stop) or (
+                self._deadline is not None and time.monotonic() >= self._deadline):
+            self.stats.nodes = nodes
+            raise EnumerationPaused(self.state())
+        if self._deadline is None:
+            return -1 if self._stop is None else self._stop
+        ahead = nodes + _CLOCK_EVERY
+        return ahead if self._stop is None else min(ahead, self._stop)
+
 
 class SizedEnumerator(_Engine):
     """Lexicographic DFS over size-k subsets of G \\ {0}, pruning any prefix
@@ -239,10 +258,8 @@ class SizedEnumerator(_Engine):
         k = self.k
         path, cursor, sigs = self.path, self.cursor, self.sigs
         stats = self.stats
-        budget = self.budget
-        deadline = budget.deadline()
         nodes = stats.nodes
-        stop_at = None if budget.max_nodes is None else nodes + budget.max_nodes
+        check_at = self._start()
         while True:
             depth = len(path)
             if depth == k:
@@ -262,12 +279,9 @@ class SizedEnumerator(_Engine):
                     return
                 path.pop(); cursor.pop(); sigs.pop()
                 continue
+            if nodes == check_at:
+                check_at = self._check(nodes)
             nodes += 1
-            if (stop_at is not None and nodes >= stop_at) or (
-                    deadline is not None and nodes & _CHECK_MASK == 0
-                    and time.monotonic() > deadline):
-                stats.nodes = nodes
-                raise EnumerationPaused(self.state())
             cursor[depth] = c + 1
             sig = sigs[depth]
             new_sig = sig | translate(sig | 1, c)
@@ -321,10 +335,8 @@ class AvoidingEnumerator(_Engine):
         k = self.k
         path, cursor, kills, allowed = self.path, self.cursor, self.kills, self.allowed
         stats = self.stats
-        budget = self.budget
-        deadline = budget.deadline()
         nodes = stats.nodes
-        stop_at = None if budget.max_nodes is None else nodes + budget.max_nodes
+        check_at = self._start()
         grow = self._grow
         syms = self.symmetries
         if syms:
@@ -362,12 +374,9 @@ class AvoidingEnumerator(_Engine):
                 path.pop(); cursor.pop(); kills.pop(); allowed.pop()
                 continue
             c = (m & -m).bit_length() - 1
+            if nodes == check_at:
+                check_at = self._check(nodes)
             nodes += 1
-            if (stop_at is not None and nodes >= stop_at) or (
-                    deadline is not None and nodes & _CHECK_MASK == 0
-                    and time.monotonic() > deadline):
-                stats.nodes = nodes
-                raise EnumerationPaused(self.state())
             cursor[depth] = c + 1
             if syms:
                 img = imgs[depth] | image[c]

@@ -148,15 +148,15 @@ def test_hamidoune_dichotomy_vectors():
 def test_vosper_trigger_requires_sumset_two_below_p():
     # |B1+B2| = p - 1 belongs to the exceptional family: no structure forced
     r = S.check_vosper(_set("Z7", [1, 2, 3, 5]), _set("Z7", [0, 1, 3]))
-    assert r.sumset_size == 6 and not r.triggered and r.holds
+    assert r.actual == 6 and r.bound == 6 and not r.applied and r.holds
 
 
 def test_vosper_critical_pair_structure():
     r = S.check_vosper(_set("Z7", [0, 1, 2]), _set("Z7", [0, 1]))
-    assert r.triggered and r.holds
-    assert r.sumset_size == 4
-    assert r.b1_witness.is_ap and r.b2_witness.is_ap
-    assert r.differences_match
+    assert r.applied and r.holds
+    assert r.actual == 4 < r.bound == 5
+    assert r.detail["b1_witness"]["is_ap"] and r.detail["b2_witness"]["is_ap"]
+    assert r.detail["differences_match"]
 
 
 @pytest.mark.parametrize("p", [5, 7])

@@ -10,6 +10,7 @@ import pytest
 
 import spanlab as S
 import spanlab.cli
+import spanlab.search
 from spanlab.cli import main as cli_main
 from spanlab.extremal import Verdict
 
@@ -112,8 +113,9 @@ def test_unknown_flag_exits_one(cli):
     ["verify-theorem-a", "--max-order", 5, "--extended"],
     ["conjecture", "--which", 2, "--p", 3, "--q", 5, "--orbit-dedup"],
     ["conjecture", "--which", 2, "--p", 3, "--q", 5, "--no-orbit-dedup"],
+    ["enumerate-extremal", "--group", "Z15", "--max-candidates", 5],
 ], ids=["cr-extended", "theorem-a-extended", "conjecture-orbit-dedup",
-        "conjecture-no-orbit-dedup"])
+        "conjecture-no-orbit-dedup", "enumerate-max-candidates"])
 def test_removed_flags_exit_one(cli, args):
     # flags that had no effect on these commands are not accepted
     code, _, err = cli(*args)
@@ -161,9 +163,8 @@ def test_ledger_config_echoes_every_declared_flag(cli):
     assert cli("enumerate-extremal", "--group", "Z15", "--checkpoint", ck)[0] == 0
     (rec,) = _campaigns(cli)
     assert set(rec["config"]) == {
-        "store", "group", "out", "checkpoint", "max-candidates", "max-nodes",
-        "max-seconds", "extended", "orbit-dedup", "threads", "resume",
-        "checkpoint-every"}
+        "store", "group", "out", "checkpoint", "max-nodes", "max-seconds",
+        "extended", "orbit-dedup", "threads", "resume", "checkpoint-every"}
     assert rec["config"]["checkpoint"] == str(ck)
     assert f"--checkpoint={ck}" in rec["command"].split()
 
@@ -320,6 +321,76 @@ def test_resume_with_corrupt_checkpoint_fails(cli):
     code, _, err = cli("enumerate-extremal", "--group", "Z15",
                        "--resume", ck)
     assert code == 1
+
+
+def test_resume_refuses_a_checkpoint_of_another_schema(cli):
+    ck = cli.tmp / "ck.json"
+    assert cli("enumerate-extremal", "--group", "Z21", "--out",
+               cli.tmp / "r.jsonl", "--checkpoint", ck, "--max-nodes", 3000)[0] == 2
+    data = json.loads(ck.read_text())
+    assert data["schema"] == spanlab.cli.CHECKPOINT_SCHEMA == 1
+    ck.write_text(json.dumps(dict(data, schema=2)))
+    code, _, err = cli("enumerate-extremal", "--group", "Z21", "--resume", ck)
+    assert code == 1
+    assert "CheckpointMismatch" in _campaigns(cli)[-1]["summary"]["error"]
+    assert "schema 2" in err
+    assert _campaigns(cli)[-1]["status"] == "FAILED"
+
+
+def test_zero_second_budget_pauses_before_the_first_node(cli):
+    out, ck = cli.tmp / "z15.jsonl", cli.tmp / "ck.json"
+    code, text, _ = cli("enumerate-extremal", "--group", "Z15", "--out", out,
+                        "--checkpoint", ck, "--max-seconds", 0)
+    assert code == 2 and "budget exhausted" in text
+    (rec,) = _campaigns(cli)
+    assert rec["summary"]["nodes"] == 0 and rec["summary"]["records"] == 0
+    assert json.loads(ck.read_text())["state"]["inner"] is None
+    assert cli("enumerate-extremal", "--group", "Z15", "--resume", ck)[0] == 0
+    assert _campaigns(cli)[-1]["summary"]["nodes"] == 2804
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _ENUM_Z15
+
+
+def _unit_nodes(state):
+    """Nodes of the last first-element unit before a pool pause: the node
+    of that first element and its subtree, as one worker walks them."""
+    inner = state["inner"]
+    g = S.parse_group_spec(inner["group"])
+    first = inner["cursor"][0] - 1
+    return 1 + spanlab.search.run_work_unit(g.cyclic_orders, inner["target"],
+                                            inner["k"], first)[1]
+
+
+@pytest.mark.parametrize("spec,mode,allowance,total", [
+    ("Z21", [], 3000, 44_573),
+    ("Z3xZ3xZ3", ["--extended", "--threads", 1], 10_000, 158_618),
+    ("Z3xZ3xZ3", ["--extended", "--threads", 2], 10_000, 158_618),
+], ids=["Z21-direct", "Z27-extended-1", "Z27-extended-2"])
+def test_resume_chain_pauses_at_the_allowance_and_counts_each_node_once(
+        cli, spec, mode, allowance, total):
+    pool = mode[-1:] == [2]
+    full = cli.tmp / "full.jsonl"
+    assert cli("enumerate-extremal", "--group", spec, "--out", full, *mode)[0] == 0
+    assert _campaigns(cli)[0]["summary"]["nodes"] == total
+    out, ck = cli.tmp / "chain.jsonl", cli.tmp / "ck.json"
+    code, _, _ = cli("enumerate-extremal", "--group", spec, "--out", out,
+                     "--checkpoint", ck, "--max-nodes", allowance, *mode)
+    while code == 2:
+        nodes = _campaigns(cli)[-1]["summary"]["nodes"]
+        state = json.loads(ck.read_text())["state"]
+        if pool:
+            # the pool pauses at the first unit boundary at or past it
+            assert state["inner"]["path"] == []
+            assert nodes - _unit_nodes(state) < allowance <= nodes
+        else:
+            assert nodes == allowance  # one worker: exactly at it
+        code, _, _ = cli("enumerate-extremal", "--group", spec, "--resume", ck,
+                         "--max-nodes", allowance, *mode)
+    assert code == 0
+    chain = _campaigns(cli)[1:]
+    assert len(chain) > 3
+    assert pool or chain[-1]["summary"]["nodes"] <= allowance
+    assert sum(rec["summary"]["nodes"] for rec in chain) == total
+    assert out.read_bytes() == full.read_bytes()
 
 
 # ---------------------------------------------------- conjectures

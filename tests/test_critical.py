@@ -259,7 +259,7 @@ def test_search_certifies_the_formula_to_order_64():
 @pytest.mark.extended
 def test_search_certifies_the_formula_on_z7xz7():
     g = _g("Z7xZ7")
-    out = S.critical_number_search(g, budget=S.SearchBudget(extended=True))
+    out = S.critical_number_search(g)
     assert out.status == "complete" and out.targets_searched == 2
     assert out.value == 12 == S.critical_number_formula(g)
     assert S.subset_sums_bits(g, out.witness) != g.full_mask

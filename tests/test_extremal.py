@@ -95,7 +95,7 @@ def test_missed_target_engine_matches_direct_on_noncyclic_groups(spec):
     # the avoiding engine, one target per element, against the sized engine
     g = _g(spec)
     direct = S.ExtremalEnumeration(g)
-    missed = S.ExtremalEnumeration(g, S.SearchBudget(extended=True))
+    missed = S.ExtremalEnumeration(g, extended=True)
     assert (direct.mode, missed.mode) == ("direct", "missed_target")
     assert not missed.orbit_dedup and len(missed.targets) == g.order
     want = [rec.indices for rec in direct.records()]
@@ -138,15 +138,15 @@ def _snapshots(enum):
 def test_snapshot_at_every_record_resumes_to_the_same_records(spec):
     g = _g(spec)
     extended = spec in ("Z33", "Z36")
-    budget = S.SearchBudget(extended=extended)
-    full, snapshots = _snapshots(S.ExtremalEnumeration(g, budget))
-    assert full == list(S.ExtremalEnumeration(g, budget).records())
+    full, snapshots = _snapshots(S.ExtremalEnumeration(g, extended=extended))
+    assert full == list(S.ExtremalEnumeration(g, extended=extended).records())
     assert snapshots[0]["mode"] == ("missed_target" if extended else "direct")
     assert snapshots[0]["orbit_dedup"] is extended
     assert all(st["inner"] is not None for st in snapshots)
     for k, state in enumerate(snapshots, start=1):
         assert state["emitted"] == k
-        rest = list(S.ExtremalEnumeration(g, budget, checkpoint=state).records())
+        rest = list(S.ExtremalEnumeration(g, extended=extended,
+                                          checkpoint=state).records())
         assert full[:k] + rest == full, f"{spec}: resume after record {k}"
 
 
@@ -167,15 +167,15 @@ def test_unpruned_snapshots_resume_under_stabilizer_pruning(monkeypatch):
     # with the pruning they give the same records bytes, also from positions
     # the pruned DFS cuts
     g = _g("Z33")
-    budget = S.SearchBudget(extended=True)
-    full = [dump_json(rec.to_dict()) for rec in S.enumerate_extremal(g, budget)]
+    full = [dump_json(rec.to_dict())
+            for rec in S.enumerate_extremal(g, extended=True)]
     with monkeypatch.context() as m:
         m.setattr(S.ExtremalEnumeration, "_stabilizer", lambda self, t: ())
-        unpruned, snapshots = _snapshots(S.ExtremalEnumeration(g, budget))
+        unpruned, snapshots = _snapshots(S.ExtremalEnumeration(g, extended=True))
         state = None
         while True:
             enum = S.ExtremalEnumeration(
-                g, S.SearchBudget(extended=True, max_nodes=4999), checkpoint=state)
+                g, S.SearchBudget(max_nodes=4999), extended=True, checkpoint=state)
             try:
                 for _ in enum.records():
                     pass
@@ -184,18 +184,18 @@ def test_unpruned_snapshots_resume_under_stabilizer_pruning(monkeypatch):
                 state = json.loads(json.dumps(pause.state))
                 snapshots.append(state)
     assert [dump_json(rec.to_dict()) for rec in unpruned] == full
-    pruned = S.ExtremalEnumeration(g, budget)
+    pruned = S.ExtremalEnumeration(g, extended=True)
     assert sum(_cut_by_stabilizer(pruned, st["inner"]) for st in snapshots) >= 5
     for state in snapshots:
         k = state["emitted"]
-        rest = S.ExtremalEnumeration(g, budget, checkpoint=state).records()
+        rest = S.ExtremalEnumeration(g, extended=True, checkpoint=state).records()
         assert full[:k] + [dump_json(rec.to_dict()) for rec in rest] == full, state
 
 
 @pytest.mark.parametrize("n", range(3, 43))
 def test_stabilizer_pruned_orbit_records_match_the_unpruned_tree(n):
     g = _g(f"Z{n}")
-    enum = S.ExtremalEnumeration(g, S.SearchBudget(extended=True), orbit_dedup=True)
+    enum = S.ExtremalEnumeration(g, extended=True, orbit_dedup=True)
     assert [tuple(rec.indices) for rec in enum.records()] == \
         ref.orbit_records_unpruned(g)
 
@@ -203,14 +203,15 @@ def test_stabilizer_pruned_orbit_records_match_the_unpruned_tree(n):
 @pytest.mark.parametrize("spec", ["Z35", "Z36"])
 def test_stabilizer_pruned_orbit_records_match_with_two_workers(spec):
     g = _g(spec)
-    recs = S.enumerate_extremal(g, S.SearchBudget(extended=True),
-                                orbit_dedup=True, threads=2)
+    recs = S.enumerate_extremal(g, extended=True, orbit_dedup=True, threads=2)
     assert [tuple(rec.indices) for rec in recs] == ref.orbit_records_unpruned(g)
 
 
 def _run_to_pause(g, budget, checkpoint=None, threads=1):
-    """(records, JSON round-tripped pause state or None) of one invocation."""
-    enum = S.ExtremalEnumeration(g, budget, checkpoint=checkpoint, threads=threads)
+    """(records, JSON round-tripped pause state or None) of one extended
+    invocation."""
+    enum = S.ExtremalEnumeration(g, budget, extended=True, checkpoint=checkpoint,
+                                 threads=threads)
     records = []
     try:
         for rec in enum.records():
@@ -225,8 +226,8 @@ def test_node_budget_bounds_the_whole_run_at_any_thread_count():
     # invocation pauses it, where one allowance per target would not
     g = _g("Z3xZ3xZ3")
     straight = [tuple(rec.indices)
-                for rec in S.enumerate_extremal(g, S.SearchBudget(extended=True))]
-    budget = S.SearchBudget(extended=True, max_nodes=10_000)
+                for rec in S.enumerate_extremal(g, extended=True)]
+    budget = S.SearchBudget(max_nodes=10_000)
     for threads in (1, 2):
         records, state = _run_to_pause(g, budget, threads=threads)
         assert state is not None, threads
@@ -239,7 +240,7 @@ def test_node_budget_bounds_the_whole_run_at_any_thread_count():
 @pytest.mark.parametrize("threads", [1, 2])
 def test_zero_second_budget_pauses_before_the_first_target(threads):
     records, state = _run_to_pause(
-        _g("Z3xZ3xZ3"), S.SearchBudget(extended=True, max_seconds=0), threads=threads)
+        _g("Z3xZ3xZ3"), S.SearchBudget(max_seconds=0), threads=threads)
     assert records == [] and state["target_pos"] == 0 and state["inner"] is None
 
 
@@ -248,12 +249,12 @@ def test_mid_target_checkpoint_resumes_with_two_workers(spec):
     # a one-worker snapshot inside a target's DFS (Z35: the stabilizer-cut
     # orbit-dedup walk) finishes that target on its engine, then the pool
     g = _g(spec)
-    budget = S.SearchBudget(extended=True)
-    full, snapshots = _snapshots(S.ExtremalEnumeration(g, budget))
+    full, snapshots = _snapshots(S.ExtremalEnumeration(g, extended=True))
     k = len(full) // 2
     state = snapshots[k - 1]
     assert state["inner"] is not None and state["emitted"] == k
-    rest = S.ExtremalEnumeration(g, budget, checkpoint=state, threads=2).records()
+    rest = S.ExtremalEnumeration(g, extended=True, checkpoint=state,
+                                 threads=2).records()
     assert full[:k] + list(rest) == full
 
 
@@ -269,8 +270,8 @@ def test_enumeration_rejects_checkpoint_from_other_group():
         list(S.ExtremalEnumeration(_g("Z15"), checkpoint=state).records())
 
 
-def _state_after_first_record(spec, budget):
-    enum = S.ExtremalEnumeration(_g(spec), budget)
+def _state_after_first_record(spec, extended):
+    enum = S.ExtremalEnumeration(_g(spec), extended=extended)
     next(enum.records())
     state = json.loads(json.dumps(enum.state()))
     assert state["inner"] is not None
@@ -281,22 +282,20 @@ def _state_after_first_record(spec, budget):
 # targets) would restart at the last target and emit its records again
 @pytest.mark.parametrize("target_pos,mid_target", [(7, True), (-1, False)])
 def test_enumeration_rejects_target_pos_out_of_range(target_pos, mid_target):
-    budget = S.SearchBudget(extended=True)
-    state = _state_after_first_record("Z21", budget)
+    state = _state_after_first_record("Z21", True)
     state["target_pos"] = target_pos
     if not mid_target:
         state["inner"] = None
     with pytest.raises(S.CheckpointMismatch):
-        S.ExtremalEnumeration(_g("Z21"), budget, checkpoint=state)
+        S.ExtremalEnumeration(_g("Z21"), extended=True, checkpoint=state)
 
 
 @pytest.mark.parametrize("spec,extended", [("Z15", False), ("Z21", True)])
 def test_enumeration_rejects_an_inner_engine_of_another_size(spec, extended):
-    budget = S.SearchBudget(extended=extended)
-    state = _state_after_first_record(spec, budget)
+    state = _state_after_first_record(spec, extended)
     state["inner"]["k"] -= 1
     with pytest.raises(S.CheckpointMismatch):
-        S.ExtremalEnumeration(_g(spec), budget, checkpoint=state)
+        S.ExtremalEnumeration(_g(spec), extended=extended, checkpoint=state)
 
 
 # ------------------------------------------------------ extremality
@@ -571,8 +570,7 @@ def test_structure_theorem_hypothesis_detection():
 
 @pytest.mark.parametrize("spec,tag", [("Z33", S.SHAPE_II), ("Z36", S.SHAPE_I)])
 def test_structure_theorem_extended_runs(spec, tag):
-    rep = S.verify_theorem_main(_g(spec), budget=S.SearchBudget(extended=True),
-                                orbit_dedup=True)
+    rep = S.verify_theorem_main(_g(spec), extended=True, orbit_dedup=True)
     assert rep.outcome == "VERIFIED"
     assert rep.required_tag == tag
     assert not rep.violations and rep.violation_count == 0
@@ -583,8 +581,7 @@ def test_structure_theorem_extended_runs(spec, tag):
 @pytest.mark.extended
 def test_z55_parallel_missed_target_records_bytes():
     # the benchmark's extremal-parallel run: 2 pool workers, unit-orbit dedup
-    recs = S.enumerate_extremal(_g("Z55"), S.SearchBudget(extended=True),
-                                threads=2)
+    recs = S.enumerate_extremal(_g("Z55"), extended=True, threads=2)
     lines = [dump_json(rec.to_dict()) + "\n" for rec in recs]
     assert len(lines) == 126
     assert hashlib.sha256("".join(lines).encode()).hexdigest() == (
