@@ -548,9 +548,9 @@ def test_report_markdown_format(cli):
 # ------------------------------------------------------ golden bytes
 
 # Artifact sha256, stdout (campaign id and store masked) and ledger summary
-# of the enumerating commands and the fuzz campaigns. Artifact bytes are the
-# contract: a refactor keeps these values, a change of output updates them on
-# purpose. checkpoint.json, cert.json and theorem.json are hashed without
+# of cr, verify-theorem-a, the enumerating commands and the fuzz campaigns.
+# Artifact bytes are the contract: a refactor keeps these values, a change of
+# output updates them on purpose. checkpoint.json, cert.json and theorem.json are hashed without
 # their top-level "records" line, the only run-specific path in them.
 _ENUM_Z36 = "733ad1e88dc53c177a989981441ff089158b964d79a1d5dee23594bcddb5fa46"
 _ENUM_Z15 = "5444b8751eca39ff259bb993ff529cb71da2527a61c85657fcaff8f770dad077"
@@ -586,6 +586,23 @@ _SHAPE_I_TAGS = {"HAS_COMPLETE_SUBSET": 1, "SHAPE_B": 1, "SHAPE_I": 1,
                  "SHAPE_II": 1}
 
 GOLDEN = {
+    "cr-Z15": (
+        ["cr", "--group", "Z15"],
+        {"cr.json": "bbfa4e70525a4e948c89e4f9c929b73e2519b81384344e85aebdc03b0cf4bc6e"},
+        ["cr(Z15) = 7 by formula (case special_case2)",
+         "search: cr = 7, max non-spanning witness [2, 4, 6, 9, 11, 13] "
+         "(369 nodes)",
+         "formula and exhaustive search agree", "campaign <id>: COMPLETE"],
+        {"agree": True, "case": "special_case2", "formula": 7,
+         "search": "complete"}),
+    "verify-theorem-a-8": (
+        ["verify-theorem-a", "--max-order", "8"],
+        {"table.json": "e4adf15328bb9306355af20f1adc2f5a47dd7348cc3dd9d4ccdb17506baade88",
+         "table.md": "e553802791833159cc3658de5c5ffb423832b227f8a5f4f66f1ae6ebdce13c74"},
+        ["checked 9 groups of order 3..8: 9 searched, 0 disagreements",
+         "formula matches exhaustive search on every group",
+         "campaign <id>: COMPLETE"],
+        {"disagreements": 0, "groups": 9, "pending": 0}),
     "enumerate-Z15": (
         ["enumerate-extremal", "--group", "Z15"],
         {"checkpoint.json": "038f96fe0b685c953d5e953973c3dca89189d69c40781632462cbd64061bb1c6",
