@@ -13,7 +13,7 @@ representative in [1, (p-1)/2], so d and -d never disagree across calls.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 from .groups import ElementSet, all_subgroups, is_prime
@@ -55,11 +55,24 @@ class APWitness:
                 "difference": self.difference, "size": self.size}
 
 
-def _prime_cyclic_order(b: ElementSet) -> int:
+def _prime_cyclic_order(b: ElementSet | SequenceOverGroup) -> int:
     g = b.group
     if not g.is_cyclic_spec or not is_prime(g.order):
-        raise ValueError("arithmetic progression detection runs over prime-order Z_p specs")
+        raise ValueError("needs a prime-order Z_p spec")
     return g.order
+
+
+def _prime_sets(sets: Sequence[ElementSet]) -> int:
+    """p of the one Z_p that every set lives in, all of them nonempty."""
+    if not sets:
+        raise ValueError("needs at least one set")
+    p = _prime_cyclic_order(sets[0])
+    for s in sets:
+        if s.group != sets[0].group:
+            raise ValueError("sets from mismatched groups")
+        if s.bits == 0:
+            raise ValueError("needs nonempty sets")
+    return p
 
 
 def detect_ap(b: ElementSet) -> APWitness:
@@ -122,8 +135,7 @@ class BoundReport:
     detail: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {"check": self.check, "applied": self.applied, "holds": self.holds,
-                "actual": self.actual, "bound": self.bound, "detail": dict(self.detail)}
+        return asdict(self)
 
 
 # -- the checks ---------------------------------------------------------------
@@ -179,14 +191,7 @@ def _iterated_sumset(sets: Sequence[ElementSet]) -> ElementSet:
 
 def check_cauchy_davenport(sets: Sequence[ElementSet]) -> BoundReport:
     """|A_1 + ... + A_h| >= min(p, sum |A_i| - h + 1) over Z_p."""
-    if not sets:
-        raise ValueError("needs at least one set")
-    p = _prime_cyclic_order(sets[0])
-    for s in sets:
-        if s.group != sets[0].group:
-            raise ValueError("sets from mismatched groups")
-        if s.bits == 0:
-            raise ValueError("needs nonempty sets")
+    p = _prime_sets(sets)
     total = sum(s.cardinality for s in sets)
     bound = min(p, total - len(sets) + 1)
     actual = _iterated_sumset(sets).cardinality
@@ -227,14 +232,7 @@ def check_diderrich(sets: Sequence[ElementSet]) -> BoundReport:
     differences would make the bound false (in Z13, {2} + {1} + {3, 8}
     sums to just {6, 11}, below 1 + 1 + 2 - 1 = 3).
     """
-    if not sets:
-        raise ValueError("needs at least one set")
-    p = _prime_cyclic_order(sets[0])
-    for s in sets:
-        if s.group != sets[0].group:
-            raise ValueError("sets from mismatched groups")
-        if s.bits == 0:
-            raise ValueError("needs nonempty sets")
+    p = _prime_sets(sets)
     witnesses = [detect_ap(s) for s in sets]
     exceptions = 0
     diffs: list[int] = []
@@ -273,7 +271,7 @@ def check_vosper(b1: ElementSet, b2: ElementSet) -> BoundReport:
     with neither set an AP), so such pairs report applied=False.
     """
     p = _prime_cyclic_order(b1)
-    if p == 2 or not is_prime(p):
+    if p == 2:
         raise ValueError("needs an odd prime order")
     if b2.group != b1.group:
         raise ValueError("sets from mismatched groups")
@@ -368,10 +366,7 @@ def check_prime_growth_bound(a: ElementSet) -> BoundReport:
 def check_sequence_growth(t: SequenceOverGroup) -> BoundReport:
     """|Sigma_circ(T)| >= min(p, |T|+1) for sequences over Z_p \\ {0} of length
     >= 2, and at equality with |T| <= p-2 the support is {g, -g} or {g}."""
-    g = t.group
-    if not g.is_cyclic_spec or not is_prime(g.order):
-        raise ValueError("needs a prime-order Z_p spec")
-    p = g.order
+    p = _prime_cyclic_order(t)
     if len(t) < 2:
         raise ValueError("needs a sequence of length >= 2")
     if any(x == 0 for x in t.terms):

@@ -2,11 +2,11 @@
 
 Every run (except the read-only ``report``) appends one CampaignRecord to
 the store ledger and writes its outputs as artifacts under
-``<store>/artifacts/<campaign_id>/``. Exit codes: 0 when the campaign
-completed and found nothing wrong, 2 when a budget ran out and a resumable
-checkpoint was written (PARTIAL), 1 on failures, bad usage, or when a
-completed campaign found a violation (a formula/search disagreement, a
-bound violation, or a refuted proved statement). Conjecture certificates
+``<store>/artifacts/<campaign_id>/``. The exit code follows from the
+run's status (see _Run.finish): 2 when it is PARTIAL (a budget ran out and
+a resumable checkpoint was written), 1 when it is FAILED or the run found a
+violation (a formula/search disagreement, a bound violation, or a refuted
+proved statement), else 0; bad usage exits 1 too. Conjecture certificates
 are different: REFUTED is a definitive, successful outcome there, so it
 exits 0.
 
@@ -33,7 +33,8 @@ from .extremal import (ConjectureReport, ExtremalEnumeration, TheoremReport,
                        Verdict, classify, conjecture_claim, theorem_verdict)
 from .fuzz import CAMPAIGNS, DEFAULT_TRIALS, run_all_campaigns
 from .groups import ElementSet, parse_group_spec
-from .search import CheckpointMismatch, EnumerationPaused, SearchBudget
+from .search import (CheckpointMismatch, EnumerationPaused, SearchBudget,
+                     check_fields)
 from .store import (STATUS_COMPLETE, STATUS_FAILED, STATUS_PARTIAL,
                     CampaignRecord, CampaignStore, atomic_write_text, dump_json,
                     sha256_file, utc_stamp)
@@ -113,7 +114,11 @@ class _Run:
         if path.exists():
             self.record.checksums[name] = sha256_file(path)
 
-    def finish(self, status: str, summary: dict, lines: list[str], code: int) -> int:
+    def finish(self, status: str, summary: dict, lines: list[str],
+               violation: bool = False) -> int:
+        """Record the run, print its lines and return its exit code: 2 when
+        status is PARTIAL, 1 when it is FAILED or a violation was found,
+        else 0."""
         self.record.status = status
         self.record.finished = utc_stamp()
         self.record.summary = summary
@@ -121,12 +126,14 @@ class _Run:
         for line in lines:
             print(line)
         print(f"campaign {self.campaign_id}: {status}")
-        return code
+        if status == STATUS_PARTIAL:
+            return 2
+        return 1 if status == STATUS_FAILED or violation else 0
 
     def fail(self, exc: BaseException) -> int:
         msg = f"{type(exc).__name__}: {exc}"
         print(f"error: {exc}", file=sys.stderr)
-        return self.finish(STATUS_FAILED, {"error": msg}, [], 1)
+        return self.finish(STATUS_FAILED, {"error": msg}, [])
 
 
 # -- checkpoint plumbing -----------------------------------------------------------
@@ -153,14 +160,8 @@ def _load_checkpoint(path: Path, command: str) -> dict:
             f"column {exc.colno}") from None
     if not isinstance(data, dict) or "state" not in data:
         raise CheckpointMismatch(f"corrupt checkpoint {path}: missing 'state'")
-    if data.get("schema") != CHECKPOINT_SCHEMA:
-        raise CheckpointMismatch(
-            f"checkpoint {path} has schema {data.get('schema')!r}, this "
-            f"version reads {CHECKPOINT_SCHEMA}")
-    if data.get("command") != command:
-        raise CheckpointMismatch(
-            f"checkpoint {path} was written by {data.get('command')!r}, "
-            f"not {command!r}")
+    check_fields(data, f"checkpoint {path}", schema=CHECKPOINT_SCHEMA,
+                 command=command)
     return data
 
 
@@ -248,10 +249,10 @@ def cmd_cr(args, run: _Run) -> int:
     if args.mode in ("both", "formula"):
         lines.append(f"cr({group.spec_string}) = {formula} by formula "
                      f"(case {case})")
-    status, code = STATUS_COMPLETE, 0
+    status = STATUS_COMPLETE
     if args.mode in ("both", "search"):
-        out = critical_number_search(group, _budget(args), args.reduce_orbits,
-                                     args.max_exact_order)
+        out = critical_number_search(group, _budget(args),
+                                     max_exact_order=args.max_exact_order)
         result["search"] = out.to_dict()
         if out.status == "complete":
             result["agree"] = out.value == formula
@@ -261,7 +262,6 @@ def cmd_cr(args, run: _Run) -> int:
             if out.value != formula:
                 lines.append(f"DISAGREEMENT: formula {formula} (case {case}) "
                              f"!= searched {out.value}")
-                code = 1
             else:
                 lines.append("formula and exhaustive search agree")
         elif out.status == "skipped":
@@ -271,17 +271,17 @@ def cmd_cr(args, run: _Run) -> int:
                 f"to force it")
         else:
             lines.append("search ran out of budget before certifying")
-            status, code = STATUS_PARTIAL, 2
+            status = STATUS_PARTIAL
     run.artifact("cr.json", result)
     return run.finish(status, {"formula": formula, "case": case,
                                "search": result["search"] and
                                result["search"]["status"],
-                               "agree": result["agree"]}, lines, code)
+                               "agree": result["agree"]}, lines,
+                      result["agree"] is False)
 
 
 def cmd_verify_theorem_a(args, run: _Run) -> int:
-    table = verify_critical_formula(args.max_order, _budget(args),
-                                    reduce_orbits=args.reduce_orbits)
+    table = verify_critical_formula(args.max_order, _budget(args))
     run.artifact("table.json", table.to_dict())
     md = render_critical_table(table.to_dict(), "markdown")
     md_path = run.dir / "table.md"
@@ -295,17 +295,15 @@ def cmd_verify_theorem_a(args, run: _Run) -> int:
     for r in bad:
         lines.append(f"  MISMATCH {r.spec}: formula {r.formula}, "
                      f"search {r.searched}")
-    if bad:
-        status, code = STATUS_COMPLETE, 1
-    elif pending:
-        status, code = STATUS_PARTIAL, 2
+    status = STATUS_COMPLETE
+    if pending and not bad:
+        status = STATUS_PARTIAL
         lines.append(f"{len(pending)} groups ran out of budget")
-    else:
-        status, code = STATUS_COMPLETE, 0
+    elif not bad:
         lines.append("formula matches exhaustive search on every group")
     return run.finish(status, {"groups": len(table.rows),
                                "disagreements": len(bad),
-                               "pending": len(pending)}, lines, code)
+                               "pending": len(pending)}, lines, bool(bad))
 
 
 def _resume_setup(args, command: str, group_spec: str):
@@ -319,11 +317,7 @@ def _resume_setup(args, command: str, group_spec: str):
         return None, [], None
     ck = _load_checkpoint(Path(args.resume), command)
     state = ck["state"]
-    got = state.get("group")
-    if got != group_spec:
-        raise CheckpointMismatch(
-            f"checkpoint {args.resume} is for group {got!r}, this run is for "
-            f"{group_spec!r}")
+    check_fields(state, f"checkpoint {args.resume}", group=group_spec)
     inherited = Path(ck["records"]) if ck.get("records") else None
     return state, _prior_lines(ck, int(state.get("emitted", 0))), inherited
 
@@ -337,7 +331,7 @@ def _enumerating_run(args, run: _Run, group, orbit_dedup: bool | None,
     the prior lines and then the new ones into `verdict`, registers the
     artifacts and finishes the run. report(enum, complete, records_path)
     writes the command's certificate, if any, and returns its (summary,
-    lines, exit code); a PARTIAL run exits 2 with a resume hint instead.
+    lines, violation found); a PARTIAL run adds a resume hint.
     """
     state, prior, inherited = _resume_setup(args, run.name, group.spec_string)
     enum = ExtremalEnumeration(group, _budget(args), args.extended, orbit_dedup,
@@ -350,15 +344,16 @@ def _enumerating_run(args, run: _Run, group, orbit_dedup: bool | None,
         verdict.add(json.loads(line))
     stopped = _stream_records(enum, records_path, ck_path, run.name,
                               args.checkpoint_every, prior, verdict.add)
-    summary, lines, code = report(enum, stopped is None, records_path)
+    summary, lines, violation = report(enum, stopped is None, records_path)
     run.register("checkpoint", ck_path)
     if stopped is None:
         run.register("records", records_path)
-        return run.finish(STATUS_COMPLETE, summary, lines, code)
-    run.register("records.partial",
-                 records_path.with_name(records_path.name + ".partial"))
-    lines.append(f"{stopped}; resume with --resume {ck_path}")
-    return run.finish(STATUS_PARTIAL, summary, lines, 2)
+    else:
+        run.register("records.partial",
+                     records_path.with_name(records_path.name + ".partial"))
+        lines.append(f"{stopped}; resume with --resume {ck_path}")
+    return run.finish(STATUS_PARTIAL if stopped else STATUS_COMPLETE, summary,
+                      lines, violation)
 
 
 def cmd_enumerate(args, run: _Run) -> int:
@@ -374,7 +369,7 @@ def cmd_enumerate(args, run: _Run) -> int:
                       for tag, n in sorted(tally.tag_counts.items())]
         return ({"records": enum.stats.emitted, "mode": enum.mode,
                  "orbit_dedup": enum.orbit_dedup, "tags": tally.tag_counts,
-                 "nodes": enum.stats.nodes}, lines, 0)
+                 "nodes": enum.stats.nodes}, lines, False)
 
     return _enumerating_run(args, run, parse_group_spec(args.group),
                             args.orbit_dedup, tally, report)
@@ -391,7 +386,7 @@ def cmd_classify(args, run: _Run) -> int:
     d = record.to_dict()
     run.artifact("record.json", d)
     lines = [dump_json(d, pretty=True).rstrip()]
-    return run.finish(STATUS_COMPLETE, {"tags": list(record.tags)}, lines, 0)
+    return run.finish(STATUS_COMPLETE, {"tags": list(record.tags)}, lines)
 
 
 def cmd_conjecture(args, run: _Run) -> int:
@@ -408,7 +403,7 @@ def cmd_conjecture(args, run: _Run) -> int:
                  f"extremal sets: {rep.extremal_count}, failing: "
                  f"{rep.failing_count}"]
         return ({"outcome": rep.outcome, "total": rep.extremal_count,
-                 "failing": rep.failing_count}, lines, 0)
+                 "failing": rep.failing_count}, lines, False)
 
     return _enumerating_run(args, run, parse_group_spec(f"Z{p * q}"), False,
                             verdict, report)
@@ -429,7 +424,7 @@ def cmd_verify_main(args, run: _Run) -> int:
                  f"{rep.violation_count}"]
         return ({"outcome": rep.outcome, "total": rep.extremal_count,
                  "violations": rep.violation_count, "tags": rep.tag_counts},
-                lines, 0 if rep.outcome == "VERIFIED" else 1)
+                lines, rep.outcome != "VERIFIED")
 
     return _enumerating_run(args, run, group, args.orbit_dedup, verdict, report)
 
@@ -449,11 +444,10 @@ def cmd_fuzz(args, run: _Run) -> int:
         lines.append(f"  {r.lemma}: trials {r.trials}, applied {r.applied}, "
                      f"violations {r.violations}{extra} [{mark}]")
     lines.append(f"{len(reports)} campaigns, {len(dirty)} with violations")
-    code = 1 if dirty else 0
     return run.finish(STATUS_COMPLETE,
                       {"campaigns": len(reports), "dirty": len(dirty),
                        "seed": args.seed, "trials": args.trials},
-                      lines, code)
+                      lines, bool(dirty))
 
 
 # -- report rendering ---------------------------------------------------------------
@@ -482,8 +476,14 @@ def render_critical_table(table: dict, fmt: str) -> str:
                      str(r["witness"]) if r["witness"] is not None else "-",
                      r["status"]])
     head = ["group", "order", "formula", "searched", "agree", "witness", "status"]
-    title = (f"critical numbers up to order {table['max_order']}: "
-             f"{'all agree' if table['all_agree'] else 'DISAGREEMENTS PRESENT'}\n\n")
+    unsettled = [r["spec"] for r in table["rows"] if r["agree"] is None]
+    if any(r["agree"] is False for r in table["rows"]):
+        verdict = "DISAGREEMENTS PRESENT"
+    elif unsettled:
+        verdict = f"no disagreement, unsettled: {', '.join(unsettled)}"
+    else:
+        verdict = "all agree"
+    title = f"critical numbers up to order {table['max_order']}: {verdict}\n\n"
     return title + _table(head, rows, fmt)
 
 
@@ -498,17 +498,13 @@ def _render_fuzz(reports: list[dict], fmt: str) -> str:
 
 
 def _render_records_file(path: Path, fmt: str) -> str:
-    tag_counts: dict[str, int] = {}
-    total = 0
+    tally = Verdict(None)
     with open(path, encoding="utf-8") as f:
         for line in f:
-            if not line.strip():
-                continue
-            total += 1
-            for tag in json.loads(line)["tags"]:
-                tag_counts[tag] = tag_counts.get(tag, 0) + 1
-    rows = [[tag, str(n)] for tag, n in sorted(tag_counts.items())]
-    return (f"{total} records\n"
+            if line.strip():
+                tally.add(json.loads(line))
+    rows = [[tag, str(n)] for tag, n in sorted(tally.tag_counts.items())]
+    return (f"{tally.total} records\n"
             + _table(["tag", "count"], rows, fmt))
 
 
@@ -558,12 +554,6 @@ def cmd_report(args, store: CampaignStore) -> int:
 
 
 # -- parser ------------------------------------------------------------------------
-
-
-REDUCE_ORBITS_HELP = ("search one avoided target per orbit of the group's "
-                      "automorphisms (sound for every group; the value is "
-                      "exact, the witness canonical only up to those "
-                      "automorphisms; default on)")
 
 
 def _add_budget_flags(p: _Parser, scope: str) -> None:
@@ -623,8 +613,6 @@ def build_parser() -> _Parser:
     mode.add_argument("--both", dest="mode", action="store_const", const="both",
                       help="formula plus search with agreement check (default)")
     p.set_defaults(mode="both")
-    p.add_argument("--reduce-orbits", action=argparse.BooleanOptionalAction,
-                   default=True, help=REDUCE_ORBITS_HELP)
     _add_budget_flags(p, "in all")
     p.add_argument("--max-exact-order", type=int, default=MAX_EXACT_ORDER,
                    metavar="N",
@@ -638,8 +626,6 @@ def build_parser() -> _Parser:
                             "group up to an order cap")
     p.add_argument("--max-order", type=int, default=24,
                    help="largest group order to verify (default 24)")
-    p.add_argument("--reduce-orbits", action=argparse.BooleanOptionalAction,
-                   default=True, help=REDUCE_ORBITS_HELP)
     _add_budget_flags(p, "per group (each group's search gets the whole "
                          "allowance)")
     p.set_defaults(func=cmd_verify_theorem_a)

@@ -101,14 +101,8 @@ class CriticalSearchOutcome:
     targets_searched: int
 
     def to_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "value": self.value,
-            "max_nonspanning_size": self.max_nonspanning_size,
-            "witness": list(self.witness) if self.witness is not None else None,
-            "nodes": self.nodes,
-            "targets_searched": self.targets_searched,
-        }
+        return {**vars(self),
+                "witness": list(self.witness) if self.witness is not None else None}
 
 
 def critical_number_search(group: GroupSpec, budget: SearchBudget | None = None,
@@ -175,16 +169,8 @@ class CriticalRow:
     status: str
 
     def to_dict(self) -> dict:
-        return {
-            "spec": self.spec,
-            "order": self.order,
-            "formula": self.formula,
-            "searched": self.searched,
-            "agree": self.agree,
-            "witness": list(self.witness) if self.witness is not None else None,
-            "nodes": self.nodes,
-            "status": self.status,
-        }
+        return {**vars(self),
+                "witness": list(self.witness) if self.witness is not None else None}
 
 
 @dataclass
@@ -209,16 +195,19 @@ class CriticalTable:
         }
 
 
-def verify_critical_formula(max_order: int, budget: SearchBudget | None = None,
-                            reduce_orbits: bool = True) -> CriticalTable:
+def verify_critical_formula(max_order: int, budget: SearchBudget | None = None
+                            ) -> CriticalTable:
     """Formula vs exhaustive search on every abelian group of order
-    3..max_order, each group's search on the whole budget."""
+    3..max_order, each group's search on the whole budget. ValueError for
+    max_order < 3, which would check no group."""
+    if max_order < 3:
+        raise ValueError(f"max_order must be at least 3, got {max_order}")
     table = CriticalTable(max_order=max_order)
     for n in range(3, max_order + 1):
         for orders in abelian_groups_of_order(n):
             g = make_group(orders)
             formula = critical_number_formula(g)
-            out = critical_number_search(g, budget, reduce_orbits, max_order)
+            out = critical_number_search(g, budget, max_exact_order=max_order)
             agree = (out.value == formula) if out.status == "complete" else None
             table.rows.append(CriticalRow(
                 spec=g.spec_string, order=n, formula=formula,

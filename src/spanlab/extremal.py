@@ -37,8 +37,8 @@ from .groups import (ElementSet, GroupSpec, SubgroupHandle, cosets, is_prime,
                      make_group, smallest_prime_divisor, subgroups_of_order)
 from .search import (ENGINE_VERSION, AvoidingEnumerator, CheckpointMismatch,
                      EnumerationPaused, SearchBudget, SearchStats,
-                     SizedEnumerator, run_work_unit, target_representatives,
-                     target_symmetries)
+                     SizedEnumerator, check_fields, run_work_unit,
+                     target_representatives, target_symmetries)
 from .sums import complete_subgroup_witnesses, contains_complete_subset, subset_sums_bits
 
 SCHEMA_VERSION = 1
@@ -187,7 +187,7 @@ class ExtremalRecord:
         }
 
 
-def classify(a: ElementSet, *, _assume_extremal: bool = False) -> ExtremalRecord:
+def classify(a: ElementSet) -> ExtremalRecord:
     """Full shape classification of an extremal set.
 
     Every tag is decided by exhaustive scan over its witness space
@@ -196,10 +196,9 @@ def classify(a: ElementSet, *, _assume_extremal: bool = False) -> ExtremalRecord
     canonical order, so records are deterministic and re-verifiable.
     """
     g = a.group
-    if not _assume_extremal:
-        reason = extremality_failure(a)
-        if reason:
-            raise ValueError(f"not an extremal set: {reason}")
+    reason = extremality_failure(a)
+    if reason:
+        raise ValueError(f"not an extremal set: {reason}")
     n = g.order
     p = smallest_prime_divisor(n)
     m_index = n // p
@@ -384,13 +383,9 @@ class ExtremalEnumeration:
         return st
 
     def _load(self, st: dict) -> None:
-        for key, want in (("engine", ENGINE_VERSION), ("kind", "extremal"),
-                          ("group", self.group.spec_string), ("k", self.k),
-                          ("mode", self.mode), ("orbit_dedup", self.orbit_dedup)):
-            got = st.get(key)
-            if got != want:
-                raise CheckpointMismatch(
-                    f"checkpoint {key} is {got!r}, this run needs {want!r}")
+        check_fields(st, "checkpoint", engine=ENGINE_VERSION, kind="extremal",
+                     group=self.group.spec_string, k=self.k, mode=self.mode,
+                     orbit_dedup=self.orbit_dedup)
         self.stats.emitted = int(st.get("emitted", 0))
         self.done = bool(st.get("done", False))
         inner = st.get("inner")
@@ -421,12 +416,9 @@ class ExtremalEnumeration:
     # record construction -----------------------------------------------------
 
     def _emit(self, indices: tuple[int, ...]) -> ExtremalRecord:
-        a = ElementSet.from_indices(self.group, indices)
-        reason = extremality_failure(a)
-        if reason:  # pragma: no cover - engine invariant
-            raise AssertionError(f"enumerated a non-extremal set {indices}: {reason}")
+        record = classify(ElementSet.from_indices(self.group, indices))
         self.stats.emitted += 1
-        return classify(a, _assume_extremal=True)
+        return record
 
     def records(self) -> Iterator[ExtremalRecord]:
         if self.done:
@@ -553,14 +545,14 @@ def _example_windows(p: int, q: int) -> int:
     return two_sqrt_floor(p - 2)
 
 
-def make_example_1(p: int, q: int, seed: int = 0, retries: int = 64) -> ElementSet:
+def make_example_1(p: int, q: int, seed: int = 0) -> ElementSet:
     """Random extremal set in Z_pq built around an order-p subgroup K:
     all of K \\ {0}, plus q - 2 elements split between the cosets 1 + K
     and -1 + K. Requires p + floor(2*sqrt(p-2)) + 1 < q < 2p + 3.
 
     Subset sums stay inside coset indices [-b, a] of K where a + b = q - 2,
     so one coset of K is always missed and the construction cannot fail the
-    non-spanning re-check; the retry loop is belt and braces.
+    non-spanning re-check, which is kept as an assertion.
     """
     w = _example_windows(p, q)
     if not p + w + 1 < q < 2 * p + 3:
@@ -576,17 +568,15 @@ def make_example_1(p: int, q: int, seed: int = 0, retries: int = 64) -> ElementS
              if (g.translate_bits(k_bits, g.order - 1) >> i) & 1]
     need = q - 2
     rng = random.Random(seed)
-    for _ in range(retries):
-        a_count = rng.randint(max(0, need - p), min(p, need))
-        chosen = rng.sample(plus, a_count) + rng.sample(minus, need - a_count)
-        indices = tuple(sorted([i for i in range(g.order)
-                                if (k_bits >> i) & 1 and i != 0] + chosen))
-        a = ElementSet.from_indices(g, indices)
-        if len(a) == p + q - 3 and subset_sums_bits(g, indices) != g.full_mask:
-            return a
-    raise RuntimeError(
-        f"could not build a non-spanning instance for ({p}, {q}) "
-        f"after {retries} attempts")  # pragma: no cover
+    a_count = rng.randint(max(0, need - p), min(p, need))
+    chosen = rng.sample(plus, a_count) + rng.sample(minus, need - a_count)
+    indices = tuple(sorted([i for i in range(g.order)
+                            if (k_bits >> i) & 1 and i != 0] + chosen))
+    a = ElementSet.from_indices(g, indices)
+    if len(a) != p + q - 3 or subset_sums_bits(g, indices) == g.full_mask:
+        raise AssertionError(
+            f"example 1 for ({p}, {q}) is not extremal")  # pragma: no cover
+    return a
 
 
 def make_example_2(p: int, q: int, gen: int | None = None,

@@ -23,7 +23,7 @@ rows of one table (CAMPAIGNS) that one trial loop (run_campaign) drives.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 from typing import Callable
@@ -59,17 +59,7 @@ class FuzzReport:
             self.exhaustive is None or self.exhaustive.get("violations", 0) == 0)
 
     def to_dict(self) -> dict:
-        return {
-            "lemma": self.lemma,
-            "description": self.description,
-            "trials": self.trials,
-            "applied": self.applied,
-            "violations": self.violations,
-            "seed": self.seed,
-            "clean": self.clean,
-            "examples": self.examples,
-            "exhaustive": self.exhaustive,
-        }
+        return {**asdict(self), "clean": self.clean}
 
 
 def _trial_rng(seed: int, trial: int) -> random.Random:

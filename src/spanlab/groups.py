@@ -137,14 +137,23 @@ class GroupSpec:
 
     # -- lazy tables -------------------------------------------------------
 
+    def _lazy(self, slot: str, build):
+        """The table held in `slot`, filled with build() on first use: built
+        once under the lock, however many threads ask at the same time."""
+        tab = getattr(self, slot)
+        if tab is None:
+            with self._lock:
+                tab = getattr(self, slot)
+                if tab is None:
+                    tab = build()
+                    setattr(self, slot, tab)
+        return tab
+
     def neg_table(self) -> tuple[int, ...]:
         tab = self._neg_table
         if tab is None:
-            with self._lock:
-                tab = self._neg_table
-                if tab is None:
-                    tab = tuple(self.neg(i) for i in range(self.order))
-                    self._neg_table = tab
+            tab = self._lazy("_neg_table", lambda: tuple(
+                self.neg(i) for i in range(self.order)))
         return tab
 
     def _translation_plan(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
@@ -154,23 +163,18 @@ class GroupSpec:
         selects the slabs with coordinate j below n_j - v, which move up
         by v*stride_j; the rest wrap around, moving down by (n_j - v)*stride_j.
         """
-        plan = self._shift_plan
-        if plan is None:
-            with self._lock:
-                plan = self._shift_plan
-                if plan is None:
-                    steps = []
-                    for n, stride in zip(self.cyclic_orders, self._strides):
-                        # one bit at the base of each superblock
-                        replicator = self.full_mask // ((1 << (n * stride)) - 1)
-                        steps.append([(((1 << ((n - v) * stride)) - 1) * replicator,
-                                       v * stride, (n - v) * stride)
-                                      for v in range(n)])
-                    plan = tuple(
-                        tuple(steps[j][v] for j, v in enumerate(self.coords_of(a)) if v)
-                        for a in range(self.order))
-                    self._shift_plan = plan
-        return plan
+        def build():
+            steps = []
+            for n, stride in zip(self.cyclic_orders, self._strides):
+                # one bit at the base of each superblock
+                replicator = self.full_mask // ((1 << (n * stride)) - 1)
+                steps.append([(((1 << ((n - v) * stride)) - 1) * replicator,
+                               v * stride, (n - v) * stride)
+                              for v in range(n)])
+            return tuple(
+                tuple(steps[j][v] for j, v in enumerate(self.coords_of(a)) if v)
+                for a in range(self.order))
+        return self._lazy("_shift_plan", build)
 
     # -- bitset kernels ----------------------------------------------------
 
@@ -208,12 +212,9 @@ class GroupSpec:
             raise ValueError("unit scaling is defined for single-factor specs only")
         tab = self._units
         if tab is None:
-            with self._lock:
-                tab = self._units
-                if tab is None:
-                    n = self.order
-                    tab = tuple(u for u in range(1, n) if math.gcd(u, n) == 1)
-                    self._units = tab
+            n = self.order
+            tab = self._lazy("_units", lambda: tuple(
+                u for u in range(1, n) if math.gcd(u, n) == 1))
         return tab
 
     def scale_bits(self, bits: int, u: int) -> int:
@@ -410,16 +411,7 @@ def prime_factors(n: int) -> dict[int, int]:
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    return n >= 2 and smallest_prime_divisor(n) == n
 
 
 def _unit_generators(n: int) -> list[int]:
@@ -447,13 +439,7 @@ def automorphism_generators(g: GroupSpec) -> tuple[tuple[int, ...], ...]:
     it is a homomorphism (n_i * phi(e_i) = 0 for every i) and a bijection.
     Built once per group and cached on it.
     """
-    perms = g._automorphisms
-    if perms is None:
-        with g._lock:
-            perms = g._automorphisms
-            if perms is None:
-                perms = g._automorphisms = _build_automorphism_generators(g)
-    return perms
+    return g._lazy("_automorphisms", lambda: _build_automorphism_generators(g))
 
 
 def _build_automorphism_generators(g: GroupSpec) -> tuple[tuple[int, ...], ...]:
@@ -508,14 +494,10 @@ def generated_subgroup(s: ElementSet) -> SubgroupHandle:
 
 def all_subgroups(g: GroupSpec, max_order: int = MAX_SUBGROUP_ENUM_ORDER) -> list[SubgroupHandle]:
     """Every subgroup, sorted by (order, element tuple). Cached on the group."""
-    cached = g._subgroups
-    if cached is not None:
-        return cached
-    if g.order > max_order:
-        raise GroupTooLargeError(f"subgroup enumeration capped at order {max_order}")
-    with g._lock:
-        if g._subgroups is not None:
-            return g._subgroups
+
+    def build() -> list[SubgroupHandle]:
+        if g.order > max_order:
+            raise GroupTooLargeError(f"subgroup enumeration capped at order {max_order}")
         found = {1}
         frontier = [1]
         while frontier:
@@ -531,8 +513,8 @@ def all_subgroups(g: GroupSpec, max_order: int = MAX_SUBGROUP_ENUM_ORDER) -> lis
             order = bits.bit_count()
             handles.append(SubgroupHandle(ElementSet(g, bits), order, g.order // order))
         handles.sort(key=lambda h: (h.order, h.elements.indices()))
-        g._subgroups = handles
-    return g._subgroups
+        return handles
+    return g._lazy("_subgroups", build)
 
 
 def subgroups_of_order(g: GroupSpec, order: int) -> list[SubgroupHandle]:

@@ -64,6 +64,15 @@ class CheckpointMismatch(ValueError):
     pass
 
 
+def check_fields(state: dict, where: str, **want) -> None:
+    """Raise CheckpointMismatch at the first field of `want` whose value in
+    the checkpoint `state` differs, naming the value found."""
+    for key, value in want.items():
+        if state.get(key) != value:
+            raise CheckpointMismatch(
+                f"{where} {key} {state.get(key)!r}, this run needs {value!r}")
+
+
 @dataclass
 class SearchBudget:
     """The allowance of one search call: nodes walked and seconds spent.
@@ -180,10 +189,8 @@ class _Engine:
         """Rebuild an engine at a state() position; the trailing arguments
         go to the constructor after budget (AvoidingEnumerator: symmetries).
         Raises CheckpointMismatch for a position the run cannot reach."""
-        for key, want in (("engine", ENGINE_VERSION), ("kind", cls.kind),
-                          ("group", group.spec_string)):
-            if state.get(key) != want:
-                raise CheckpointMismatch(f"checkpoint {key} {state.get(key)!r} != {want!r}")
+        check_fields(state, "checkpoint", engine=ENGINE_VERSION, kind=cls.kind,
+                     group=group.spec_string)
         self = cls(group, *(int(state[f]) for f in cls.fields), budget, *args, **kwargs)
         path = [int(x) for x in state["path"]]
         cursor = [int(x) for x in state["cursor"]]

@@ -20,7 +20,7 @@ import json
 import os
 import secrets
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any
 
@@ -68,18 +68,7 @@ class CampaignRecord:
     summary: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "campaign_id": self.campaign_id,
-            "command": self.command,
-            "group": self.group,
-            "status": self.status,
-            "started": self.started,
-            "finished": self.finished,
-            "artifacts": self.artifacts,
-            "checksums": self.checksums,
-            "config": self.config,
-            "summary": self.summary,
-        }
+        return asdict(self)
 
 
 class CampaignStore:

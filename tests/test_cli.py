@@ -114,14 +114,32 @@ def test_unknown_flag_exits_one(cli):
     ["conjecture", "--which", 2, "--p", 3, "--q", 5, "--orbit-dedup"],
     ["conjecture", "--which", 2, "--p", 3, "--q", 5, "--no-orbit-dedup"],
     ["enumerate-extremal", "--group", "Z15", "--max-candidates", 5],
+    ["cr", "--group", "Z15", "--no-reduce-orbits"],
+    ["verify-theorem-a", "--max-order", 5, "--reduce-orbits"],
 ], ids=["cr-extended", "theorem-a-extended", "conjecture-orbit-dedup",
-        "conjecture-no-orbit-dedup", "enumerate-max-candidates"])
+        "conjecture-no-orbit-dedup", "enumerate-max-candidates",
+        "cr-no-reduce-orbits", "theorem-a-reduce-orbits"])
 def test_removed_flags_exit_one(cli, args):
-    # flags that had no effect on these commands are not accepted
+    # flags these commands no longer take are refused before any campaign
     code, _, err = cli(*args)
     assert code == 1
     assert "unrecognized arguments" in err
     assert _campaigns(cli) == []
+
+
+@pytest.mark.parametrize("status,violation,code", [
+    ("COMPLETE", False, 0), ("COMPLETE", True, 1),
+    ("PARTIAL", False, 2), ("PARTIAL", True, 2),
+    ("FAILED", False, 1), ("FAILED", True, 1),
+])
+def test_finish_derives_the_exit_code_from_the_status(cli, status, violation,
+                                                      code):
+    args = spanlab.cli.build_parser().parse_args(
+        ["--store", str(cli.store), "cr", "--group", "Z7"])
+    run = spanlab.cli._Run(S.CampaignStore(cli.store), args)
+    assert run.finish(status, {}, ["line"], violation) == code
+    (rec,) = _campaigns(cli)
+    assert rec["status"] == status
 
 
 def test_mutually_exclusive_modes_exit_one(cli):
@@ -477,6 +495,27 @@ def test_verify_theorem_a_small_window(cli):
     assert all(row["agree"] for row in table["rows"])
     specs = {row["spec"] for row in table["rows"]}
     assert "Z2xZ4" in specs and "Z9" in specs
+
+
+def test_verify_theorem_a_names_unsettled_groups_not_disagreements(cli):
+    code, out, _ = cli("verify-theorem-a", "--max-order", 5, "--max-nodes", 1)
+    assert code == 2
+    assert "0 disagreements" in out and "PARTIAL" in out
+    (rec,) = _campaigns(cli)
+    md = _artifact(cli, rec, "table.md").read_text()
+    assert md.splitlines()[0] == ("critical numbers up to order 5: no "
+                                  "disagreement, unsettled: Z3, Z2xZ2, Z4, Z5")
+    table = json.loads(_artifact(cli, rec, "table.json").read_text())
+    assert table["all_agree"] is False
+
+
+def test_verify_theorem_a_below_order_3_fails(cli):
+    code, out, err = cli("verify-theorem-a", "--max-order", 2)
+    assert code == 1
+    assert "FAILED" in out and "max_order" in err
+    (rec,) = _campaigns(cli)
+    assert rec["status"] == "FAILED"
+    assert rec["summary"]["error"].startswith("ValueError")
 
 
 def test_classify_prints_record(cli):
