@@ -503,11 +503,8 @@ class ExtremalEnumeration:
         pauses there if the allowance is spent, cancelling pending units.
         """
         eng._start()
-        rest = eng.allowed[0] & (-1 << eng.cursor[0])
         units = []
-        while rest.bit_count() >= self.k:
-            f = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
+        for f in eng.first_elements():
             cut = any(s[f] < f for s in eng.symmetries)
             units.append((f, None if cut else pool.submit(
                 run_work_unit, self.group.cyclic_orders, eng.target, self.k, f,

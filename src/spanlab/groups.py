@@ -17,10 +17,11 @@ import re
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 MAX_GROUP_ORDER = 10**6
 MAX_SUBGROUP_ENUM_ORDER = 10**4
+MAX_PADDED_BITS = 1 << 24  # 2 MB per doubled mask: rank 12 at order 4096
 
 _SPEC_RE = re.compile(r"^z(\d+)(?:xz(\d+))*$", re.IGNORECASE)
 
@@ -29,13 +30,23 @@ class GroupTooLargeError(ValueError):
     pass
 
 
+class PaddedLayout(NamedTuple):
+    """A bit layout in which coordinate j has 2*n_j slots (see
+    GroupSpec.padded_layout)."""
+
+    pad: tuple[int, ...]  # bit position of element i; pad[order] past them all
+    unpad: dict[int, int]  # position -> element, the inverse of pad
+    box: int  # the positions of elements: every coordinate below n_j
+    doublings: tuple[int, ...]  # n_j times coordinate j's padded stride
+
+
 class GroupSpec:
     """A finite abelian group presented as a direct sum of cyclic factors.
 
     Immutable after construction. Lazily built lookup tables (negation,
-    coordinate slab masks, subgroup list, units, automorphism generators)
-    are initialized exactly once under a lock, so instances are safe to
-    share across threads.
+    translation plan, padded layout, subgroup list, units, automorphism
+    generators) are initialized exactly once under a lock, so instances
+    are safe to share across threads.
     """
 
     __slots__ = (
@@ -46,6 +57,7 @@ class GroupSpec:
         "_lock",
         "_neg_table",
         "_shift_plan",
+        "_padded",
         "_subgroups",
         "_units",
         "_automorphisms",
@@ -69,6 +81,7 @@ class GroupSpec:
         self._lock = threading.RLock()
         self._neg_table: tuple[int, ...] | None = None
         self._shift_plan: tuple[tuple[tuple[int, int, int], ...], ...] | None = None
+        self._padded: PaddedLayout | None = None
         self._subgroups: list[SubgroupHandle] | None = None
         self._units: tuple[int, ...] | None = None
         self._automorphisms: tuple[tuple[int, ...], ...] | None = None
@@ -176,6 +189,33 @@ class GroupSpec:
                 for a in range(self.order))
         return self._lazy("_shift_plan", build)
 
+    def padded_layout(self) -> PaddedLayout:
+        """The layout in which coordinate j has 2*n_j slots, mixed radix as
+        the indices, so element order is bit order. Doubling a mask in it
+        (or-ing in its shift by each of the doublings) puts every element
+        x also at x + n_j*e_j for each j; a right shift of that doubled mask
+        by pad[c], masked to the box, is the mask translated by -c, since a
+        position that wrapped is out of range in its lowest wrapped
+        coordinate. On a single-factor spec pad is the identity and the one
+        doubling is n. A doubled mask has 2^r*|G| bits for rank r.
+        """
+        def build():
+            widths = [2 * n for n in self.cyclic_orders]
+            strides = [math.prod(widths[j + 1:]) for j in range(len(widths))]
+            if widths[0] * strides[0] > MAX_PADDED_BITS:
+                raise GroupTooLargeError(
+                    f"{self.spec_string}: a doubled mask of {widths[0] * strides[0]} "
+                    f"bits exceeds the padded-layout cap {MAX_PADDED_BITS}")
+            pad = [sum(x * s for x, s in zip(self.coords_of(i), strides))
+                   for i in range(self.order)]
+            box = 1
+            for n, s in zip(self.cyclic_orders, strides):
+                box = sum(box << x * s for x in range(n))
+            return PaddedLayout(
+                tuple(pad + [pad[-1] + 1]), {p: i for i, p in enumerate(pad)}, box,
+                tuple(n * s for n, s in zip(self.cyclic_orders, strides)))
+        return self._lazy("_padded", build)
+
     # -- bitset kernels ----------------------------------------------------
 
     def translate_bits(self, bits: int, a: int) -> int:
@@ -227,7 +267,18 @@ class GroupSpec:
         return out
 
     def canonical_bits_under_units(self, bits: int) -> int:
-        return min(self.scale_bits(bits, u) for u in self.units())
+        """The least of bits' images under the unit scalings (u = 1 among
+        them), its elements read once and scaled for each unit."""
+        n = self.order
+        elems = list(self.iter_bits(bits))
+        best = bits
+        for u in self.units():
+            out = 0
+            for x in elems:
+                out |= 1 << x * u % n
+            if out < best:
+                best = out
+        return best
 
     def unit_orbit_size(self, bits: int) -> int:
         return len({self.scale_bits(bits, u) for u in self.units()})

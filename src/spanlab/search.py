@@ -10,9 +10,13 @@ validated from_state(), and each keeps its own loop:
 * AvoidingEnumerator yields the sets whose Sigma avoids a fixed target t.
   It keeps one kill mask per depth, K = t - (Sigma u {0}): the elements
   that would put t into Sigma. It starts at {t}; choosing c adds K - c,
-  one translate per node, and the child's candidates are the parent's
-  above c minus K, so a candidate that would hit t is never tried. Sigma
-  itself is never formed.
+  and the child's candidates are the parent's above c minus K, so a
+  candidate that would hit t is never tried. Sigma itself is never
+  formed. K is held doubled in the group's padded layout
+  (GroupSpec.padded_layout), where K - c is one right shift by c's
+  position: one shift per node. The shift minus the parent's candidates
+  gives the child's, and a child with too few to reach size k is counted
+  and not pushed; only a pushed child ors its shift, doubled, into K.
 
 The sized walk stays a loop of its own: run on the kill-mask loop it
 measured 30-45% slower per node. max_avoiding is the avoiding loop started
@@ -302,7 +306,12 @@ class SizedEnumerator(_Engine):
 class AvoidingEnumerator(_Engine):
     """Lexicographic DFS over size-k subsets whose Sigma avoids one fixed
     target, cut by symmetries fixing it if given (see the module docstring).
-    Yields the leaves as index tuples."""
+    Yields the leaves as index tuples.
+
+    Its per-depth stacks are in the group's padded layout: kills[d] is
+    depth d's kill mask doubled, allowed[d] its candidates, of which run()
+    tries those from cursor[d] on. path and cursor hold element indices.
+    """
 
     kind = "avoiding"
     fields = ("target", "k")
@@ -317,30 +326,51 @@ class AvoidingEnumerator(_Engine):
         super().__init__(group, k, budget)
         self.target = target
         self.symmetries = symmetries
-        self.kills: list[int] = [1 << target]
-        self.allowed: list[int] = [group.full_mask & ~(1 | 1 << target)]
+        lay = group.padded_layout()
+        self.kills: list[int] = [_doubled(1 << lay.pad[target], lay.doublings)]
+        self.allowed: list[int] = [lay.box & ~(1 << lay.pad[0] | 1 << lay.pad[target])]
         self._grow = False  # set by max_avoiding only
 
     def _descend(self, x: int) -> bool:
         # off the candidate mask (not ascending, 0, t, or killed) the run would
         # yield sets whose sums hit the target
-        if not self.allowed[-1] >> x & 1:
+        lay = self.group.padded_layout()
+        p = lay.pad[x]
+        if not self.allowed[-1] >> p & 1:
             return False
-        kill = self.kills[-1]
-        kill |= self.group.translate_bits(kill, self.group.neg_table()[x])
+        shifted = self.kills[-1] >> p
         self.path.append(x)
-        self.kills.append(kill)
-        self.allowed.append(self.allowed[-1] & (-1 << (x + 1)) & ~kill)
+        self.kills.append(self.kills[-1] | _doubled(shifted & lay.box, lay.doublings))
+        self.allowed.append(self.allowed[-1] & (-1 << (p + 1)) & ~shifted)
         return True
+
+    def _remaining(self, depth: int) -> int:
+        """Depth `depth`'s candidates from its cursor on (a cursor past the
+        last element, as at depth k, leaves none)."""
+        pad = self.group.padded_layout().pad
+        return self.allowed[depth] & (-1 << pad[min(self.cursor[depth], self.group.order)])
+
+    def first_elements(self) -> list[int]:
+        """The root's nodes from its cursor on: the candidates f with at
+        least k candidates from f on, ascending."""
+        unpad = self.group.padded_layout().unpad
+        rest = self._remaining(0)
+        out = []
+        while rest.bit_count() >= self.k:
+            low = rest & -rest
+            out.append(unpad[low.bit_length() - 1])
+            rest ^= low
+        return out
 
     def run(self) -> Iterator[tuple[int, ...]]:
         if self.done:
             return
         g = self.group
-        translate = g.translate_bits
-        neg_table = g.neg_table()
+        _, unpad, box, doublings = g.padded_layout()
         k = self.k
         path, cursor, kills, allowed = self.path, self.cursor, self.kills, self.allowed
+        for d in range(len(cursor)):
+            allowed[d] = self._remaining(d)
         stats = self.stats
         nodes = stats.nodes
         check_at = self._start()
@@ -358,8 +388,11 @@ class AvoidingEnumerator(_Engine):
             for d, x in enumerate(path):
                 imgs[d + 1] = imgs[d] | image[x]
                 pres[d + 1] = pres[d] | rep << x
+        # rest and kill are allowed[depth] and kills[depth], rest less the
+        # candidates tried since it was last stored
+        depth = len(path)
+        rest, kill = allowed[depth], kills[depth]
         while True:
-            depth = len(path)
             if depth == k:
                 leaf = tuple(path)
                 if grow:
@@ -368,23 +401,35 @@ class AvoidingEnumerator(_Engine):
                 else:
                     # step past the leaf before yielding it (see SizedEnumerator)
                     path.pop(); cursor.pop(); kills.pop(); allowed.pop()
+                    depth -= 1
+                    rest, kill = allowed[depth], kills[depth]
                 stats.emitted += 1
                 stats.nodes = nodes
                 yield leaf
                 continue
-            m = allowed[depth] & (-1 << cursor[depth])
-            if m == 0 or m.bit_count() < k - depth:
+            need = k - depth - 1  # the candidates a child needs
+            if rest.bit_count() <= need:
                 if depth == 0:
                     self.done = True
                     stats.nodes = nodes
                     return
                 path.pop(); cursor.pop(); kills.pop(); allowed.pop()
+                depth -= 1
+                rest, kill = allowed[depth], kills[depth]
                 continue
-            c = (m & -m).bit_length() - 1
+            low = rest & -rest
+            rest ^= low
+            p = low.bit_length() - 1
+            c = unpad[p]
             if nodes == check_at:
                 check_at = self._check(nodes)
             nodes += 1
             cursor[depth] = c + 1
+            # the kill mask translated by -c, past the box where it wrapped
+            shifted = kill >> p
+            child = rest & ~shifted
+            if child.bit_count() < need:
+                continue  # a dead child: walked, and popped at once
             if syms:
                 img = imgs[depth] | image[c]
                 pre = pres[depth] | rep << c
@@ -393,12 +438,24 @@ class AvoidingEnumerator(_Engine):
                 if x & ~(x - rep) & img:
                     continue
                 imgs[depth + 1], pres[depth + 1] = img, pre
-            kill = kills[depth]
-            kill |= translate(kill, neg_table[c])
+            shifted &= box
+            for s in doublings:
+                shifted |= shifted << s
+            kill |= shifted
+            allowed[depth] = rest
             path.append(c)
             cursor.append(c + 1)
             kills.append(kill)
-            allowed.append(m & (-1 << (c + 1)) & ~kill)
+            allowed.append(child)
+            depth += 1
+            rest = child
+
+
+def _doubled(bits: int, doublings: tuple[int, ...]) -> int:
+    """A padded-layout mask with every coordinate doubled."""
+    for s in doublings:
+        bits |= bits << s
+    return bits
 
 
 @dataclass

@@ -132,6 +132,36 @@ def test_translate_bits_matches_coordinatewise_reference():
                         ref.translate_bits_brute(g, bits, a), (g, bits, a)
 
 
+@pytest.mark.parametrize("spec", ["Z64", "Z2xZ32", "Z4xZ4xZ4", "Z2xZ2xZ2xZ2xZ2xZ2",
+                                  "Z3xZ3xZ3", "Z7xZ7"])
+def test_padded_layout_shift_is_the_translate(spec):
+    # the avoiding walk's kill step, K | (K - c), as one shift of the
+    # doubled padded mask
+    g = S.parse_group_spec(spec)
+    pad, unpad, box, doublings = g.padded_layout()
+    assert sorted(pad) == list(pad) and len(doublings) == len(g.cyclic_orders)
+    assert box == sum(1 << pad[i] for i in range(g.order)) < 1 << pad[g.order]
+    assert all(unpad[pad[i]] == i for i in range(g.order)) and len(unpad) == g.order
+    if g.is_cyclic_spec:
+        assert pad == tuple(range(g.order + 1)) and doublings == (g.order,)
+    rnd = random.Random(17)
+    neg = g.neg_table()
+    for _ in range(8):
+        kill = rnd.getrandbits(g.order)
+        padded = doubled = sum(1 << pad[i] for i in g.iter_bits(kill))
+        for s in doublings:
+            doubled |= doubled << s
+        for c in range(g.order):
+            shifted = padded | (doubled >> pad[c]) & box
+            assert sum(1 << unpad[p] for p in g.iter_bits(shifted)) == \
+                kill | g.translate_bits(kill, neg[c]), (spec, kill, c)
+
+
+def test_padded_layout_refuses_masks_past_its_cap():
+    with pytest.raises(S.groups.GroupTooLargeError):
+        S.make_group((2,) * 13).padded_layout()
+
+
 def test_automorphism_generators_are_automorphisms():
     for order in range(2, 37):
         for orders in S.abelian_groups_of_order(order):

@@ -323,6 +323,56 @@ def test_avoiding_enumerator_resume_is_lossless():
     assert chunked == uninterrupted
 
 
+@pytest.mark.parametrize("spec,target,k", [("Z3xZ3xZ3", 4, 9), ("Z2xZ8", 4, 5)])
+@pytest.mark.parametrize("cut", [False, True])
+def test_noncyclic_avoiding_resume_is_lossless(spec, target, k, cut):
+    # off single-factor specs the engine's padded bit positions differ from
+    # the element indices in path and cursor, so a resume that mixed the
+    # two would lose or repeat leaves
+    g = S.parse_group_spec(spec)
+    syms = S.target_symmetries(g, target) if cut else ()
+    assert bool(syms) == cut
+    straight = S.AvoidingEnumerator(g, target, k, symmetries=syms)
+    uninterrupted = list(straight.run())
+    assert len(uninterrupted) > 1
+
+    def make(state):
+        budget = S.SearchBudget(max_nodes=97)
+        if state is None:
+            return S.AvoidingEnumerator(g, target, k, budget, syms)
+        return S.AvoidingEnumerator.from_state(g, state, budget, syms)
+
+    chunked, final_state = _drain_with_pauses(make, 97)
+    assert chunked == uninterrupted
+    assert final_state["nodes"] == straight.stats.nodes > 97
+
+
+# why None: a path on the candidate mask, which loads
+@pytest.mark.parametrize("spec,target,path,why", [
+    ("Z3xZ3xZ3", 4, [1, 2], None),
+    ("Z3xZ3xZ3", 4, [0, 1], "zero"),
+    ("Z3xZ3xZ3", 4, [1, 4], "the target"),
+    ("Z3xZ3xZ3", 4, [1, 3], "killed: (0,0,1) + (0,1,0) = (0,1,1)"),
+    ("Z3xZ3xZ3", 4, [1, 9, 20], None),
+    ("Z3xZ3xZ3", 4, [1, 9, 21], "killed: (0,0,1) + (1,0,0) + (2,1,0) = (0,1,1)"),
+    ("Z3xZ3xZ3", 4, [1, 27], "outside the group"),
+    ("Z2xZ8", 9, [5, 11], None),
+    ("Z2xZ8", 9, [5, 12], "killed: (0,5) + (1,4) = (1,1), wrapping"),
+    ("Z2xZ8", 9, [9], "the target"),
+    ("Z2xZ8", 9, [3, 16], "outside the group"),
+])
+def test_noncyclic_avoiding_from_state_rejects_paths_off_the_candidate_mask(
+        spec, target, path, why):
+    g = S.parse_group_spec(spec)
+    state = dict(S.AvoidingEnumerator(g, target, 3).state(), path=path,
+                 cursor=[x + 1 for x in path] + [path[-1] + 1])
+    if why is None:
+        S.AvoidingEnumerator.from_state(g, state)
+        return
+    with pytest.raises(S.CheckpointMismatch):
+        S.AvoidingEnumerator.from_state(g, state)
+
+
 @pytest.mark.parametrize("path,why", [
     ([3, 1], "not ascending"),
     ([0, 1], "zero"),
