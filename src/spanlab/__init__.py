@@ -27,7 +27,7 @@ from .extremal import (HAS_COMPLETE_SUBSET, SHAPE_B, SHAPE_EX1, SHAPE_EX2,
                        make_example_1, make_example_2, theorem_main_hypothesis,
                        verify_theorem_main)
 from .fuzz import CAMPAIGNS, FuzzReport, run_all_campaigns, run_campaign
-from .groups import (Element, ElementSet, GroupSpec, SubgroupHandle,
+from .groups import (ElementSet, GroupSpec, SubgroupHandle,
                      abelian_groups_of_order, all_subgroups, cosets,
                      generated_subgroup, is_prime, make_group, parse_group_spec,
                      subgroups_of_order)
@@ -46,7 +46,7 @@ __all__ = [
     "APWitness", "AvoidingEnumerator", "BoundReport", "CAMPAIGNS",
     "CampaignRecord", "CampaignStore", "CheckpointMismatch", "ConjectureReport",
     "CosetProfile", "CriticalRow", "CriticalSearchOutcome", "CriticalTable",
-    "Element", "ElementSet", "EnumerationPaused", "ExtremalEnumeration",
+    "ElementSet", "EnumerationPaused", "ExtremalEnumeration",
     "ExtremalRecord", "FuzzReport", "GroupSpec", "HAS_COMPLETE_SUBSET",
     "MaxSearchResult", "ObservationReport", "SHAPE_B", "SHAPE_EX1", "SHAPE_EX2",
     "SHAPE_I", "SHAPE_II", "SearchBudget", "SearchStats", "SequenceOverGroup",

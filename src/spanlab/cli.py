@@ -575,7 +575,8 @@ def _add_enum_flags(p: _Parser, orbit_dedup: bool = True) -> None:
                             "off otherwise)")
     p.add_argument("--threads", type=int,
                    default=_env_int("SPANLAB_THREADS", 1),
-                   help="worker processes for extended enumeration "
+                   help="worker processes for extended enumeration, at "
+                        "least 1; the pool has at most one per CPU "
                         "(default SPANLAB_THREADS or 1)")
     p.add_argument("--resume", metavar="CHECKPOINT",
                    help="resume from a checkpoint.json written by an "
@@ -687,7 +688,11 @@ def build_parser() -> _Parser:
 def main(argv: list[str] | None = None) -> int:
     """Run one command. Every command but report is a campaign: one _Run,
     whose ledger record a failure also lands in (status FAILED, exit 1)."""
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "threads", 1) < 1:
+        parser.error(f"--threads (or SPANLAB_THREADS) must be at least 1, "
+                     f"got {args.threads}")
     store = CampaignStore(args.store)
     try:
         if args.func is cmd_report:

@@ -23,6 +23,7 @@ p always denotes the smallest prime divisor of |G|.
 
 from __future__ import annotations
 
+import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -37,8 +38,8 @@ from .groups import (ElementSet, GroupSpec, SubgroupHandle, cosets, is_prime,
                      make_group, smallest_prime_divisor, subgroups_of_order)
 from .search import (ENGINE_VERSION, AvoidingEnumerator, CheckpointMismatch,
                      EnumerationPaused, SearchBudget, SearchStats,
-                     SizedEnumerator, check_fields, run_work_unit,
-                     target_representatives, target_symmetries)
+                     SizedEnumerator, check_fields, target_representatives,
+                     target_symmetries)
 from .sums import complete_subgroup_witnesses, contains_complete_subset, subset_sums_bits
 
 SCHEMA_VERSION = 1
@@ -310,21 +311,23 @@ def check_observation_31(a: ElementSet) -> ObservationReport:
 class ExtremalEnumeration:
     """Streams every extremal set of a group exactly once, classified.
 
-    Two engines: "direct" walks all size-k subsets of G \\ {0} with a
-    spanning prune (up to MAX_CANDIDATES candidate sets); with extended,
-    "missed_target" runs one target-avoiding DFS per missed value, which
-    scales to far larger spaces but revisits sets missing several targets,
-    so it deduplicates -- by unit-orbit canonical form when orbit_dedup is
-    on (single-factor groups; target list shrinks to one representative
-    per divisor class), by raw bitmask otherwise (all targets searched).
+    Two engines: "direct" walks all size-k subsets of G \\ {0} on a
+    SizedEnumerator, which cuts spanning prefixes (up to MAX_CANDIDATES
+    candidate sets); with extended, "missed_target" runs one
+    target-avoiding DFS per missed value, which scales to far larger
+    spaces but revisits sets missing several targets, so it deduplicates
+    -- by unit-orbit canonical form when orbit_dedup is on (single-factor
+    groups; target list shrinks to one representative per divisor class),
+    by raw bitmask otherwise (all targets searched).
 
-    threads > 1 fans each target's subtrees, one per first element, over a
-    process pool and merges them in lexicographic order, so the records
+    threads > 1 hands each target's walk to AvoidingEnumerator.run_split
+    over a process pool of min(threads, CPUs) workers: one unit per root
+    node the walk pushes, merged in lexicographic order, so the records
     are the bytes of a single-worker run. The budget bounds the whole
     records() call under one rule at any thread count: a walk pauses once
     its allowance is spent, a single worker before its next node, the pool
-    at its next first-element boundary, and before the first node when
-    the allowance is spent already. The pause raises EnumerationPaused
+    after the root node whose subtree spent it, and before the first node
+    when the allowance is spent already. The pause raises EnumerationPaused
     with state(), which the checkpoint argument restores under any thread
     count. stats.nodes counts the nodes this call walked, paused or not.
     """
@@ -475,14 +478,15 @@ class ExtremalEnumeration:
     def _run_missed(self, start: float) -> Iterator[ExtremalRecord]:
         """Walk the targets from target_pos, each on its AvoidingEnumerator:
         run in this process with one worker or when resumed below the root,
-        otherwise split over the pool by _pooled."""
-        with (ProcessPoolExecutor(max_workers=self.threads) if self.threads > 1
+        otherwise split over a pool of at most one worker per CPU."""
+        workers = min(self.threads, os.cpu_count() or 1)
+        with (ProcessPoolExecutor(max_workers=workers) if self.threads > 1
               else nullcontext()) as pool:
             while self.target_pos < len(self.targets):
                 t = self.targets[self.target_pos]
                 eng = self._engine = self._engine or AvoidingEnumerator(
                     self.group, t, self.k, None, self._stabilizer(t))
-                leaves = (self._pooled(eng, pool) if pool and not eng.path else
+                leaves = (eng.run_split(pool.submit) if pool and not eng.path else
                           (sum(1 << i for i in leaf) for leaf in eng.run()))
                 for mask in self._walk(eng, leaves, start):
                     indices = self._first_sighting(mask)
@@ -490,36 +494,6 @@ class ExtremalEnumeration:
                         yield self._emit(indices)
                 self._engine = None
                 self.target_pos += 1
-
-    def _pooled(self, eng: AvoidingEnumerator, pool: ProcessPoolExecutor
-                ) -> Iterator[int]:
-        """The leaves (as bitmasks) of eng's walk from its root cursor on,
-        one run_work_unit per first element, in lexicographic order.
-
-        The first elements are the root's nodes: the candidates f with at
-        least k candidates from f on. One cut by the stabilizer is a node
-        with no subtree. After each f the root cursor moves to f + 1 and
-        eng counts the node and its subtree, as its own run() would, then
-        pauses there if the allowance is spent, cancelling pending units.
-        """
-        eng._start()
-        units = []
-        for f in eng.first_elements():
-            cut = any(s[f] < f for s in eng.symmetries)
-            units.append((f, None if cut else pool.submit(
-                run_work_unit, self.group.cyclic_orders, eng.target, self.k, f,
-                eng.symmetries)))
-        try:
-            for f, unit in units:
-                leaves, nodes = unit.result() if unit else ([], 0)
-                yield from leaves
-                eng.stats.nodes += 1 + nodes
-                eng.cursor[0] = f + 1
-                eng._check(eng.stats.nodes)
-        finally:
-            for _, unit in units:
-                if unit:
-                    unit.cancel()
 
 
 def enumerate_extremal(group: GroupSpec, budget: SearchBudget | None = None,

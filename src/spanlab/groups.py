@@ -125,13 +125,6 @@ class GroupSpec:
             idx += (c % n) * stride
         return idx
 
-    def element(self, index: int) -> "Element":
-        return Element(self, self.coords_of(index))
-
-    @property
-    def identity(self) -> "Element":
-        return Element(self, (0,) * len(self.cyclic_orders))
-
     def add(self, i: int, j: int) -> int:
         if len(self.cyclic_orders) == 1:
             return (i + j) % self.order
@@ -285,32 +278,6 @@ class GroupSpec:
 
 
 @dataclass(frozen=True)
-class Element:
-    group: GroupSpec
-    coords: tuple[int, ...]
-
-    @property
-    def index(self) -> int:
-        return self.group.index_of(self.coords)
-
-    def __add__(self, other: "Element") -> "Element":
-        if self.group != other.group:
-            raise ValueError("elements from mismatched groups")
-        return Element(self.group, tuple((a + b) % n for a, b, n in
-                                         zip(self.coords, other.coords, self.group.cyclic_orders)))
-
-    def __neg__(self) -> "Element":
-        return Element(self.group, tuple((-a) % n for a, n in
-                                         zip(self.coords, self.group.cyclic_orders)))
-
-    def __sub__(self, other: "Element") -> "Element":
-        return self + (-other)
-
-    def order(self) -> int:
-        return self.group.element_order(self.index)
-
-
-@dataclass(frozen=True)
 class ElementSet:
     """Immutable subset of a group, stored as a bitmask over element indices."""
 
@@ -373,9 +340,7 @@ class ElementSet:
         self._check(other)
         return self.bits & ~other.bits == 0
 
-    def translate(self, a: int | Element) -> "ElementSet":
-        if isinstance(a, Element):
-            a = a.index
+    def translate(self, a: int) -> "ElementSet":
         return ElementSet(self.group, self.group.translate_bits(self.bits, a % self.group.order))
 
     def negate(self) -> "ElementSet":

@@ -3,20 +3,26 @@
 Two engines walk the size-k subsets of G \\ {0} in lexicographic order,
 each by an explicit-stack DFS whose position (the path and a cursor per
 depth) is its checkpoint; they share that position, state() and the
-validated from_state(), and each keeps its own loop:
+validated from_state(), and each keeps its own loop. Both hold their
+per-depth masks doubled in the group's padded layout
+(GroupSpec.padded_layout), where translating a mask by -c is one right
+shift by c's position, masked to the box: one shift per node. Path and
+cursor hold element indices.
 
 * SizedEnumerator yields the sets whose subset sums miss some element.
-  It keeps Sigma per depth and cuts a prefix that already spans;
+  It keeps Sigma per depth; choosing c adds (Sigma u {0}) + c, the shift
+  by -c's position plus c itself, and a prefix that then spans is cut.
+  Only a pushed child ors the added sums, doubled, into Sigma;
 * AvoidingEnumerator yields the sets whose Sigma avoids a fixed target t.
   It keeps one kill mask per depth, K = t - (Sigma u {0}): the elements
   that would put t into Sigma. It starts at {t}; choosing c adds K - c,
   and the child's candidates are the parent's above c minus K, so a
   candidate that would hit t is never tried. Sigma itself is never
-  formed. K is held doubled in the group's padded layout
-  (GroupSpec.padded_layout), where K - c is one right shift by c's
-  position: one shift per node. The shift minus the parent's candidates
-  gives the child's, and a child with too few to reach size k is counted
-  and not pushed; only a pushed child ors its shift, doubled, into K.
+  formed. The shift minus the parent's candidates gives the child's, and
+  a child with too few to reach size k is counted and not pushed; only a
+  pushed child ors its shift, doubled, into K. run_split walks the root
+  as run() does and hands each pushed root node's subtree to a pool as
+  one run_work_unit.
 
 The sized walk stays a loop of its own: run on the kill-mask loop it
 measured 30-45% slower per node. max_avoiding is the avoiding loop started
@@ -156,7 +162,9 @@ class _Engine:
     stacks, and pushes one element with _descend, which returns False where
     its run() would cut that child. Both run() loops take their stop point
     from _start and _check: a run pauses before the first node it may not
-    walk, so stats.nodes counts every node walked once across a pause.
+    walk, so stats.nodes counts every node walked once across a pause. A
+    run steps past each leaf before yielding it, so no position holds a
+    full-length path; from_state refuses one, which would repeat its leaf.
     """
 
     kind = ""
@@ -202,7 +210,7 @@ class _Engine:
         last = group.order - self.k + 1  # past the last start at depth 0
         # root <= path ascending; path[d] (path[-1] at the top) < cursor[d]
         # <= last + d; every prefix kept by the kind's prune
-        if (len(cursor) != len(path) + 1 or len(path) > self.k
+        if (len(cursor) != len(path) + 1 or len(path) >= self.k
                 or any(a >= b for a, b in zip(below, path))
                 or any(not x < c <= last + d
                        for d, (x, c) in enumerate(zip(path + below[-1:], cursor)))
@@ -243,7 +251,12 @@ class _Engine:
 
 class SizedEnumerator(_Engine):
     """Lexicographic DFS over size-k subsets of G \\ {0}, pruning any prefix
-    that already spans. Yields the non-spanning leaves as index tuples."""
+    that already spans. Yields the non-spanning leaves as index tuples.
+
+    sigs[d] is Sigma(path[:d]) doubled in the group's padded layout, so
+    (Sigma u {0}) + c is the doubled Sigma shifted right by -c's position,
+    masked to the box, plus c itself. path and cursor hold element indices.
+    """
 
     kind = "sized"
     root = 1
@@ -253,19 +266,20 @@ class SizedEnumerator(_Engine):
         self.sigs: list[int] = [0]
 
     def _descend(self, x: int) -> bool:
+        lay = self.group.padded_layout()
         sig = self.sigs[-1]
-        sig |= self.group.translate_bits(sig | 1, x)
+        added = ((sig >> lay.pad[self.group.neg(x)]) | 1 << lay.pad[x]) & lay.box
         self.path.append(x)
-        self.sigs.append(sig)
-        return sig != self.group.full_mask
+        self.sigs.append(sig | _doubled(added, lay.doublings))
+        return (sig | added) & lay.box != lay.box
 
     def run(self) -> Iterator[tuple[int, ...]]:
         if self.done:
             return
         g = self.group
         order = g.order
-        full = g.full_mask
-        translate = g.translate_bits
+        pad, _, box, doublings = g.padded_layout()
+        down = [pad[x] for x in g.neg_table()]  # the shift that adds x
         k = self.k
         path, cursor, sigs = self.path, self.cursor, self.sigs
         stats = self.stats
@@ -295,12 +309,14 @@ class SizedEnumerator(_Engine):
             nodes += 1
             cursor[depth] = c + 1
             sig = sigs[depth]
-            new_sig = sig | translate(sig | 1, c)
-            if new_sig == full:
+            added = ((sig >> down[c]) | 1 << pad[c]) & box  # (Sigma u {0}) + c
+            if (sig | added) & box == box:
                 continue
+            for s in doublings:
+                added |= added << s
             path.append(c)
             cursor.append(c + 1)
-            sigs.append(new_sig)
+            sigs.append(sig | added)
 
 
 class AvoidingEnumerator(_Engine):
@@ -350,17 +366,48 @@ class AvoidingEnumerator(_Engine):
         pad = self.group.padded_layout().pad
         return self.allowed[depth] & (-1 << pad[min(self.cursor[depth], self.group.order)])
 
-    def first_elements(self) -> list[int]:
-        """The root's nodes from its cursor on: the candidates f with at
-        least k candidates from f on, ascending."""
-        unpad = self.group.padded_layout().unpad
+    def run_split(self, submit) -> Iterator[int]:
+        """run()'s walk from the root cursor, each root node's subtree walked
+        by submit(run_work_unit, orders, target, k, f, symmetries), as with
+        a concurrent.futures executor's submit. Every unit is submitted
+        before the first leaf is read, for a root node f that run() would
+        push: none for a dead child or one the lex-leader cut drops.
+
+        Yields the leaves as bitmasks in run()'s order and counts the nodes
+        run() counts. It pauses only at the root: by _start, and by _check
+        after each root node and its subtree, with the root cursor past
+        that node. Pending units are cancelled when the walk stops.
+        """
+        if self.done:
+            return
+        g, k, syms = self.group, self.k, self.symmetries
+        unpad = g.padded_layout().unpad
+        kill, need = self.kills[0], k - 1
         rest = self._remaining(0)
-        out = []
-        while rest.bit_count() >= self.k:
+        self._start()
+        units = []
+        while rest.bit_count() > need:
             low = rest & -rest
-            out.append(unpad[low.bit_length() - 1])
             rest ^= low
-        return out
+            p = low.bit_length() - 1
+            f = unpad[p]
+            # run()'s two cuts; at depth 0 the lane test is s(f) < f
+            live = ((rest & ~(kill >> p)).bit_count() >= need
+                    and not any(s[f] < f for s in syms))
+            units.append((f, submit(run_work_unit, g.cyclic_orders, self.target,
+                                    k, f, syms) if live else None))
+        try:
+            for f, unit in units:
+                leaves, walked = unit.result() if unit else ([], 0)
+                yield from leaves
+                self.stats.nodes += 1 + walked
+                self.cursor[0] = f + 1
+                self._check(self.stats.nodes)
+        finally:
+            for _, unit in units:
+                if unit:
+                    unit.cancel()
+        self.done = True
 
     def run(self) -> Iterator[tuple[int, ...]]:
         if self.done:
@@ -504,6 +551,8 @@ def run_work_unit(orders: tuple[int, ...], target: int, k: int, first: int,
     last = group.order - k  # the last first element of a size-k set
     if not 0 < first <= last or first == target:
         return [], 0
+    if k == 1:  # the root node {first} is the leaf
+        return [1 << first], 0
     # first chosen, and the root cursor past the last start
     state = dict(AvoidingEnumerator(group, target, k).state(),
                  path=[first], cursor=[last + 1, first + 1])

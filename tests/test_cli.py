@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import re
+from concurrent.futures import Future
 
 import pytest
 
 import spanlab as S
 import spanlab.cli
+import spanlab.extremal
 import spanlab.search
 from spanlab.cli import main as cli_main
 from spanlab.extremal import Verdict
@@ -158,6 +161,58 @@ def test_bad_integer_environment_exits_one(cli):
                        env={"SPANLAB_SEED": "abc"})
     assert code == 1
     assert "SPANLAB_SEED" in err
+
+
+@pytest.mark.parametrize("flags,env", [
+    (["--threads", 0], None),
+    (["--threads", -3], None),
+    ([], {"SPANLAB_THREADS": "0"}),
+])
+def test_threads_below_one_is_a_usage_error(cli, flags, env):
+    code, _, err = cli("enumerate-extremal", "--group", "Z3", "--extended",
+                       *flags, env=env)
+    assert code == 1
+    assert "SPANLAB_THREADS" in err
+    assert _campaigns(cli) == []
+
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: notes the pool size asked for and
+    runs each unit at submit, so no process starts."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        unit = Future()
+        unit.set_result(fn(*args))
+        return unit
+
+
+@pytest.mark.parametrize("cpus,workers", [(3, 3), (None, 1)])
+@pytest.mark.parametrize("flags,env", [
+    (["--threads", 100_000], None),
+    ([], {"SPANLAB_THREADS": "100000"}),
+])
+def test_threads_pool_has_at_most_one_worker_per_cpu(cli, monkeypatch, cpus,
+                                                     workers, flags, env):
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    monkeypatch.setattr(spanlab.extremal, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    code, _, _ = cli("enumerate-extremal", "--group", "Z3", "--extended",
+                     *flags, env=env)
+    assert code == 0
+    assert _InlinePool.sizes == [workers]
+    (rec,) = _campaigns(cli)
+    assert len(_artifact(cli, rec, "records.jsonl").read_text().splitlines()) == 1
 
 
 # ---------------------------------------------------- enumeration

@@ -72,8 +72,6 @@ def test_add_is_componentwise_modular(spec):
 
 def test_identity_and_inverses():
     g = S.parse_group_spec("Z2xZ6")
-    assert g.identity.index == 0
-    assert g.identity.coords == (0, 0)
     assert g.coords_of(0) == (0, 0)
     for i in range(g.order):
         assert g.add(i, 0) == i

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from concurrent.futures import Future
 
 import pytest
 
@@ -347,6 +348,25 @@ def test_noncyclic_avoiding_resume_is_lossless(spec, target, k, cut):
     assert final_state["nodes"] == straight.stats.nodes > 97
 
 
+@pytest.mark.parametrize("spec,k", [("Z3xZ3xZ3", 9), ("Z2xZ8", 7)])
+def test_noncyclic_sized_resume_is_lossless(spec, k):
+    # sigs are in the padded layout, path and cursor in element indices
+    g = S.parse_group_spec(spec)
+    straight = S.SizedEnumerator(g, k)
+    uninterrupted = list(straight.run())
+    assert len(uninterrupted) > 1
+
+    def make(state):
+        budget = S.SearchBudget(max_nodes=97)
+        if state is None:
+            return S.SizedEnumerator(g, k, budget)
+        return S.SizedEnumerator.from_state(g, state, budget)
+
+    chunked, final_state = _drain_with_pauses(make, 97)
+    assert chunked == uninterrupted
+    assert final_state["nodes"] == straight.stats.nodes > 97
+
+
 # why None: a path on the candidate mask, which loads
 @pytest.mark.parametrize("spec,target,path,why", [
     ("Z3xZ3xZ3", 4, [1, 2], None),
@@ -364,7 +384,7 @@ def test_noncyclic_avoiding_resume_is_lossless(spec, target, k, cut):
 def test_noncyclic_avoiding_from_state_rejects_paths_off_the_candidate_mask(
         spec, target, path, why):
     g = S.parse_group_spec(spec)
-    state = dict(S.AvoidingEnumerator(g, target, 3).state(), path=path,
+    state = dict(S.AvoidingEnumerator(g, target, 4).state(), path=path,
                  cursor=[x + 1 for x in path] + [path[-1] + 1])
     if why is None:
         S.AvoidingEnumerator.from_state(g, state)
@@ -413,6 +433,46 @@ def test_sized_from_state_rejects_positions_off_the_tree(path, cursor, why):
         S.SizedEnumerator.from_state(g, state)
 
 
+# the spanning paths span only at their last element
+@pytest.mark.parametrize("spec,k,path", [
+    ("Z3xZ3xZ3", 9, [1, 2, 3, 6, 9]),
+    ("Z3xZ3xZ3", 9, [1, 2, 3, 6, 9, 18]),
+    ("Z3xZ3xZ3", 9, [1, 3, 4, 9, 10, 12]),
+    ("Z3xZ3xZ3", 9, [2, 5, 7, 11, 13, 19]),
+    ("Z2xZ8", 7, [1, 2, 4, 8]),
+    ("Z2xZ8", 7, [1, 2, 4, 8, 9]),
+    ("Z2xZ8", 7, [3, 5, 6, 9, 12]),
+    ("Z2xZ8", 7, [5, 6, 9, 10, 13]),
+])
+def test_noncyclic_sized_from_state_refuses_a_spanning_prefix(spec, k, path):
+    g = S.parse_group_spec(spec)
+    state = dict(S.SizedEnumerator(g, k).state(), path=path,
+                 cursor=[x + 1 for x in path] + [path[-1] + 1])
+    if S.subset_sums_bits(g, path) != g.full_mask:
+        S.SizedEnumerator.from_state(g, state)
+        return
+    assert S.subset_sums_bits(g, path[:-1]) != g.full_mask
+    with pytest.raises(S.CheckpointMismatch):
+        S.SizedEnumerator.from_state(g, state)
+
+
+@pytest.mark.parametrize("make", [
+    lambda g: S.SizedEnumerator(g, 6),
+    lambda g: S.AvoidingEnumerator(g, 2, 6),
+], ids=["sized", "avoiding"])
+def test_from_state_refuses_a_full_length_path(make):
+    # run() steps past each leaf before yielding it, so no run writes a
+    # leaf as its path; loaded, that leaf would be yielded a second time
+    g = S.parse_group_spec("Z15")
+    eng = make(g)
+    leaf = next(eng.run())
+    state = eng.state()
+    type(eng).from_state(g, state)
+    full = dict(state, path=list(leaf), cursor=state["cursor"] + [leaf[-1] + 1])
+    with pytest.raises(S.CheckpointMismatch):
+        type(eng).from_state(g, full)
+
+
 def test_from_state_rejects_foreign_checkpoints():
     g15 = S.parse_group_spec("Z15")
     g9 = S.parse_group_spec("Z9")
@@ -424,3 +484,41 @@ def test_from_state_rejects_foreign_checkpoints():
     bad = dict(state, engine="bogus-version")
     with pytest.raises(S.CheckpointMismatch):
         S.SizedEnumerator.from_state(g15, bad)
+
+
+# ---------------------------------------------------- the pool's root split
+
+
+@pytest.mark.parametrize("spec,orbit_dedup,skipped", [
+    ("Z3xZ3xZ3", False, 8),
+    ("Z21", False, 6),
+    ("Z21", True, 23),
+])
+def test_split_submits_a_unit_for_each_pushed_root_only(spec, orbit_dedup, skipped):
+    # skipped: the root nodes, over all targets, that get no unit because
+    # run() finds their child dead or cuts it
+    g = S.parse_group_spec(spec)
+    k = S.critical_number_formula(g) - 1
+    no_unit = 0
+    for t in S.target_representatives(g, orbit_dedup):
+        syms = S.target_symmetries(g, t) if orbit_dedup else ()
+        straight = S.AvoidingEnumerator(g, t, k, symmetries=syms)
+        want = [sum(1 << i for i in leaf) for leaf in straight.run()]
+        units = []
+
+        def submit(fn, *args):
+            assert fn is S.search.run_work_unit
+            unit = Future()
+            unit.set_result(fn(*args))
+            units.append((args[3], unit.result()[1]))
+            return unit
+
+        split = S.AvoidingEnumerator(g, t, k, symmetries=syms)
+        assert list(split.run_split(submit)) == want
+        assert split.stats.nodes == straight.stats.nodes and split.done
+        # a unit for a dead root would walk no node
+        assert all(nodes > 0 for _, nodes in units)
+        assert not any(s[f] < f for f, _ in units for s in syms)
+        roots = split.stats.nodes - sum(nodes for _, nodes in units)
+        no_unit += roots - len(units)
+    assert no_unit == skipped
