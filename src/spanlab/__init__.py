@@ -17,7 +17,7 @@ from .bounds import (APWitness, BoundReport, check_cauchy_davenport,
 from .critical import (CriticalRow, CriticalSearchOutcome, CriticalTable,
                        critical_number_case, critical_number_formula,
                        critical_number_search, elementary_divisors,
-                       verify_critical_formula)
+                       pq_window, verify_critical_formula)
 from .extremal import (HAS_COMPLETE_SUBSET, SHAPE_B, SHAPE_EX1, SHAPE_EX2,
                        SHAPE_I, SHAPE_II, UNCLASSIFIED, ConjectureReport,
                        CosetProfile, ExtremalEnumeration, ExtremalRecord,
@@ -27,10 +27,9 @@ from .extremal import (HAS_COMPLETE_SUBSET, SHAPE_B, SHAPE_EX1, SHAPE_EX2,
                        make_example_1, make_example_2, theorem_main_hypothesis,
                        verify_theorem_main)
 from .fuzz import CAMPAIGNS, FuzzReport, run_all_campaigns, run_campaign
-from .groups import (ElementSet, GroupSpec, SubgroupHandle,
-                     abelian_groups_of_order, all_subgroups, cosets,
-                     generated_subgroup, is_prime, make_group, parse_group_spec,
-                     subgroups_of_order)
+from .groups import (ElementSet, GroupSpec, abelian_groups_of_order,
+                     all_subgroups, cosets, generated_subgroup, is_prime,
+                     make_group, parse_group_spec, subgroups_of_order)
 from .search import (AvoidingEnumerator, CheckpointMismatch, EnumerationPaused,
                      MaxSearchResult, SearchBudget, SearchStats, SizedEnumerator,
                      max_avoiding, target_representatives, target_symmetries)
@@ -50,7 +49,7 @@ __all__ = [
     "ExtremalRecord", "FuzzReport", "GroupSpec", "HAS_COMPLETE_SUBSET",
     "MaxSearchResult", "ObservationReport", "SHAPE_B", "SHAPE_EX1", "SHAPE_EX2",
     "SHAPE_I", "SHAPE_II", "SearchBudget", "SearchStats", "SequenceOverGroup",
-    "SizedEnumerator", "SubgroupHandle", "TheoremReport", "UNCLASSIFIED",
+    "SizedEnumerator", "TheoremReport", "UNCLASSIFIED",
     "abelian_groups_of_order", "all_subgroups",
     "check_cauchy_davenport", "check_conjecture",
     "check_diderrich", "check_folk_lemma", "check_growth_bound",
@@ -63,8 +62,9 @@ __all__ = [
     "elementary_divisors", "enumerate_extremal", "epsilon",
     "extremality_failure", "generated_subgroup", "is_complete", "is_extremal",
     "is_prime", "make_example_1", "make_example_2", "make_group",
-    "max_avoiding", "parse_group_spec", "restricted_sums", "run_all_campaigns",
-    "run_campaign", "spans", "subgroups_of_order", "subset_sums",
+    "max_avoiding", "parse_group_spec", "pq_window", "restricted_sums",
+    "run_all_campaigns", "run_campaign", "spans", "subgroups_of_order",
+    "subset_sums",
     "subset_sums_bits", "subset_sums_with_zero", "sumset",
     "target_representatives", "target_symmetries", "theorem_main_hypothesis",
     "two_sqrt_floor", "verify_critical_formula", "verify_theorem_main",

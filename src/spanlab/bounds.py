@@ -16,7 +16,7 @@ import math
 from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
-from .groups import ElementSet, all_subgroups, is_prime
+from .groups import ElementSet, all_subgroups, generated_subgroup, is_prime
 from .sums import (
     SequenceOverGroup,
     restricted_sums,
@@ -170,11 +170,11 @@ def check_hamidoune_dichotomy(a: ElementSet) -> BoundReport:
     branch_ii = False
     concentrated = None
     for h in all_subgroups(g):
-        if h.order == g.order:
+        if h.bits == g.full_mask:
             continue
         if (a.bits & h.bits).bit_count() >= size - 1:
             branch_ii = True
-            concentrated = h.elements.serialize()
+            concentrated = h.serialize()
             break
     return BoundReport("hamidoune_dichotomy", True, branch_i or branch_ii,
                        actual=sigma0, bound=bound,
@@ -342,13 +342,11 @@ def check_growth_bound(a: ElementSet) -> BoundReport:
     """|Sigma(A)| >= min(|<A>|, 2|A|-1) for nonempty A with 0 not in A."""
     if a.bits == 0 or (a.bits & 1):
         raise ValueError("expects a nonempty subset of G \\ {0}")
-    from .groups import generated_subgroup
-
-    gen = generated_subgroup(a)
+    generated = generated_subgroup(a).cardinality
     actual = subset_sums(a).cardinality
-    bound = min(gen.order, 2 * a.cardinality - 1)
+    bound = min(generated, 2 * a.cardinality - 1)
     return BoundReport("growth_bound", True, actual >= bound, actual=actual, bound=bound,
-                       detail={"generated_order": gen.order, "size": a.cardinality})
+                       detail={"generated_order": generated, "size": a.cardinality})
 
 
 def check_prime_growth_bound(a: ElementSet) -> BoundReport:

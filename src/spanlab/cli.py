@@ -51,6 +51,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+# Flags whose default comes from an environment variable, read only when a
+# command that takes the flag runs without it: dest -> (variable, fallback).
+_ENV_DEFAULTS = {"threads": ("SPANLAB_THREADS", 1), "seed": ("SPANLAB_SEED", 0)}
+
+
 def _env_int(name: str, default: int) -> int:
     raw = os.environ.get(name)
     if raw is None or raw == "":
@@ -245,12 +250,9 @@ def cmd_cr(args, run: _Run) -> int:
     result = {"group": group.spec_string, "order": group.order,
               "formula": formula, "case": case, "search": None,
               "agree": None}
-    lines = []
-    if args.mode in ("both", "formula"):
-        lines.append(f"cr({group.spec_string}) = {formula} by formula "
-                     f"(case {case})")
+    lines = [f"cr({group.spec_string}) = {formula} by formula (case {case})"]
     status = STATUS_COMPLETE
-    if args.mode in ("both", "search"):
+    if not args.formula:
         out = critical_number_search(group, _budget(args),
                                      max_exact_order=args.max_exact_order)
         result["search"] = out.to_dict()
@@ -574,7 +576,6 @@ def _add_enum_flags(p: _Parser, orbit_dedup: bool = True) -> None:
                             "(default: on for extended runs on cyclic groups, "
                             "off otherwise)")
     p.add_argument("--threads", type=int,
-                   default=_env_int("SPANLAB_THREADS", 1),
                    help="worker processes for extended enumeration, at "
                         "least 1; the pool has at most one per CPU "
                         "(default SPANLAB_THREADS or 1)")
@@ -606,14 +607,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("cr", help="critical number: closed formula plus "
                                   "exhaustive cross-check")
     p.add_argument("--group", required=True, help="group spec, e.g. Z15")
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--formula", dest="mode", action="store_const",
-                      const="formula", help="closed form only")
-    mode.add_argument("--search", dest="mode", action="store_const",
-                      const="search", help="certified exhaustive search only")
-    mode.add_argument("--both", dest="mode", action="store_const", const="both",
-                      help="formula plus search with agreement check (default)")
-    p.set_defaults(mode="both")
+    p.add_argument("--formula", action="store_true",
+                   help="closed form only (default: formula plus certified "
+                        "exhaustive search with agreement check)")
     _add_budget_flags(p, "in all")
     p.add_argument("--max-exact-order", type=int, default=MAX_EXACT_ORDER,
                    metavar="N",
@@ -670,7 +666,7 @@ def build_parser() -> _Parser:
     p.add_argument("--lemma", action="append", choices=sorted(CAMPAIGNS),
                    help="bound to fuzz (repeatable; default: all)")
     p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
-    p.add_argument("--seed", type=int, default=_env_int("SPANLAB_SEED", 0),
+    p.add_argument("--seed", type=int,
                    help="campaign seed (default SPANLAB_SEED or 0)")
     p.add_argument("--exhaustive", action=argparse.BooleanOptionalAction,
                    default=True,
@@ -690,6 +686,9 @@ def main(argv: list[str] | None = None) -> int:
     whose ledger record a failure also lands in (status FAILED, exit 1)."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    for dest, (var, fallback) in _ENV_DEFAULTS.items():
+        if getattr(args, dest, fallback) is None:
+            setattr(args, dest, _env_int(var, fallback))
     if getattr(args, "threads", 1) < 1:
         parser.error(f"--threads (or SPANLAB_THREADS) must be at least 1, "
                      f"got {args.threads}")

@@ -6,7 +6,8 @@ Two independent routes are provided:
 
 * ``critical_number_formula`` -- the closed form, split by |G| prime /
   a short list of small exceptional groups or |G| = p*q with q in a
-  window above p / everything else;
+  window above p (``pq_window``, the paper's split of |G| = pq) /
+  everything else;
 * ``critical_number_search`` -- exhaustive branch-and-bound over
   target-avoiding subsets, returning a maximum non-spanning witness,
   which certifies cr(G) = |witness| + 1 with no formula input.
@@ -47,19 +48,38 @@ def elementary_divisors(group: GroupSpec) -> tuple[int, ...]:
                         for p, e in prime_factors(n).items()))
 
 
+def pq_window(p: int, q: int) -> str | None:
+    """Where the paper's split of |G| = p*q puts the primes p < q.
+
+    'interval' when p is odd and q <= p + floor(2*sqrt(p-2)) + 1: cr(Z_pq)
+    = p + q - 1, the symmetric generator intervals (Example 2, conjecture
+    2). 'coset' when p is odd and q lies above that but below 2p + 3:
+    cr = p + q - 2, the order-p coset sets (Example 1, conjecture 1).
+    'theorem' when q >= 2p + 3, the structure theorem's hypothesis. None
+    when p and q are not primes with p < q, or p = 2 and q < 7.
+    """
+    if not (p < q and is_prime(p) and is_prime(q)):
+        return None
+    if q >= 2 * p + 3:
+        return "theorem"
+    if p == 2:
+        return None
+    return "interval" if q <= p + two_sqrt_floor(p - 2) + 1 else "coset"
+
+
 def critical_number_case(group: GroupSpec) -> str:
     """Which arm of the closed form applies: 'prime', 'special_case2',
     or 'general_case3'.
 
-    The special arm fires for the six exceptional small groups and
-    whenever |G|/p is an odd prime m with 2 < p <= m <= p + floor(2*sqrt(p-2)) + 1,
-    except that the end m = p of that window belongs to the cyclic group
-    Z_{p^2} alone. There the larger value m + p - 1 holds: Z9 has the
-    non-spanning 4-set {1, 3, 4, 7}, whose subset sums hit everything
-    except 0, and exhaustive search gives cr(Z25) = 9. The other group of
-    order p^2, Z_p + Z_p, takes the general value 2p - 2: search gives
-    cr = 8 on Z5xZ5 and 12 on Z7xZ7 (Z3xZ3 is on the exceptional list).
-    Which of the two a group is comes from its elementary divisors.
+    The special arm fires for the six exceptional small groups, when
+    |G| = p*q with (p, q) in the 'interval' window of pq_window, and on
+    the cyclic group Z_{p^2} for odd p, where the window's end q = p would
+    sit. There the larger value 2p - 1 holds: Z9 has the non-spanning
+    4-set {1, 3, 4, 7}, whose subset sums hit everything except 0, and
+    exhaustive search gives cr(Z25) = 9. The other group of order p^2,
+    Z_p + Z_p, takes the general value 2p - 2: search gives cr = 8 on
+    Z5xZ5 and 12 on Z7xZ7 (Z3xZ3 is on the exceptional list). A spec of
+    order p^2 is one of the two by its factor count.
     """
     n = group.order
     if n < 3:
@@ -68,10 +88,8 @@ def critical_number_case(group: GroupSpec) -> str:
     if n == p:
         return "prime"
     m = n // p
-    window = (is_prime(m) and m % 2 == 1 and p > 2
-              and p <= m <= p + two_sqrt_floor(p - 2) + 1
-              and (m > p or elementary_divisors(group) == (n,)))
-    if window or elementary_divisors(group) in _SPECIAL_TYPES:
+    if (pq_window(p, m) == "interval" or (m == p > 2 and group.is_cyclic_spec)
+            or elementary_divisors(group) in _SPECIAL_TYPES):
         return "special_case2"
     return "general_case3"
 

@@ -14,7 +14,8 @@ Shape tags (witness payloads in parentheses):
 * SHAPE_B    -- synonym of SHAPE_II, emitted alongside it (same witness);
 * SHAPE_EX1  -- K \\ {0} <= A <= K + (g+K) + (-g+K) for an order-p K (K, g);
 * SHAPE_EX2  -- A = {+-g, +-2g, ..., +-mg} for a generator g, where
-                |G| = p*q (odd primes) and m = (p+q-2)/2 (g);
+                |G| = p*q with (p, q) in pq_window's 'interval' window
+                and m = (p+q-2)/2 (g);
 * HAS_COMPLETE_SUBSET -- some subgroup K has Sigma(A intersect K) = K (K);
 * UNCLASSIFIED -- none of the SHAPE_* tags matched.
 
@@ -32,10 +33,9 @@ from dataclasses import dataclass, field
 from math import comb
 from typing import Iterator
 
-from .bounds import two_sqrt_floor
-from .critical import critical_number_formula
-from .groups import (ElementSet, GroupSpec, SubgroupHandle, cosets, is_prime,
-                     make_group, smallest_prime_divisor, subgroups_of_order)
+from .critical import critical_number_formula, pq_window
+from .groups import (ElementSet, GroupSpec, cosets, make_group,
+                     smallest_prime_divisor, subgroups_of_order)
 from .search import (ENGINE_VERSION, AvoidingEnumerator, CheckpointMismatch,
                      EnumerationPaused, SearchBudget, SearchStats,
                      SizedEnumerator, check_fields, target_representatives,
@@ -75,7 +75,7 @@ class CosetProfile:
     so the slices of size >= t are exactly l_1..l_{m_t}.
     """
 
-    subgroup: SubgroupHandle
+    subgroup: ElementSet
     k: int
     lengths: tuple[int, ...]
     r: tuple[int, int, int, int, int]
@@ -83,7 +83,7 @@ class CosetProfile:
 
     def to_dict(self) -> dict:
         return {
-            "subgroup": list(self.subgroup.elements.indices()),
+            "subgroup": list(self.subgroup.indices()),
             "k": self.k,
             "lengths": list(self.lengths),
             "r": list(self.r),
@@ -91,12 +91,12 @@ class CosetProfile:
         }
 
 
-def coset_profile(a: ElementSet, h: SubgroupHandle) -> CosetProfile:
-    """Decompose a by the cosets of h (proper, nontrivial)."""
+def coset_profile(a: ElementSet, h: ElementSet) -> CosetProfile:
+    """Decompose a by the cosets of the subgroup h (proper, nontrivial)."""
     g = a.group
-    if h.elements.group != g:
+    if h.group != g:
         raise ValueError("subgroup from a different group")
-    if h.order <= 1 or h.order >= g.order:
+    if not 1 < h.bits.bit_count() < g.order:
         raise ValueError("coset profile needs a proper nontrivial subgroup")
     ell0 = (a.bits & h.bits).bit_count()
     nonzero = []
@@ -206,7 +206,7 @@ def classify(a: ElementSet) -> ExtremalRecord:
     a_bits = a.bits
     tags: set[str] = set()
     witnesses: dict[str, dict] = {}
-    classifying_h: SubgroupHandle | None = None
+    classifying_h: ElementSet | None = None
 
     if 1 < m_index < n:
         for h in subgroups_of_order(g, m_index):
@@ -215,14 +215,14 @@ def classify(a: ElementSet) -> ExtremalRecord:
                 continue  # H \ {0} not contained in a
             if SHAPE_I not in tags and a_bits == h_nz:
                 tags.add(SHAPE_I)
-                witnesses[SHAPE_I] = {"subgroup": list(h.elements.indices())}
+                witnesses[SHAPE_I] = {"subgroup": list(h.indices())}
                 if classifying_h is None:
                     classifying_h = h
             if SHAPE_II not in tags:
                 gx = _pair_coset_witness(g, h.bits, a_bits, a_bits & ~h.bits)
                 if gx is not None:
                     tags.update((SHAPE_II, SHAPE_B))
-                    w = {"subgroup": list(h.elements.indices()), "g": gx}
+                    w = {"subgroup": list(h.indices()), "g": gx}
                     witnesses[SHAPE_II] = w
                     witnesses[SHAPE_B] = dict(w)
                     if classifying_h is None:
@@ -236,12 +236,11 @@ def classify(a: ElementSet) -> ExtremalRecord:
             gx = _pair_coset_witness(g, kh.bits, a_bits, a_bits & ~kh.bits)
             if gx is not None:
                 tags.add(SHAPE_EX1)
-                witnesses[SHAPE_EX1] = {"subgroup": list(kh.elements.indices()),
-                                        "g": gx}
+                witnesses[SHAPE_EX1] = {"subgroup": list(kh.indices()), "g": gx}
                 break
 
     q = n // p
-    if p != q and p % 2 == 1 and is_prime(q) and len(a) == p + q - 2:
+    if pq_window(p, q) == "interval":
         m_half = (p + q - 2) // 2
         for gen in range(1, n):
             if g.element_order(gen) != n:
@@ -254,8 +253,7 @@ def classify(a: ElementSet) -> ExtremalRecord:
     witness_k = contains_complete_subset(a)
     if witness_k is not None:
         tags.add(HAS_COMPLETE_SUBSET)
-        witnesses[HAS_COMPLETE_SUBSET] = {
-            "subgroup": list(witness_k.elements.indices())}
+        witnesses[HAS_COMPLETE_SUBSET] = {"subgroup": list(witness_k.indices())}
 
     if not tags & _SHAPE_TAGS:
         tags.add(UNCLASSIFIED)
@@ -298,7 +296,7 @@ def check_observation_31(a: ElementSet) -> ObservationReport:
         ok = trace == (k.bits ^ 1)
         holds = holds and ok
         checks.append({
-            "subgroup": list(k.elements.indices()),
+            "subgroup": list(k.indices()),
             "trace": [i for i in a.indices() if (k.bits >> i) & 1],
             "ok": ok,
         })
@@ -508,28 +506,22 @@ def enumerate_extremal(group: GroupSpec, budget: SearchBudget | None = None,
 # -- named example constructions -------------------------------------------------
 
 
-def _example_windows(p: int, q: int) -> int:
-    if not (is_prime(p) and is_prime(q) and p % 2 == 1 and q % 2 == 1):
-        raise ValueError(f"(p, q) = ({p}, {q}): both must be odd primes")
-    if p >= q:
-        raise ValueError(f"(p, q) = ({p}, {q}): need p < q")
-    return two_sqrt_floor(p - 2)
+def _require_window(what: str, p: int, q: int, window: str) -> None:
+    if pq_window(p, q) != window:
+        raise ValueError(f"{what} needs (p, q) in pq_window's {window!r} "
+                         f"window, got ({p}, {q})")
 
 
 def make_example_1(p: int, q: int, seed: int = 0) -> ElementSet:
     """Random extremal set in Z_pq built around an order-p subgroup K:
     all of K \\ {0}, plus q - 2 elements split between the cosets 1 + K
-    and -1 + K. Requires p + floor(2*sqrt(p-2)) + 1 < q < 2p + 3.
+    and -1 + K. Requires (p, q) in pq_window's 'coset' window.
 
     Subset sums stay inside coset indices [-b, a] of K where a + b = q - 2,
     so one coset of K is always missed and the construction cannot fail the
     non-spanning re-check, which is kept as an assertion.
     """
-    w = _example_windows(p, q)
-    if not p + w + 1 < q < 2 * p + 3:
-        raise ValueError(
-            f"(p, q) = ({p}, {q}) outside the window "
-            f"{p + w + 1} < q < {2 * p + 3}")
+    _require_window("example 1", p, q, "coset")
     g = make_group((p * q,))
     k_bits = 0
     for i in range(0, p * q, q):
@@ -553,13 +545,10 @@ def make_example_1(p: int, q: int, seed: int = 0) -> ElementSet:
 def make_example_2(p: int, q: int, gen: int | None = None,
                    group: GroupSpec | None = None) -> ElementSet:
     """The symmetric interval {+-g, +-2g, ..., +-((p+q-2)/2) g} for a
-    generator g of order pq. Requires p < q <= p + floor(2*sqrt(p-2)) + 1.
+    generator g of order pq. Requires (p, q) in pq_window's 'interval' window.
     The result has size p + q - 2 = cr(Z_pq) - 1 and is verified non-spanning.
     """
-    w = _example_windows(p, q)
-    if q > p + w + 1:
-        raise ValueError(
-            f"(p, q) = ({p}, {q}) outside the window q <= {p + w + 1}")
+    _require_window("example 2", p, q, "interval")
     g = group if group is not None else make_group((p * q,))
     if g.order != p * q:
         raise ValueError(f"group order {g.order} != p*q = {p * q}")
@@ -668,17 +657,12 @@ class ConjectureReport:
 
 def conjecture_claim(which: int, p: int, q: int) -> tuple[str, str]:
     """(required tag, property text) of conjecture `which` at (p, q);
-    ValueError outside its window."""
-    w = _example_windows(p, q)
+    ValueError outside its pq_window window."""
     if which == 1:
-        if not p + w + 1 < q < 2 * p + 3:
-            raise ValueError(
-                f"conjecture 1 needs {p + w + 1} < q < {2 * p + 3}, got q = {q}")
+        _require_window("conjecture 1", p, q, "coset")
         return HAS_COMPLETE_SUBSET, "every extremal set contains a complete subset"
     if which == 2:
-        if not q <= p + w + 1:
-            raise ValueError(
-                f"conjecture 2 needs p < q <= {p + w + 1}, got q = {q}")
+        _require_window("conjecture 2", p, q, "interval")
         return SHAPE_EX2, "every extremal set is a symmetric generator interval"
     raise ValueError(f"which must be 1 or 2, got {which}")
 
@@ -750,8 +734,9 @@ class TheoremReport:
 def theorem_main_hypothesis(group: GroupSpec) -> str:
     """'even' or 'odd' when the structure theorem applies, else ValueError.
 
-    Applies when p = 2 and |G| >= 36, or when |G|/p is prime with
-    |G|/p >= 2p + 3. The even case requires SHAPE_I, the odd case SHAPE_II.
+    Applies when p = 2 and |G| >= 36, or when (p, |G|/p) is in pq_window's
+    'theorem' window: |G|/p prime and at least 2p + 3. The even case
+    requires SHAPE_I, the odd case SHAPE_II.
     """
     n = group.order
     if n < 3:
@@ -760,7 +745,7 @@ def theorem_main_hypothesis(group: GroupSpec) -> str:
     m = n // p
     if p == 2 and n >= 36:
         return "even"
-    if m > 1 and is_prime(m) and m >= 2 * p + 3:
+    if pq_window(p, m) == "theorem":
         return "even" if p == 2 else "odd"
     raise ValueError(
         f"{group.spec_string} meets no structure-theorem hypothesis "

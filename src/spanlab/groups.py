@@ -82,7 +82,7 @@ class GroupSpec:
         self._neg_table: tuple[int, ...] | None = None
         self._shift_plan: tuple[tuple[tuple[int, int, int], ...], ...] | None = None
         self._padded: PaddedLayout | None = None
-        self._subgroups: list[SubgroupHandle] | None = None
+        self._subgroups: list[ElementSet] | None = None
         self._units: tuple[int, ...] | None = None
         self._automorphisms: tuple[tuple[int, ...], ...] | None = None
 
@@ -223,15 +223,6 @@ class GroupSpec:
             bits = (low << up) | ((bits ^ low) >> down)
         return bits
 
-    def negate_bits(self, bits: int) -> int:
-        neg = self.neg_table()
-        out = 0
-        while bits:
-            low = bits & -bits
-            out |= 1 << neg[low.bit_length() - 1]
-            bits ^= low
-        return out
-
     def iter_bits(self, bits: int) -> Iterator[int]:
         while bits:
             low = bits & -bits
@@ -273,13 +264,11 @@ class GroupSpec:
                 best = out
         return best
 
-    def unit_orbit_size(self, bits: int) -> int:
-        return len({self.scale_bits(bits, u) for u in self.units()})
-
 
 @dataclass(frozen=True)
 class ElementSet:
-    """Immutable subset of a group, stored as a bitmask over element indices."""
+    """Immutable subset of a group, stored as a bitmask over element indices.
+    Subgroups and cosets are ElementSets too; set algebra works on `bits`."""
 
     group: GroupSpec
     bits: int
@@ -292,14 +281,6 @@ class ElementSet:
                 raise ValueError(f"element index {i} out of range for {group.spec_string}")
             bits |= 1 << i
         return cls(group, bits)
-
-    @classmethod
-    def empty(cls, group: GroupSpec) -> "ElementSet":
-        return cls(group, 0)
-
-    @classmethod
-    def full(cls, group: GroupSpec) -> "ElementSet":
-        return cls(group, group.full_mask)
 
     def indices(self) -> tuple[int, ...]:
         return tuple(self.group.iter_bits(self.bits))
@@ -317,35 +298,6 @@ class ElementSet:
     def __contains__(self, index: int) -> bool:
         return 0 <= index < self.group.order and (self.bits >> index) & 1 == 1
 
-    def _check(self, other: "ElementSet") -> None:
-        if self.group != other.group:
-            raise ValueError("element sets from mismatched groups")
-
-    def union(self, other: "ElementSet") -> "ElementSet":
-        self._check(other)
-        return ElementSet(self.group, self.bits | other.bits)
-
-    def intersection(self, other: "ElementSet") -> "ElementSet":
-        self._check(other)
-        return ElementSet(self.group, self.bits & other.bits)
-
-    def difference(self, other: "ElementSet") -> "ElementSet":
-        self._check(other)
-        return ElementSet(self.group, self.bits & ~other.bits)
-
-    def complement(self) -> "ElementSet":
-        return ElementSet(self.group, self.bits ^ self.group.full_mask)
-
-    def issubset(self, other: "ElementSet") -> bool:
-        self._check(other)
-        return self.bits & ~other.bits == 0
-
-    def translate(self, a: int) -> "ElementSet":
-        return ElementSet(self.group, self.group.translate_bits(self.bits, a % self.group.order))
-
-    def negate(self) -> "ElementSet":
-        return ElementSet(self.group, self.group.negate_bits(self.bits))
-
     @property
     def is_full(self) -> bool:
         return self.bits == self.group.full_mask
@@ -357,18 +309,7 @@ class ElementSet:
         return f"ElementSet({self.group.spec_string}, {list(self.indices())})"
 
 
-@dataclass(frozen=True)
-class SubgroupHandle:
-    elements: ElementSet
-    order: int
-    index: int
-
-    @property
-    def bits(self) -> int:
-        return self.elements.bits
-
-
-def make_group(cyclic_orders: Iterable[int], max_order: int = MAX_GROUP_ORDER) -> GroupSpec:
+def make_group(cyclic_orders: Iterable[int]) -> GroupSpec:
     orders = tuple(int(n) for n in cyclic_orders)
     if not orders:
         raise ValueError("a group needs at least one cyclic factor")
@@ -378,8 +319,8 @@ def make_group(cyclic_orders: Iterable[int], max_order: int = MAX_GROUP_ORDER) -
     total = 1
     for n in orders:
         total *= n
-        if total > max_order:
-            raise GroupTooLargeError(f"group order exceeds cap {max_order}")
+        if total > MAX_GROUP_ORDER:
+            raise GroupTooLargeError(f"group order exceeds cap {MAX_GROUP_ORDER}")
     return GroupSpec(orders)
 
 
@@ -497,23 +438,23 @@ def _closure_extend(g: GroupSpec, sub_bits: int, x: int) -> int:
         cur = nxt
 
 
-def generated_subgroup(s: ElementSet) -> SubgroupHandle:
+def generated_subgroup(s: ElementSet) -> ElementSet:
     """Smallest subgroup containing s. Additive closure suffices in a finite group."""
     g = s.group
     bits = 1  # identity
     for x in s:
         if not (bits >> x) & 1:
             bits = _closure_extend(g, bits, x)
-    order = bits.bit_count()
-    return SubgroupHandle(ElementSet(g, bits), order, g.order // order)
+    return ElementSet(g, bits)
 
 
-def all_subgroups(g: GroupSpec, max_order: int = MAX_SUBGROUP_ENUM_ORDER) -> list[SubgroupHandle]:
+def all_subgroups(g: GroupSpec) -> list[ElementSet]:
     """Every subgroup, sorted by (order, element tuple). Cached on the group."""
 
-    def build() -> list[SubgroupHandle]:
-        if g.order > max_order:
-            raise GroupTooLargeError(f"subgroup enumeration capped at order {max_order}")
+    def build() -> list[ElementSet]:
+        if g.order > MAX_SUBGROUP_ENUM_ORDER:
+            raise GroupTooLargeError(
+                f"subgroup enumeration capped at order {MAX_SUBGROUP_ENUM_ORDER}")
         found = {1}
         frontier = [1]
         while frontier:
@@ -524,26 +465,21 @@ def all_subgroups(g: GroupSpec, max_order: int = MAX_SUBGROUP_ENUM_ORDER) -> lis
                     if t not in found:
                         found.add(t)
                         frontier.append(t)
-        handles = []
-        for bits in found:
-            order = bits.bit_count()
-            handles.append(SubgroupHandle(ElementSet(g, bits), order, g.order // order))
-        handles.sort(key=lambda h: (h.order, h.elements.indices()))
-        return handles
+        return [ElementSet(g, bits) for bits in sorted(
+            found, key=lambda bits: (bits.bit_count(), tuple(g.iter_bits(bits))))]
     return g._lazy("_subgroups", build)
 
 
-def subgroups_of_order(g: GroupSpec, order: int) -> list[SubgroupHandle]:
-    return [h for h in all_subgroups(g) if h.order == order]
+def subgroups_of_order(g: GroupSpec, order: int) -> list[ElementSet]:
+    return [h for h in all_subgroups(g) if h.bits.bit_count() == order]
 
 
-def cosets(h: SubgroupHandle) -> list[ElementSet]:
-    """Cosets of h in its ambient group; the subgroup itself comes first,
+def cosets(h: ElementSet) -> list[ElementSet]:
+    """Cosets of the subgroup h in its ambient group; h itself comes first,
     the rest ordered by smallest representative."""
-    g = h.elements.group
-    seen = 0
-    out = [h.elements]
-    seen |= h.bits
+    g = h.group
+    seen = h.bits
+    out = [h]
     for i in range(g.order):
         if not (seen >> i) & 1:
             c = g.translate_bits(h.bits, i)

@@ -86,10 +86,9 @@ class CampaignStore:
         d.mkdir(parents=True, exist_ok=True)
         return d
 
-    def write_artifact(self, campaign_id: str, name: str, obj: Any,
-                       pretty: bool = True) -> Path:
+    def write_artifact(self, campaign_id: str, name: str, obj: Any) -> Path:
         path = self.artifact_dir(campaign_id) / name
-        atomic_write_text(path, dump_json(obj, pretty=pretty))
+        atomic_write_text(path, dump_json(obj, pretty=True))
         return path
 
     def append(self, record: CampaignRecord) -> None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Union
 
-from .groups import ElementSet, GroupSpec, SubgroupHandle, generated_subgroup
+from .groups import ElementSet, GroupSpec, all_subgroups, generated_subgroup
 
 
 @dataclass(frozen=True)
@@ -121,18 +121,16 @@ def is_complete(a: ElementSet) -> bool:
     return subset_sums_bits(a.group, a.indices()) == generated_subgroup(a).bits
 
 
-def complete_subgroup_witnesses(a: ElementSet) -> list[SubgroupHandle]:
+def complete_subgroup_witnesses(a: ElementSet) -> list[ElementSet]:
     """Nontrivial subgroups K with Sigma(A intersect K) = K, in canonical order.
 
     Sigma is monotone under supersets, so a complete subset generating K
     exists inside A exactly when A's full trace on K is complete.
     """
-    from .groups import all_subgroups
-
     group = a.group
     out = []
     for h in all_subgroups(group):
-        if h.order == 1:
+        if h.bits == 1:
             continue
         trace = a.bits & h.bits
         if trace and subset_sums_bits(group, tuple(group.iter_bits(trace))) == h.bits:
@@ -140,7 +138,7 @@ def complete_subgroup_witnesses(a: ElementSet) -> list[SubgroupHandle]:
     return out
 
 
-def contains_complete_subset(a: ElementSet) -> SubgroupHandle | None:
+def contains_complete_subset(a: ElementSet) -> ElementSet | None:
     """Smallest subgroup K (by order, then elements) completed inside A, if any."""
     if a.bits == 0 or (a.bits & 1):
         raise ValueError("expects a nonempty subset of G \\ {0}")

@@ -82,7 +82,7 @@ def test_cr_formula_only(cli):
 
 
 def test_cr_search_budget_yields_partial(cli):
-    code, out, _ = cli("cr", "--group", "Z21", "--search", "--max-nodes", 40)
+    code, out, _ = cli("cr", "--group", "Z21", "--max-nodes", 40)
     assert code == 2
     assert "PARTIAL" in out
 
@@ -119,9 +119,10 @@ def test_unknown_flag_exits_one(cli):
     ["enumerate-extremal", "--group", "Z15", "--max-candidates", 5],
     ["cr", "--group", "Z15", "--no-reduce-orbits"],
     ["verify-theorem-a", "--max-order", 5, "--reduce-orbits"],
+    ["cr", "--group", "Z15", "--both"],
 ], ids=["cr-extended", "theorem-a-extended", "conjecture-orbit-dedup",
         "conjecture-no-orbit-dedup", "enumerate-max-candidates",
-        "cr-no-reduce-orbits", "theorem-a-reduce-orbits"])
+        "cr-no-reduce-orbits", "theorem-a-reduce-orbits", "cr-both"])
 def test_removed_flags_exit_one(cli, args):
     # flags these commands no longer take are refused before any campaign
     code, _, err = cli(*args)
@@ -145,9 +146,10 @@ def test_finish_derives_the_exit_code_from_the_status(cli, status, violation,
     assert rec["status"] == status
 
 
-def test_mutually_exclusive_modes_exit_one(cli):
-    code, _, _ = cli("cr", "--group", "Z15", "--formula", "--search")
+def test_cr_search_is_an_unknown_argument(cli):
+    code, _, err = cli("cr", "--group", "Z15", "--formula", "--search")
     assert code == 1
+    assert "unrecognized arguments: --search" in err
 
 
 def test_malformed_group_spec_exits_one(cli):
@@ -161,6 +163,28 @@ def test_bad_integer_environment_exits_one(cli):
                        env={"SPANLAB_SEED": "abc"})
     assert code == 1
     assert "SPANLAB_SEED" in err
+
+
+@pytest.mark.parametrize("args,env", [
+    (["cr", "--group", "Z15", "--formula"], {"SPANLAB_THREADS": "abc"}),
+    (["enumerate-extremal", "--group", "Z15", "--threads", 1],
+     {"SPANLAB_THREADS": "abc"}),
+    (["cr", "--group", "Z15", "--formula"], {"SPANLAB_SEED": "abc"}),
+    (["fuzz-bounds", "--lemma", "2.1", "--trials", 50, "--no-exhaustive",
+      "--seed", 3], {"SPANLAB_SEED": "abc"}),
+], ids=["threads-cr", "threads-flag-given", "seed-cr", "seed-flag-given"])
+def test_environment_is_read_only_for_a_flag_left_unset(cli, args, env):
+    code, _, _ = cli(*args, env=env)
+    assert code == 0
+    (rec,) = _campaigns(cli)
+    assert rec["status"] == "COMPLETE"
+
+
+def test_ledger_config_echoes_an_environment_default(cli):
+    assert cli("fuzz-bounds", "--lemma", "2.1", "--trials", 50,
+               "--no-exhaustive", env={"SPANLAB_SEED": "9"})[0] == 0
+    (rec,) = _campaigns(cli)
+    assert rec["config"]["seed"] == 9
 
 
 @pytest.mark.parametrize("flags,env", [

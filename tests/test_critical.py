@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 import reference as ref
@@ -73,6 +75,22 @@ def test_formula_matches_case_arithmetic():
                 assert got == m + p - 1
             else:
                 assert got == m + p - 2
+
+
+def test_pq_window_interval_is_where_cr_is_p_plus_q_minus_1():
+    primes = [n for n in range(3, 100) if S.is_prime(n)]
+    for p in primes:
+        for q in primes:
+            if p < q:
+                cr = S.critical_number_formula(S.make_group((p * q,)))
+                assert (S.pq_window(p, q) == "interval") == (cr == p + q - 1), (p, q)
+                # isqrt(4(p-2)) = floor(2*sqrt(p-2)); (47, 61) sits on the edge
+                top = p + math.isqrt(4 * (p - 2)) + 1
+                want = ("interval" if q <= top else
+                        "coset" if q < 2 * p + 3 else "theorem")
+                assert S.pq_window(p, q) == want, (p, q)
+    assert [S.pq_window(2, q) for q in (5, 7)] == [None, "theorem"]
+    assert [S.pq_window(*pq) for pq in ((5, 3), (3, 3), (3, 9), (4, 7))] == [None] * 4
 
 
 # ------------------------------------------------------------ search

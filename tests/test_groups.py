@@ -14,6 +14,11 @@ from spanlab.groups import automorphism_generators
 # ------------------------------------------------------------- parsing
 
 
+def test_every_exported_name_resolves():
+    for name in S.__all__:
+        assert hasattr(S, name), name
+
+
 def test_parse_cyclic_spec():
     g = S.parse_group_spec("Z15")
     assert g.order == 15
@@ -114,8 +119,6 @@ def test_translate_and_negate_bits_match_elementwise(spec):
         t = rnd.randrange(g.order)
         shifted = g.translate_bits(bits, t)
         assert shifted == sum(1 << g.add(i, t) for i in idx)
-        negged = g.negate_bits(bits)
-        assert negged == sum(1 << g.neg(i) for i in idx)
 
 
 def test_translate_bits_matches_coordinatewise_reference():
@@ -194,34 +197,24 @@ def test_canonical_bits_is_orbit_invariant():
         assert canon == min(orbit)
 
 
-def test_unit_orbit_size_counts_distinct_images():
-    g = S.parse_group_spec("Z12")
-    for i in range(1, 12):
-        bits = 1 << i
-        orbit = {g.scale_bits(bits, u) for u in g.units()}
-        assert g.unit_orbit_size(bits) == len(orbit)
-
-
 # --------------------------------------------------------- subgroups
 
 
 @pytest.mark.parametrize("spec", ["Z12", "Z2xZ4", "Z2xZ2xZ2", "Z3xZ3"])
 def test_all_subgroups_matches_generated_closures(spec):
     g = S.parse_group_spec(spec)
-    got = {frozenset(h.elements.indices()) for h in S.all_subgroups(g)}
+    got = {frozenset(h.indices()) for h in S.all_subgroups(g)}
     want = set(ref.subgroups_brute(g))
     assert got == want
     for h in S.all_subgroups(g):
-        assert ref.is_subgroup(g, h.elements.indices())
-        assert h.order * h.index == g.order
-        assert h.order == h.elements.cardinality
+        assert ref.is_subgroup(g, h.indices())
 
 
 def test_subgroups_of_order_filters_the_lattice():
     g = S.parse_group_spec("Z12")
     for d in (1, 2, 3, 4, 6, 12):
         subs = S.subgroups_of_order(g, d)
-        assert all(h.order == d for h in subs)
+        assert all(h.cardinality == d for h in subs)
         assert len(subs) == 1  # cyclic groups: one subgroup per divisor
     assert S.subgroups_of_order(g, 5) == []
 
@@ -229,9 +222,9 @@ def test_subgroups_of_order_filters_the_lattice():
 def test_generated_subgroup():
     g = S.parse_group_spec("Z12")
     h = S.generated_subgroup(S.ElementSet.from_indices(g, [4]))
-    assert sorted(h.elements.indices()) == [0, 4, 8]
+    assert sorted(h.indices()) == [0, 4, 8]
     h2 = S.generated_subgroup(S.ElementSet.from_indices(g, [4, 6]))
-    assert sorted(h2.elements.indices()) == [0, 2, 4, 6, 8, 10]
+    assert sorted(h2.indices()) == [0, 2, 4, 6, 8, 10]
 
 
 def test_cosets_partition_the_group():
@@ -241,7 +234,7 @@ def test_cosets_partition_the_group():
     seen: set[int] = set()
     for part in parts:
         idx = set(part.indices())
-        assert len(idx) == h.order
+        assert len(idx) == h.cardinality
         assert not (idx & seen)
         seen |= idx
     assert seen == set(range(12))
@@ -270,17 +263,7 @@ def test_is_prime_small_values():
 def test_element_set_basic_ops():
     g = S.parse_group_spec("Z10")
     a = S.ElementSet.from_indices(g, [1, 3, 5])
-    b = S.ElementSet.from_indices(g, [5, 7])
     assert a.cardinality == 3
     assert sorted(a.indices()) == [1, 3, 5]
-    assert sorted(a.union(b).indices()) == [1, 3, 5, 7]
-    assert sorted(a.intersection(b).indices()) == [5]
-    assert sorted(a.difference(b).indices()) == [1, 3]
-    assert sorted(a.complement().indices()) == [0, 2, 4, 6, 7, 8, 9]
-    assert S.ElementSet.from_indices(g, [1, 3]).issubset(a)
-    assert not a.issubset(b)
-    assert S.ElementSet.empty(g).cardinality == 0
-    assert S.ElementSet.full(g).is_full
-    assert sorted(a.translate(5).indices()) == [0, 6, 8]
-    assert sorted(a.negate().indices()) == [5, 7, 9]
+    assert S.ElementSet(g, g.full_mask).is_full
     assert a.serialize() == [1, 3, 5]
