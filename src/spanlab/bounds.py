@@ -17,13 +17,8 @@ from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 from .groups import ElementSet, all_subgroups, generated_subgroup, is_prime
-from .sums import (
-    SequenceOverGroup,
-    restricted_sums,
-    subset_sums,
-    subset_sums_with_zero,
-    sumset,
-)
+from .sums import (SequenceOverGroup, restricted_sums, subset_sums_bits, sumset,
+                   sumset_bits)
 
 
 def epsilon(ell: int) -> int:
@@ -78,54 +73,37 @@ def _prime_sets(sets: Sequence[ElementSet]) -> int:
 def detect_ap(b: ElementSet) -> APWitness:
     """Decide whether b is an arithmetic progression in Z_p.
 
-    Sets of size 1, p-1 and p are progressions for every difference; the
-    canonical witness difference reported is 1. Otherwise the witness is
-    the smallest valid difference in [1, (p-1)/2], with first chosen as
-    the endpoint that makes stepping by +difference cover the set.
+    Stepping by d runs through all of Z_p, so a proper subset B splits
+    into maximal d-runs and B+d keeps all of B but the first of each run:
+    B is a d-progression exactly when |B intersect (B+d)| = |B|-1. The
+    witness is the least such d in [1, p/2], and first is the one element
+    of B not in B+d. The full group reports first 0 and difference 1.
     """
     p = _prime_cyclic_order(b)
     n = b.cardinality
     if n == 0:
         raise ValueError("empty set has no progression structure")
-    idx = b.indices()
-    if n == 1:
-        return APWitness(True, idx[0], 1, 1)
     if n == p:
         return APWitness(True, 0, 1, n)
-    if n == p - 1:
-        missing = next(i for i in range(p) if i not in b)
-        return APWitness(True, (missing + 1) % p, 1, n)
-    if n == 2:
-        x, y = idx
-        d = (y - x) % p
-        if d > p - d:
-            d, first = p - d, y
-        elif d == p - d:
-            first = x  # p = 2d impossible for odd p; guard stays for p = 2
-        else:
-            first = x
-        return APWitness(True, first, d, 2)
-    present = set(idx)
+    step = _progression_step(b.bits, n, p)
+    return APWitness(True, *step, n) if step else APWitness(False, None, None, n)
+
+
+def _progression_step(bits: int, n: int, p: int) -> tuple[int, int] | None:
+    """(first, least difference) of the n-element proper subset `bits` of
+    Z_p as a progression, or None: the rule of detect_ap."""
+    full = (1 << p) - 1
     for d in range(1, p // 2 + 1):
-        inv = pow(d, -1, p)
-        scaled = sorted((inv * e) % p for e in present)
-        gap_at = -1
-        gaps = 0
-        for i in range(n):
-            nxt = scaled[(i + 1) % n]
-            if (nxt - scaled[i]) % p != 1:
-                gaps += 1
-                gap_at = i
-        if gaps == 1:
-            start = scaled[(gap_at + 1) % n]
-            return APWitness(True, (d * start) % p, d, n)
-    return APWitness(False, None, None, n)
+        moved = ((bits << d) | (bits >> (p - d))) & full
+        if (moved & bits).bit_count() == n - 1:
+            return (bits & ~moved).bit_length() - 1, d
+    return None
 
 
 # -- report types ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundReport:
     check: str
     applied: bool
@@ -164,7 +142,7 @@ def check_hamidoune_dichotomy(a: ElementSet) -> BoundReport:
         raise ValueError("dichotomy needs |A| >= 14")
     g = a.group
     size = a.cardinality
-    sigma0 = subset_sums_with_zero(a).cardinality
+    sigma0 = (subset_sums_bits(g, a.indices()) | 1).bit_count()
     bound = min(g.order - 3, 3 * size - 3)
     branch_i = sigma0 >= bound
     branch_ii = False
@@ -182,11 +160,12 @@ def check_hamidoune_dichotomy(a: ElementSet) -> BoundReport:
                                "subgroup": concentrated})
 
 
-def _iterated_sumset(sets: Sequence[ElementSet]) -> ElementSet:
-    acc = sets[0]
+def _iterated_sumset_size(sets: Sequence[ElementSet]) -> int:
+    """|A_1 + ... + A_h| for sets _prime_sets has checked."""
+    group, acc = sets[0].group, sets[0].bits
     for s in sets[1:]:
-        acc = sumset(acc, s)
-    return acc
+        acc = sumset_bits(group, acc, s.bits)
+    return acc.bit_count()
 
 
 def check_cauchy_davenport(sets: Sequence[ElementSet]) -> BoundReport:
@@ -194,7 +173,7 @@ def check_cauchy_davenport(sets: Sequence[ElementSet]) -> BoundReport:
     p = _prime_sets(sets)
     total = sum(s.cardinality for s in sets)
     bound = min(p, total - len(sets) + 1)
-    actual = _iterated_sumset(sets).cardinality
+    actual = _iterated_sumset_size(sets)
     return BoundReport("cauchy_davenport", True, actual >= bound, actual=actual, bound=bound,
                        detail={"sizes": [s.cardinality for s in sets], "p": p})
 
@@ -233,21 +212,24 @@ def check_diderrich(sets: Sequence[ElementSet]) -> BoundReport:
     sums to just {6, 11}, below 1 + 1 + 2 - 1 = 3).
     """
     p = _prime_sets(sets)
-    witnesses = [detect_ap(s) for s in sets]
     exceptions = 0
     diffs: list[int] = []
-    for s, w in zip(sets, witnesses):
-        size = s.cardinality
-        if not w.is_ap or size == 1:
+    for s in sets:
+        size = s.bits.bit_count()
+        if size == 1:
             exceptions += 1
         elif size <= p - 2:
-            diffs.append(w.difference)
+            step = _progression_step(s.bits, size, p)
+            if step:
+                diffs.append(step[1])
+            else:
+                exceptions += 1
         # size p-1 and p sets are progressions for *every* difference, so
         # they can always dodge a clash and never constrain the assignment
     assignment = _distinct_sign_assignment(diffs, p)
     applied = exceptions <= 1 and assignment is not None
     total = sum(s.cardinality for s in sets)
-    actual = _iterated_sumset(sets).cardinality
+    actual = _iterated_sumset_size(sets)
     if not applied:
         return BoundReport("diderrich", False, True, actual=actual, bound=None,
                            detail={"exception_count": exceptions, "p": p,
@@ -278,7 +260,7 @@ def check_vosper(b1: ElementSet, b2: ElementSet) -> BoundReport:
     for b in (b1, b2):
         if not 2 <= b.cardinality <= p - 2:
             raise ValueError("needs 2 <= |B_i| <= p-2")
-    s = sumset(b1, b2).cardinality
+    s = sumset_bits(b1.group, b1.bits, b2.bits).bit_count()
     bound = min(p - 1, b1.cardinality + b2.cardinality)
     detail: dict = {"p": p, "sizes": [b1.cardinality, b2.cardinality]}
     if s >= bound:
@@ -329,7 +311,7 @@ def check_three_facts(a: ElementSet, h: int) -> BoundReport:
         holds = holds and clause_ii
 
     if zero_free and size >= two_sqrt_floor(p - 2):
-        actual_iii = subset_sums(a).cardinality
+        actual_iii = subset_sums_bits(a.group, a.indices()).bit_count()
         clause_iii = actual_iii == p
         detail["clause_iii"] = {"actual": actual_iii, "bound": p, "holds": clause_iii}
         holds = holds and clause_iii
@@ -343,7 +325,7 @@ def check_growth_bound(a: ElementSet) -> BoundReport:
     if a.bits == 0 or (a.bits & 1):
         raise ValueError("expects a nonempty subset of G \\ {0}")
     generated = generated_subgroup(a).cardinality
-    actual = subset_sums(a).cardinality
+    actual = subset_sums_bits(a.group, a.indices()).bit_count()
     bound = min(generated, 2 * a.cardinality - 1)
     return BoundReport("growth_bound", True, actual >= bound, actual=actual, bound=bound,
                        detail={"generated_order": generated, "size": a.cardinality})
@@ -355,7 +337,7 @@ def check_prime_growth_bound(a: ElementSet) -> BoundReport:
     if a.bits & 1:
         raise ValueError("expects a subset of Z_p \\ {0}")
     ell = a.cardinality
-    actual = subset_sums_with_zero(a).cardinality
+    actual = (subset_sums_bits(a.group, a.indices()) | 1).bit_count()
     bound = min(p, 2 * ell - 1 + epsilon(ell))
     return BoundReport("prime_growth_bound", True, actual >= bound, actual=actual, bound=bound,
                        detail={"p": p, "ell": ell})
@@ -365,20 +347,21 @@ def check_sequence_growth(t: SequenceOverGroup) -> BoundReport:
     """|Sigma_circ(T)| >= min(p, |T|+1) for sequences over Z_p \\ {0} of length
     >= 2, and at equality with |T| <= p-2 the support is {g, -g} or {g}."""
     p = _prime_cyclic_order(t)
-    if len(t) < 2:
+    terms, length = t.terms, len(t.terms)
+    if length < 2:
         raise ValueError("needs a sequence of length >= 2")
-    if any(x == 0 for x in t.terms):
+    if 0 in terms:
         raise ValueError("terms must avoid 0")
-    actual = subset_sums_with_zero(t).cardinality
-    bound = min(p, len(t) + 1)
+    actual = (subset_sums_bits(t.group, terms) | 1).bit_count()
+    bound = min(p, length + 1)
     holds = actual >= bound
-    detail: dict = {"p": p, "length": len(t)}
+    detail: dict = {"p": p, "length": length}
     if holds and actual == bound:
-        support = sorted(set(t.terms))
+        support = sorted(set(terms))
         pm_pair = len(support) == 1 or (
             len(support) == 2 and (support[0] + support[1]) % p == 0)
-        structure_ok = len(t) >= p - 1 or pm_pair
-        detail["equality"] = {"support": support, "long": len(t) >= p - 1,
+        structure_ok = length >= p - 1 or pm_pair
+        detail["equality"] = {"support": support, "long": length >= p - 1,
                               "pm_pair": pm_pair, "holds": structure_ok}
         holds = structure_ok
     return BoundReport("sequence_growth", True, holds, actual=actual, bound=bound,

@@ -611,8 +611,7 @@ def build_parser() -> _Parser:
                    help="closed form only (default: formula plus certified "
                         "exhaustive search with agreement check)")
     _add_budget_flags(p, "in all")
-    p.add_argument("--max-exact-order", type=int, default=MAX_EXACT_ORDER,
-                   metavar="N",
+    p.add_argument("--max-exact-order", type=int, metavar="N",
                    help=f"largest group order searched exhaustively "
                         f"(default {MAX_EXACT_ORDER}; larger orders are "
                         f"skipped)")
@@ -692,6 +691,16 @@ def main(argv: list[str] | None = None) -> int:
     if getattr(args, "threads", 1) < 1:
         parser.error(f"--threads (or SPANLAB_THREADS) must be at least 1, "
                      f"got {args.threads}")
+    if getattr(args, "trials", 0) < 0:
+        parser.error(f"--trials must be at least 0, got {args.trials}")
+    if getattr(args, "formula", False):
+        given = [f"--{dest.replace('_', '-')}" for dest in
+                 ("max_nodes", "max_seconds", "max_exact_order")
+                 if getattr(args, dest) is not None]
+        if given:
+            parser.error(f"{', '.join(given)} bound a search that --formula does not run")
+    if getattr(args, "max_exact_order", MAX_EXACT_ORDER) is None:
+        args.max_exact_order = MAX_EXACT_ORDER
     store = CampaignStore(args.store)
     try:
         if args.func is cmd_report:

@@ -76,15 +76,20 @@ def _random_group(rng: random.Random, min_order: int, max_order: int) -> GroupSp
     return cached_group(rng.choice(_groups_menu(n)))
 
 
+@lru_cache(maxsize=None)
+def _prime_groups(min_p: int, max_p: int) -> tuple[GroupSpec, ...]:
+    return tuple(cached_group((q,)) for q in _PRIMES if min_p <= q <= max_p)
+
+
 def _prime_group(rng: random.Random, min_p: int = 3, max_p: int = 31) -> GroupSpec:
-    p = rng.choice([q for q in _PRIMES if min_p <= q <= max_p])
-    return cached_group((p,))
+    return rng.choice(_prime_groups(min_p, max_p))
 
 
 def _random_subset(rng: random.Random, g: GroupSpec, size: int,
                    zero_free: bool = True) -> ElementSet:
+    # sample indexes the range as it would a list of it: the same draws
     pop = range(1, g.order) if zero_free else range(g.order)
-    return ElementSet.from_indices(g, rng.sample(list(pop), size))
+    return ElementSet.from_indices(g, rng.sample(pop, size))
 
 
 # -- trial cases ------------------------------------------------------------------
@@ -325,6 +330,8 @@ def run_campaign(lemma: str, trials: int = DEFAULT_TRIALS, seed: int = 0,
         raise ValueError(
             f"unknown bound {lemma!r}; expected one of {', '.join(CAMPAIGNS)}"
         ) from None
+    if trials < 0:
+        raise ValueError(f"trials must be at least 0, got {trials}")
     applied = violations = 0
     examples: list[dict] = []
     for i in range(trials):

@@ -277,10 +277,14 @@ class ElementSet:
     def from_indices(cls, group: GroupSpec, indices: Iterable[int]) -> "ElementSet":
         bits = 0
         for i in indices:
-            if not 0 <= i < group.order:
-                raise ValueError(f"element index {i} out of range for {group.spec_string}")
+            if i < 0:
+                break  # i is the bad index
             bits |= 1 << i
-        return cls(group, bits)
+        else:  # the upper bound is checked once, on the finished mask
+            if not bits >> group.order:
+                return cls(group, bits)
+            i = bits.bit_length() - 1  # the largest index is a bad one
+        raise ValueError(f"element index {i} out of range for {group.spec_string}")
 
     def indices(self) -> tuple[int, ...]:
         return tuple(self.group.iter_bits(self.bits))
@@ -367,6 +371,7 @@ def prime_factors(n: int) -> dict[int, int]:
     return out
 
 
+@lru_cache(maxsize=None)
 def is_prime(n: int) -> bool:
     return n >= 2 and smallest_prime_divisor(n) == n
 
@@ -439,8 +444,11 @@ def _closure_extend(g: GroupSpec, sub_bits: int, x: int) -> int:
 
 
 def generated_subgroup(s: ElementSet) -> ElementSet:
-    """Smallest subgroup containing s. Additive closure suffices in a finite group."""
+    """Smallest subgroup containing s. Additive closure suffices in a finite
+    group; in Z_n it is the multiples of gcd(n, s), read off directly."""
     g = s.group
+    if g.is_cyclic_spec:
+        return ElementSet(g, g.full_mask // ((1 << math.gcd(g.order, *s)) - 1))
     bits = 1  # identity
     for x in s:
         if not (bits >> x) & 1:

@@ -3,7 +3,11 @@
 Sigma(A) is the set of sums of nonempty subsets of A (for a sequence,
 nonempty subsequences); Sigma_circ adds 0; Sigma_h keeps only sums of
 exactly h distinct terms. All three run as bitset dynamic programs, one
-translate per term, so a full Sigma costs |A| big-int shifts.
+translate per term, so a full Sigma costs |A| big-int shifts. On a
+single-factor spec Z_n the translate is an inline rotation,
+((x << a) | (x >> (n - a))) & full, with no call per term; other specs
+call GroupSpec.translate_bits. Sigma_h updates only the layers that can
+still reach h with the terms left.
 
 Convention: Sigma(empty) = {0}, Sigma_0 = {0}.
 """
@@ -25,10 +29,10 @@ class SequenceOverGroup:
 
     @classmethod
     def from_indices(cls, group: GroupSpec, indices: Iterable[int]) -> "SequenceOverGroup":
-        terms = tuple(sorted(int(i) for i in indices))
-        for i in terms:
-            if not 0 <= i < group.order:
-                raise ValueError(f"element index {i} out of range for {group.spec_string}")
+        terms = tuple(sorted(map(int, indices)))
+        if terms and not (terms[0] >= 0 and terms[-1] < group.order):
+            bad = terms[0] if terms[0] < 0 else terms[-1]
+            raise ValueError(f"element index {bad} out of range for {group.spec_string}")
         return cls(group, terms)
 
     def __len__(self) -> int:
@@ -52,8 +56,14 @@ def _terms_of(x: Summable) -> tuple[GroupSpec, tuple[int, ...]]:
 
 def subset_sums_bits(group: GroupSpec, terms: Iterable[int]) -> int:
     """Bitmask of Sigma over the given terms; 0 for an empty term list."""
-    translate = group.translate_bits
     acc = 0
+    if group.is_cyclic_spec:
+        n, full = group.order, group.full_mask
+        for a in terms:
+            x = acc | 1
+            acc |= ((x << a) | (x >> (n - a))) & full
+        return acc
+    translate = group.translate_bits
     for a in terms:
         acc |= translate(acc | 1, a)
     return acc
@@ -78,15 +88,31 @@ def restricted_sums(x: Summable, h: int) -> ElementSet:
     group, terms = _terms_of(x)
     if not 0 <= h <= len(terms):
         raise ValueError(f"h = {h} out of range for a sequence of length {len(terms)}")
+    n, full, cyclic = group.order, group.full_mask, group.is_cyclic_spec
     translate = group.translate_bits
-    layers = [0] * (h + 1)
-    layers[0] = 1
+    layers = [1] + [0] * h  # layers[j]: the sums of j terms seen so far
+    left = len(terms)
     for seen, a in enumerate(terms):
-        for j in range(min(h, seen + 1), 0, -1):
+        left -= 1  # a layer below h - left cannot reach h any more
+        for j in range(min(h, seen + 1), max(0, h - left - 1), -1):
             prev = layers[j - 1]
-            if prev:
-                layers[j] |= translate(prev, a)
+            layers[j] |= (((prev << a) | (prev >> (n - a))) & full if cyclic
+                          else translate(prev, a))
     return ElementSet(group, layers[h])
+
+
+def sumset_bits(group: GroupSpec, a: int, b: int) -> int:
+    """Bitmask of A + B for the bitmasks a and b: the larger set translated
+    by each element of the smaller, until the union fills the group."""
+    big, small = (a, b) if a.bit_count() >= b.bit_count() else (b, a)
+    n, full, cyclic = group.order, group.full_mask, group.is_cyclic_spec
+    translate = group.translate_bits
+    out = 0
+    for x in group.iter_bits(small):
+        out |= ((big << x) | (big >> (n - x))) & full if cyclic else translate(big, x)
+        if out == full:
+            break
+    return out
 
 
 def sumset(a: ElementSet, b: ElementSet) -> ElementSet:
@@ -95,15 +121,7 @@ def sumset(a: ElementSet, b: ElementSet) -> ElementSet:
         raise ValueError("sumset over mismatched groups")
     if a.bits == 0 or b.bits == 0:
         raise ValueError("sumset of an empty set is undefined here")
-    group = a.group
-    big, small = (a.bits, b.bits) if a.cardinality >= b.cardinality else (b.bits, a.bits)
-    out = 0
-    translate = group.translate_bits
-    for x in group.iter_bits(small):
-        out |= translate(big, x)
-        if out == group.full_mask:
-            break
-    return ElementSet(group, out)
+    return ElementSet(a.group, sumset_bits(a.group, a.bits, b.bits))
 
 
 def spans(a: Summable) -> bool:

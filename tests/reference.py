@@ -239,6 +239,18 @@ def is_ap_brute(p: int, elems) -> bool:
     return False
 
 
+def least_ap_differences(p: int) -> dict[frozenset[int], int]:
+    """Every progression {a, a+d, ..., a+(n-1)d} of Z_p, 1 <= n <= p, keyed
+    to the least d in [1, p/2] that builds it. Reading a progression
+    backwards turns d into -d, so these d cover every difference class."""
+    out: dict[frozenset[int], int] = {}
+    for d in range(p // 2, 0, -1):
+        for a in range(p):
+            for n in range(1, p + 1):
+                out[frozenset((a + i * d) % p for i in range(n))] = d
+    return out
+
+
 # ------------------------------------------------------------- spanning
 
 

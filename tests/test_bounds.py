@@ -48,6 +48,20 @@ def test_detect_ap_exhaustive_small_primes(p):
             assert 1 <= w.difference <= max(1, (p - 1) // 2)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_detect_ap_reports_the_least_difference(p):
+    # check_vosper compares differences, so the least one is the contract
+    least = ref.least_ap_differences(p)
+    g = S.parse_group_spec(f"Z{p}")
+    for bits in range(1, 1 << p):
+        idx = frozenset(i for i in range(p) if bits >> i & 1)
+        w = S.detect_ap(S.ElementSet(g, bits))
+        assert w.difference == least.get(idx), sorted(idx)
+        if w.is_ap and len(idx) < p:
+            # first starts the run: stepping back from it leaves the set
+            assert (w.first - w.difference) % p not in idx, sorted(idx)
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("p", [17, 19, 23])
 def test_detect_ap_sampled_larger_primes(p):

@@ -146,6 +146,18 @@ def test_finish_derives_the_exit_code_from_the_status(cli, status, violation,
     assert rec["status"] == status
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--max-nodes", 5), ("--max-seconds", 1), ("--max-exact-order", 3),
+])
+def test_cr_formula_with_a_search_flag_is_a_usage_error(cli, flag, value):
+    # --formula runs no search, so a search budget would bound nothing
+    code, out, err = cli("cr", "--group", "Z15", "--formula", flag, value)
+    assert code == 1
+    assert flag in err
+    assert out == ""
+    assert _campaigns(cli) == []
+
+
 def test_cr_search_is_an_unknown_argument(cli):
     code, _, err = cli("cr", "--group", "Z15", "--formula", "--search")
     assert code == 1
@@ -525,6 +537,14 @@ def test_fuzz_clean_campaign_exits_zero(cli):
     assert entry["lemma"] == "2.1"
     assert entry["violations"] == 0
     assert entry["clean"] is True
+
+
+def test_fuzz_negative_trials_is_a_usage_error(cli):
+    code, _, err = cli("fuzz-bounds", "--lemma", "2.1", "--trials", -5,
+                       "--no-exhaustive")
+    assert code == 1
+    assert "--trials" in err
+    assert _campaigns(cli) == []
 
 
 def test_fuzz_seed_resolution_flag_beats_environment(cli):

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 
 import spanlab as S
+from spanlab import fuzz
 
 ALL_LEMMAS = ["2.1", "2.2", "2.3", "2.4", "2.5", "2.6", "2.7", "2.8", "2.9"]
 
@@ -26,6 +30,27 @@ def test_campaigns_report_zero_violations(lemma):
     assert rep.applied > 0
     assert rep.applied <= rep.trials
     assert rep.description
+
+
+def test_negative_trials_are_refused():
+    with pytest.raises(ValueError, match="trials"):
+        S.run_campaign("2.1", trials=-1, exhaustive=False)
+    rep = S.run_campaign("2.9", trials=0, seed=0, exhaustive=True)
+    assert (rep.trials, rep.applied, rep.violations) == (0, 0, 0)
+    assert rep.exhaustive["sequences"] == 27695
+
+
+def test_every_bound_report_is_pinned():
+    # fuzz.json keeps only counts, and examples only on a violation; this
+    # pins each trial's whole report, witnesses and detail fields included
+    digest = hashlib.sha256()
+    for campaign in S.CAMPAIGNS.values():
+        for seed in (3, 4):
+            for i in range(500):
+                rep, _ = campaign.case(fuzz._trial_rng(seed, i), i)
+                digest.update(json.dumps(rep.to_dict(), sort_keys=True).encode())
+    assert digest.hexdigest() == (
+        "fb9905b22d574c6b052d479ff1f7bed8043e1fa247ad6efaa85faed7ed8401c7")
 
 
 def test_campaigns_are_deterministic_per_seed():

@@ -227,6 +227,17 @@ def test_generated_subgroup():
     assert sorted(h2.indices()) == [0, 2, 4, 6, 8, 10]
 
 
+@pytest.mark.parametrize("spec", ["Z2", "Z13", "Z30", "Z2xZ6", "Z3xZ3", "Z2xZ2xZ4"])
+def test_generated_subgroup_matches_closure(spec):
+    # Z_n reads the gcd off, other specs close under translation
+    g = S.parse_group_spec(spec)
+    rnd = random.Random(spec)
+    for _ in range(40):
+        idx = rnd.sample(range(g.order), rnd.randint(0, min(4, g.order)))
+        h = S.generated_subgroup(S.ElementSet.from_indices(g, idx))
+        assert set(h.indices()) == ref.closure(g, idx), idx
+
+
 def test_cosets_partition_the_group():
     g = S.parse_group_spec("Z12")
     h = S.generated_subgroup(S.ElementSet.from_indices(g, [3]))
@@ -267,3 +278,10 @@ def test_element_set_basic_ops():
     assert sorted(a.indices()) == [1, 3, 5]
     assert S.ElementSet(g, g.full_mask).is_full
     assert a.serialize() == [1, 3, 5]
+
+
+@pytest.mark.parametrize("bad", [-1, -7, 10, 11, 64])
+def test_from_indices_names_an_out_of_range_index(bad):
+    g = S.parse_group_spec("Z10")
+    with pytest.raises(ValueError, match=rf"element index {bad} out of range"):
+        S.ElementSet.from_indices(g, [2, bad, 5])

@@ -57,6 +57,24 @@ def test_sumset_matches_double_loop():
         assert set(got.indices()) == ref.sumset_brute(g, a, b)
 
 
+def test_sumset_matches_double_loop_on_cyclic_specs():
+    rnd = random.Random(7)
+    for n in range(2, 32):
+        g = S.parse_group_spec(f"Z{n}")
+        for _ in range(12):
+            a = rnd.sample(range(n), rnd.randint(1, n))
+            b = rnd.sample(range(n), rnd.randint(1, n))
+            got = S.sumset(S.ElementSet.from_indices(g, a),
+                           S.ElementSet.from_indices(g, b))
+            assert set(got.indices()) == ref.sumset_brute(g, a, b)
+        # |A| + |B| > n fills the group before the last translate
+        a = list(range(n // 2 + 1))
+        b = list(range(n - 1, n // 2 - 1, -1))
+        got = S.sumset(S.ElementSet.from_indices(g, a),
+                       S.ElementSet.from_indices(g, b))
+        assert got.is_full and ref.sumset_brute(g, a, b) == set(range(n))
+
+
 def test_subset_sums_bits_handles_repeated_terms():
     g = S.parse_group_spec("Z5")
     # the sequence (1, 1) can sum to 1 or 2 but not 3
@@ -130,6 +148,32 @@ def test_restricted_sums_matches_brute_force():
         got = set(S.restricted_sums(
             S.ElementSet.from_indices(group, idx), h).indices())
         assert got == ref.restricted_sums_brute(group, idx, h)
+
+
+@pytest.mark.parametrize("spec,terms", [
+    ("Z7", (1, 1, 1, 3, 3)),
+    ("Z13", (2, 2, 5, 5, 5, 12, 12)),
+    ("Z12", (3, 3, 4, 4, 4, 6)),
+    ("Z2xZ4", (1, 1, 5, 5, 6, 7)),
+    ("Z3xZ3", (1, 1, 1, 4, 4, 8)),
+])
+def test_restricted_sums_of_sequences_at_every_h(spec, terms):
+    # repeated terms make distinct positions, not distinct values, count
+    g = S.parse_group_spec(spec)
+    t = S.SequenceOverGroup(g, terms)
+    for h in range(len(terms) + 1):
+        got = set(S.restricted_sums(t, h).indices())
+        assert got == ref.restricted_sums_brute(g, terms, h), h
+
+
+def test_restricted_sums_of_sets_at_every_h():
+    rnd = random.Random(404)
+    for _ in range(60):
+        group, idx = _random_instance(rnd, 9)
+        a = S.ElementSet.from_indices(group, idx)
+        for h in range(len(idx) + 1):
+            got = set(S.restricted_sums(a, h).indices())
+            assert got == ref.restricted_sums_brute(group, idx, h), (idx, h)
 
 
 def test_contains_complete_subset_matches_brute_force():
