@@ -163,8 +163,8 @@ def _load_checkpoint(path: Path, command: str) -> dict:
         raise CheckpointMismatch(
             f"corrupt checkpoint {path}: {exc.msg} at line {exc.lineno} "
             f"column {exc.colno}") from None
-    if not isinstance(data, dict) or "state" not in data:
-        raise CheckpointMismatch(f"corrupt checkpoint {path}: missing 'state'")
+    if not isinstance(data, dict) or not isinstance(data.get("state"), dict):
+        raise CheckpointMismatch(f"corrupt checkpoint {path}: no 'state' object")
     check_fields(data, f"checkpoint {path}", schema=CHECKPOINT_SCHEMA,
                  command=command)
     return data
@@ -309,22 +309,20 @@ def cmd_verify_theorem_a(args, run: _Run) -> int:
 
 
 def _resume_setup(args, command: str, group_spec: str):
-    """Returns (checkpoint_state_or_None, prior_lines, inherited_records).
+    """Returns (checkpoint_or_None, inherited_records).
 
     `inherited_records` is the output path recorded in the checkpoint, so
     a bare `--resume <ck>` keeps appending to the interrupted run's file
     instead of starting a fresh one in the new campaign's directory.
     """
     if not args.resume:
-        return None, [], None
+        return None, None
     ck = _load_checkpoint(Path(args.resume), command)
-    state = ck["state"]
-    check_fields(state, f"checkpoint {args.resume}", group=group_spec)
-    inherited = Path(ck["records"]) if ck.get("records") else None
-    return state, _prior_lines(ck, int(state.get("emitted", 0))), inherited
+    check_fields(ck["state"], f"checkpoint {args.resume}", group=group_spec)
+    return ck, Path(ck["records"]) if ck.get("records") else None
 
 
-def _enumerating_run(args, run: _Run, group, orbit_dedup: bool | None,
+def _enumerating_run(args, run: _Run, group, orbit_dedup: bool,
                      verdict: Verdict, report) -> int:
     """The run shared by enumerate-extremal, conjecture and verify-main.
 
@@ -335,9 +333,10 @@ def _enumerating_run(args, run: _Run, group, orbit_dedup: bool | None,
     writes the command's certificate, if any, and returns its (summary,
     lines, violation found); a PARTIAL run adds a resume hint.
     """
-    state, prior, inherited = _resume_setup(args, run.name, group.spec_string)
+    ck, inherited = _resume_setup(args, run.name, group.spec_string)
     enum = ExtremalEnumeration(group, _budget(args), args.extended, orbit_dedup,
-                               state, args.threads)
+                               ck and ck["state"], args.threads)
+    prior = _prior_lines(ck, enum.stats.emitted) if ck else []
     out = getattr(args, "out", None)
     records_path = Path(out) if out else inherited or run.dir / "records.jsonl"
     ck_path = Path(getattr(args, "checkpoint", None) or args.resume
@@ -374,7 +373,7 @@ def cmd_enumerate(args, run: _Run) -> int:
                  "nodes": enum.stats.nodes}, lines, False)
 
     return _enumerating_run(args, run, parse_group_spec(args.group),
-                            args.orbit_dedup, tally, report)
+                            not args.no_orbit_dedup, tally, report)
 
 
 def cmd_classify(args, run: _Run) -> int:
@@ -428,7 +427,8 @@ def cmd_verify_main(args, run: _Run) -> int:
                  "violations": rep.violation_count, "tags": rep.tag_counts},
                 lines, rep.outcome != "VERIFIED")
 
-    return _enumerating_run(args, run, group, args.orbit_dedup, verdict, report)
+    return _enumerating_run(args, run, group, not args.no_orbit_dedup,
+                            verdict, report)
 
 
 def cmd_fuzz(args, run: _Run) -> int:
@@ -570,11 +570,10 @@ def _add_enum_flags(p: _Parser, orbit_dedup: bool = True) -> None:
     p.add_argument("--extended", action="store_true",
                    help="allow long-running searches (missed-target engine)")
     if orbit_dedup:
-        p.add_argument("--orbit-dedup", action=argparse.BooleanOptionalAction,
-                       default=None,
-                       help="emit one representative per unit-scaling orbit "
-                            "(default: on for extended runs on cyclic groups, "
-                            "off otherwise)")
+        p.add_argument("--no-orbit-dedup", action="store_true",
+                       help="emit every extremal set, not one per "
+                            "unit-scaling orbit (orbit dedup applies to "
+                            "extended runs on cyclic groups only)")
     p.add_argument("--threads", type=int,
                    help="worker processes for extended enumeration, at "
                         "least 1; the pool has at most one per CPU "

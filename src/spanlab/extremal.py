@@ -137,21 +137,27 @@ def is_extremal(a: ElementSet) -> bool:
     return extremality_failure(a) is None
 
 
-def _pair_coset_witness(g: GroupSpec, h_bits: int, a_bits: int,
-                        residual: int) -> int | None:
-    """Smallest x such that residual fits inside (x+H) union (-x+H), or None.
+def _coset_pair_shape(g: GroupSpec, subgroups: list[ElementSet],
+                      a_bits: int) -> tuple[ElementSet, int] | None:
+    """The first H in subgroups with H \\ {0} <= A <= H + (x+H) + (-x+H),
+    and the least such x; None when no H qualifies.
 
-    Any element of either coset generates the same union, so testing the
-    pair named by the residual's lowest element is exhaustive.
+    Any element of either coset names the same pair, so testing the pair
+    named by the lowest element of A outside H is exhaustive; when A lies
+    inside H, every x outside H fits. Each H must be proper.
     """
-    if residual == 0:
-        spill = (g.full_mask ^ h_bits)
-        return (spill & -spill).bit_length() - 1 if spill else None
-    c = (residual & -residual).bit_length() - 1
-    union = g.translate_bits(h_bits, c) | g.translate_bits(h_bits, g.neg(c))
-    if residual & ~union:
-        return None
-    return (union & -union).bit_length() - 1
+    for h in subgroups:
+        if (h.bits ^ 1) & ~a_bits:
+            continue  # H \ {0} not contained in A
+        union = g.full_mask ^ h.bits
+        residual = a_bits & union
+        if residual:
+            c = (residual & -residual).bit_length() - 1
+            union = g.translate_bits(h.bits, c) | g.translate_bits(h.bits, g.neg(c))
+            if residual & ~union:
+                continue
+        return h, (union & -union).bit_length() - 1
+    return None
 
 
 def _interval_set_bits(g: GroupSpec, gen: int, m: int) -> int:
@@ -192,9 +198,13 @@ def classify(a: ElementSet) -> ExtremalRecord:
     """Full shape classification of an extremal set.
 
     Every tag is decided by exhaustive scan over its witness space
-    (index-p subgroups for SHAPE_I/II, order-p subgroups for SHAPE_EX1,
-    generators for SHAPE_EX2), and every recorded witness is the first in
-    canonical order, so records are deterministic and re-verifiable.
+    (index-p subgroups for SHAPE_II, order-p subgroups for SHAPE_EX1,
+    the generators in A for SHAPE_EX2), and every recorded witness is the
+    first in canonical order, so records are deterministic and
+    re-verifiable. SHAPE_I is read off the SHAPE_II witness H: A = H \\ {0}
+    leaves H the only index-p subgroup whose nonzero part lies in A, and
+    the coset profile is taken against H (with no SHAPE_II, against the
+    index-p subgroup holding the most of A).
     """
     g = a.group
     reason = extremality_failure(a)
@@ -202,71 +212,45 @@ def classify(a: ElementSet) -> ExtremalRecord:
         raise ValueError(f"not an extremal set: {reason}")
     n = g.order
     p = smallest_prime_divisor(n)
-    m_index = n // p
+    q = n // p
     a_bits = a.bits
-    tags: set[str] = set()
     witnesses: dict[str, dict] = {}
-    classifying_h: ElementSet | None = None
-
-    if 1 < m_index < n:
-        for h in subgroups_of_order(g, m_index):
-            h_nz = h.bits ^ 1
-            if h_nz & ~a_bits:
-                continue  # H \ {0} not contained in a
-            if SHAPE_I not in tags and a_bits == h_nz:
-                tags.add(SHAPE_I)
-                witnesses[SHAPE_I] = {"subgroup": list(h.indices())}
-                if classifying_h is None:
-                    classifying_h = h
-            if SHAPE_II not in tags:
-                gx = _pair_coset_witness(g, h.bits, a_bits, a_bits & ~h.bits)
-                if gx is not None:
-                    tags.update((SHAPE_II, SHAPE_B))
-                    w = {"subgroup": list(h.indices()), "g": gx}
-                    witnesses[SHAPE_II] = w
-                    witnesses[SHAPE_B] = dict(w)
-                    if classifying_h is None:
-                        classifying_h = h
+    profile = None
 
     if p < n:
-        for kh in subgroups_of_order(g, p):
-            k_nz = kh.bits ^ 1
-            if k_nz & ~a_bits:
-                continue
-            gx = _pair_coset_witness(g, kh.bits, a_bits, a_bits & ~kh.bits)
-            if gx is not None:
-                tags.add(SHAPE_EX1)
-                witnesses[SHAPE_EX1] = {"subgroup": list(kh.indices()), "g": gx}
-                break
+        index_p = subgroups_of_order(g, q)
+        shape_ii = _coset_pair_shape(g, index_p, a_bits)
+        if shape_ii:
+            h, x = shape_ii
+            subgroup = list(h.indices())
+            if a_bits == h.bits ^ 1:
+                witnesses[SHAPE_I] = {"subgroup": subgroup}
+            witnesses[SHAPE_II] = {"subgroup": subgroup, "g": x}
+            witnesses[SHAPE_B] = {"subgroup": subgroup, "g": x}
+        else:
+            # max returns the first, i.e. canonical, subgroup on ties
+            h = max(index_p, key=lambda s: (a_bits & s.bits).bit_count())
+        profile = coset_profile(a, h)
+        ex1 = _coset_pair_shape(g, subgroups_of_order(g, p), a_bits)
+        if ex1:
+            witnesses[SHAPE_EX1] = {"subgroup": list(ex1[0].indices()), "g": ex1[1]}
 
-    q = n // p
     if pq_window(p, q) == "interval":
         m_half = (p + q - 2) // 2
-        for gen in range(1, n):
-            if g.element_order(gen) != n:
-                continue
-            if _interval_set_bits(g, gen, m_half) == a_bits:
-                tags.add(SHAPE_EX2)
+        # a generator x with A = {+-x, ..., +-mx} lies in A
+        for gen in a.indices():
+            if (g.element_order(gen) == n
+                    and _interval_set_bits(g, gen, m_half) == a_bits):
                 witnesses[SHAPE_EX2] = {"generator": gen}
                 break
 
     witness_k = contains_complete_subset(a)
     if witness_k is not None:
-        tags.add(HAS_COMPLETE_SUBSET)
         witnesses[HAS_COMPLETE_SUBSET] = {"subgroup": list(witness_k.indices())}
 
+    tags = set(witnesses)
     if not tags & _SHAPE_TAGS:
         tags.add(UNCLASSIFIED)
-
-    profile = None
-    if classifying_h is not None:
-        profile = coset_profile(a, classifying_h)
-    elif 1 < m_index < n:
-        # no shape picked an H; profile against the index-p subgroup holding
-        # the most of a (max returns the first, i.e. canonical, on ties)
-        best = max(subgroups_of_order(g, m_index),
-                   key=lambda h: (a_bits & h.bits).bit_count())
-        profile = coset_profile(a, best)
     return ExtremalRecord(g, a.indices(), tuple(sorted(tags)), witnesses, profile)
 
 
@@ -314,25 +298,32 @@ class ExtremalEnumeration:
     candidate sets); with extended, "missed_target" runs one
     target-avoiding DFS per missed value, which scales to far larger
     spaces but revisits sets missing several targets, so it deduplicates
-    -- by unit-orbit canonical form when orbit_dedup is on (single-factor
-    groups; target list shrinks to one representative per divisor class),
-    by raw bitmask otherwise (all targets searched).
+    -- by unit-orbit canonical form with orbit dedup (target list shrinks
+    to one representative per divisor class), by raw bitmask otherwise
+    (all targets searched). orbit_dedup asks for it; self.orbit_dedup is
+    whether it is in effect, only on an extended run over a single-factor
+    spec: a direct run or a product spec emits every set.
 
-    threads > 1 hands each target's walk to AvoidingEnumerator.run_split
-    over a process pool of min(threads, CPUs) workers: one unit per root
-    node the walk pushes, merged in lexicographic order, so the records
-    are the bytes of a single-worker run. The budget bounds the whole
+    threads must be at least 1; threads > 1 hands each target's walk to
+    AvoidingEnumerator.run_split over a process pool of min(threads, CPUs)
+    workers: one unit per root node the walk pushes, merged in
+    lexicographic order, so the records are the bytes of a single-worker
+    run. The budget bounds the whole
     records() call under one rule at any thread count: a walk pauses once
     its allowance is spent, a single worker before its next node, the pool
     after the root node whose subtree spent it, and before the first node
     when the allowance is spent already. The pause raises EnumerationPaused
     with state(), which the checkpoint argument restores under any thread
-    count. stats.nodes counts the nodes this call walked, paused or not.
+    count; a checkpoint this run could not have written, or one whose
+    fields have the wrong JSON type, raises CheckpointMismatch.
+    stats.nodes counts the nodes this call walked, paused or not.
     """
 
     def __init__(self, group: GroupSpec, budget: SearchBudget | None = None,
-                 extended: bool = False, orbit_dedup: bool | None = None,
+                 extended: bool = False, orbit_dedup: bool = True,
                  checkpoint: dict | None = None, threads: int = 1):
+        if threads < 1:
+            raise ValueError(f"threads must be at least 1, got {threads}")
         self.group = group
         self.budget = budget or SearchBudget()
         self.k = critical_number_formula(group) - 1
@@ -346,20 +337,22 @@ class ExtremalEnumeration:
                 f"{group.spec_string}: {n_candidates} candidate sets exceed the "
                 f"direct-mode budget of {MAX_CANDIDATES}; "
                 f"rerun with extended search")
-        if orbit_dedup is None:
-            orbit_dedup = extended and group.is_cyclic_spec
-        if orbit_dedup and not group.is_cyclic_spec:
-            raise ValueError("orbit dedup requires a single-factor group spec")
-        self.orbit_dedup = orbit_dedup
-        self.threads = max(1, int(threads))
+        self.orbit_dedup = bool(orbit_dedup and extended and group.is_cyclic_spec)
+        self.threads = threads
         self.stats = SearchStats()
         self.done = False
         self._engine: SizedEnumerator | AvoidingEnumerator | None = None
         self._seen: set[int] = set()
-        self.targets = target_representatives(group, orbit_dedup) if extended else []
+        self.targets = (target_representatives(group, self.orbit_dedup)
+                        if extended else [])
         self.target_pos = 0
         if checkpoint is not None:
-            self._load(checkpoint)
+            try:
+                self._load(checkpoint)
+            except CheckpointMismatch:
+                raise
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                raise CheckpointMismatch(f"corrupt checkpoint: {exc}") from None
 
     # state round-trip ------------------------------------------------------
 
@@ -450,12 +443,7 @@ class ExtremalEnumeration:
 
     def _run_direct(self, start: float) -> Iterator[ExtremalRecord]:
         eng = self._engine = self._engine or SizedEnumerator(self.group, self.k)
-        canonical = self.group.canonical_bits_under_units if self.orbit_dedup else None
         for indices in self._walk(eng, eng.run(), start):
-            if canonical is not None:
-                mask = sum(1 << i for i in indices)
-                if canonical(mask) != mask:
-                    continue
             yield self._emit(indices)
 
     def _first_sighting(self, mask: int) -> tuple[int, ...] | None:
@@ -495,10 +483,12 @@ class ExtremalEnumeration:
 
 
 def enumerate_extremal(group: GroupSpec, budget: SearchBudget | None = None,
-                       extended: bool = False, orbit_dedup: bool | None = None,
+                       extended: bool = False, orbit_dedup: bool = True,
                        checkpoint: dict | None = None,
                        threads: int = 1) -> Iterator[ExtremalRecord]:
-    """Convenience wrapper: stream classified extremal records."""
+    """Convenience wrapper: stream classified extremal records. orbit_dedup
+    asks for one record per unit orbit, which only an extended run on a
+    single-factor spec gives (see ExtremalEnumeration)."""
     yield from ExtremalEnumeration(group, budget, extended, orbit_dedup,
                                    checkpoint, threads).records()
 
@@ -760,12 +750,14 @@ def theorem_verdict(group: GroupSpec) -> Verdict:
 
 
 def verify_theorem_main(group: GroupSpec, budget: SearchBudget | None = None,
-                        extended: bool = False, orbit_dedup: bool | None = None,
+                        extended: bool = False, orbit_dedup: bool = True,
                         checkpoint: dict | None = None,
                         threads: int = 1) -> TheoremReport:
     """Check that every extremal set has the shape the structure theorem
     demands: SHAPE_I when p = 2, SHAPE_II when p is odd. Violations list
-    the first MAX_COUNTEREXAMPLES failing sets."""
+    the first MAX_COUNTEREXAMPLES failing sets. orbit_dedup checks one set
+    per unit orbit where ExtremalEnumeration allows it (extended runs on
+    single-factor specs); the report records whether it was in effect."""
     verdict = theorem_verdict(group)
     enum = ExtremalEnumeration(group, budget, extended, orbit_dedup,
                                checkpoint, threads)

@@ -241,15 +241,6 @@ class GroupSpec:
                 u for u in range(1, n) if math.gcd(u, n) == 1))
         return tab
 
-    def scale_bits(self, bits: int, u: int) -> int:
-        n = self.order
-        out = 0
-        while bits:
-            low = bits & -bits
-            out |= 1 << ((low.bit_length() - 1) * u % n)
-            bits ^= low
-        return out
-
     def canonical_bits_under_units(self, bits: int) -> int:
         """The least of bits' images under the unit scalings (u = 1 among
         them), its elements read once and scaled for each unit."""
@@ -397,9 +388,11 @@ def automorphism_generators(g: GroupSpec) -> tuple[tuple[int, ...], ...]:
     generators e_i (Hillar & Rhea, Automorphisms of finite abelian groups,
     Amer. Math. Monthly 114, 2007): unit scalings e_i -> u*e_i,
     transvections e_i -> e_i + c*e_j with c the least positive value such
-    that n_j | c*n_i, and swaps of equal factors. A move is kept only if
-    it is a homomorphism (n_i * phi(e_i) = 0 for every i) and a bijection.
-    Built once per group and cached on it.
+    that n_j | c*n_i, and swaps of equal factors. Each move is an
+    automorphism: a unit scaling and a swap plainly are, and a
+    transvection is a homomorphism (n_i*c = 0 mod n_j) that fixes
+    coordinate i, so x -> x - x_i*c*e_j inverts it. Built once per group
+    and cached on it.
     """
     return g._lazy("_automorphisms", lambda: _build_automorphism_generators(g))
 
@@ -422,14 +415,9 @@ def _build_automorphism_generators(g: GroupSpec) -> tuple[tuple[int, ...], ...]:
     perms = []
     for move in moves:
         images = [move.get(i, basis[i]) for i in range(k)]
-        if any((n * y) % m for n, image in zip(orders, images)
-               for y, m in zip(image, orders)):
-            continue
-        perm = tuple(g.index_of(sum(x * image[j] for x, image in zip(xs, images))
-                                for j in range(k))
-                     for xs in coords)
-        if len(set(perm)) == g.order:
-            perms.append(perm)
+        perms.append(tuple(g.index_of(sum(x * image[j] for x, image in zip(xs, images))
+                                      for j in range(k))
+                           for xs in coords))
     return tuple(perms)
 
 

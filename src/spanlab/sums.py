@@ -38,10 +38,6 @@ class SequenceOverGroup:
     def __len__(self) -> int:
         return len(self.terms)
 
-    @property
-    def support(self) -> ElementSet:
-        return ElementSet.from_indices(self.group, set(self.terms))
-
 
 Summable = Union[ElementSet, SequenceOverGroup]
 

@@ -273,7 +273,7 @@ def test_ledger_config_echoes_every_declared_flag(cli):
     (rec,) = _campaigns(cli)
     assert set(rec["config"]) == {
         "store", "group", "out", "checkpoint", "max-nodes", "max-seconds",
-        "extended", "orbit-dedup", "threads", "resume", "checkpoint-every"}
+        "extended", "no-orbit-dedup", "threads", "resume", "checkpoint-every"}
     assert rec["config"]["checkpoint"] == str(ck)
     assert f"--checkpoint={ck}" in rec["command"].split()
 
@@ -444,6 +444,47 @@ def test_resume_refuses_a_checkpoint_of_another_schema(cli):
     assert "CheckpointMismatch" in _campaigns(cli)[-1]["summary"]["error"]
     assert "schema 2" in err
     assert _campaigns(cli)[-1]["status"] == "FAILED"
+
+
+# edits of a Z15 direct-mode checkpoint whose fields have the wrong JSON type
+_MALFORMED_CHECKPOINTS = {
+    "state-list": lambda ck: ck.update(state=[1, 2]),
+    "inner-list": lambda ck: ck["state"].update(inner=[3], done=False),
+    "path-letter": lambda ck: ck["state"]["inner"].update(path=["a"]),
+    "emitted-letter": lambda ck: ck["state"].update(emitted="x"),
+}
+
+
+@pytest.mark.parametrize("edit", _MALFORMED_CHECKPOINTS.values(),
+                         ids=_MALFORMED_CHECKPOINTS)
+def test_resume_refuses_a_malformed_checkpoint_as_corrupt(cli, edit):
+    ck = cli.tmp / "ck.json"
+    assert cli("enumerate-extremal", "--group", "Z15", "--out",
+               cli.tmp / "r.jsonl", "--checkpoint", ck, "--max-nodes", 1000)[0] == 2
+    data = json.loads(ck.read_text())
+    edit(data)
+    ck.write_text(json.dumps(data))
+    code, _, err = cli("enumerate-extremal", "--group", "Z15", "--resume", ck)
+    assert code == 1
+    assert "corrupt checkpoint" in err
+    assert "CheckpointMismatch" in _campaigns(cli)[-1]["summary"]["error"]
+    assert _campaigns(cli)[-1]["status"] == "FAILED"
+
+
+def test_fresh_run_errors_keep_their_own_text(cli):
+    code, _, err = cli("enumerate-extremal", "--group", "Z31")
+    assert code == 1
+    assert "rerun with extended search" in err
+    assert _campaigns(cli)[-1]["summary"]["error"].startswith(
+        "EnumerationBudgetError: Z31: 14307150 candidate sets")
+
+
+def test_orbit_dedup_is_no_flag_only_no_orbit_dedup_is(cli):
+    # orbit dedup is on wherever it applies; the one flag turns it off
+    code, _, err = cli("enumerate-extremal", "--group", "Z15", "--orbit-dedup")
+    assert code == 1
+    assert "unrecognized arguments: --orbit-dedup" in err
+    assert _campaigns(cli) == []
 
 
 def test_zero_second_budget_pauses_before_the_first_node(cli):

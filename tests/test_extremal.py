@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import Counter
+from math import comb
 
 import pytest
 
@@ -63,6 +64,26 @@ def test_z21_census(z21_records):
     assert hist[S.SHAPE_EX2] == 0
 
 
+def test_every_small_direct_census_classifies_to_pinned_bytes():
+    # every group of order 3..40 whose direct walk has at most 10^6
+    # candidates, Z5xZ5 among them (7,344 records; there the index-p and
+    # order-p subgroups are the same list)
+    digest = hashlib.sha256()
+    groups = records = 0
+    for n in range(3, 41):
+        for orders in S.abelian_groups_of_order(n):
+            g = S.make_group(orders)
+            if comb(n - 1, S.critical_number_formula(g) - 1) > 1_000_000:
+                continue
+            groups += 1
+            for rec in S.enumerate_extremal(g):
+                records += 1
+                digest.update(json.dumps(rec.to_dict(), sort_keys=True).encode())
+    assert (groups, records) == (34, 8884)
+    assert digest.hexdigest() == \
+        "c2ae1c24304612fc4747d60c64ecd01482b5bbb77b9d765ddf8a791e48d06fa0"
+
+
 def test_enumeration_is_exhaustive_against_brute_force(z15_records):
     import itertools
     got = {tuple(sorted(r.indices)) for r in z15_records}
@@ -80,7 +101,7 @@ def test_enumeration_streams_are_deterministic():
 
 def test_orbit_dedup_keeps_one_representative_per_orbit(z15_records):
     g = _g("Z15")
-    reduced = list(S.enumerate_extremal(g, orbit_dedup=True))
+    reduced = list(S.enumerate_extremal(g, extended=True, orbit_dedup=True))
     literal_orbits = {g.canonical_bits_under_units(r.element_set.bits)
                       for r in z15_records}
     reduced_bits = [r.element_set.bits for r in reduced]
@@ -88,6 +109,24 @@ def test_orbit_dedup_keeps_one_representative_per_orbit(z15_records):
     assert {g.canonical_bits_under_units(b) for b in reduced_bits} == \
         literal_orbits
     assert len(set(reduced_bits)) == len(reduced_bits)
+
+
+def test_orbit_dedup_applies_to_extended_runs_on_cyclic_groups_only(z15_records):
+    direct = S.ExtremalEnumeration(_g("Z15"), orbit_dedup=True)
+    assert direct.mode == "direct" and not direct.orbit_dedup
+    assert [r.indices for r in direct.records()] == \
+        [r.indices for r in z15_records]
+    g = _g("Z2xZ8")
+    raw = S.ExtremalEnumeration(g, extended=True, orbit_dedup=True)
+    assert not raw.orbit_dedup and len(raw.targets) == g.order
+    assert sorted(r.indices for r in raw.records()) == \
+        sorted(r.indices for r in S.enumerate_extremal(g))
+
+
+@pytest.mark.parametrize("threads", [0, -3])
+def test_threads_below_one_is_refused(threads):
+    with pytest.raises(ValueError, match="threads must be at least 1"):
+        S.ExtremalEnumeration(_g("Z15"), extended=True, threads=threads)
 
 
 @pytest.mark.parametrize("spec", ["Z3xZ3xZ3", "Z2xZ2xZ2xZ2"])
