@@ -165,6 +165,10 @@ def _load_checkpoint(path: Path, command: str) -> dict:
             f"column {exc.colno}") from None
     if not isinstance(data, dict) or not isinstance(data.get("state"), dict):
         raise CheckpointMismatch(f"corrupt checkpoint {path}: no 'state' object")
+    records = data.get("records", False)  # absent is as wrong as a number
+    if records is not None and not isinstance(records, str):
+        raise CheckpointMismatch(
+            f"corrupt checkpoint {path}: records {records!r} names no file")
     check_fields(data, f"checkpoint {path}", schema=CHECKPOINT_SCHEMA,
                  command=command)
     return data
@@ -174,7 +178,7 @@ def _prior_lines(ck: dict, emitted: int) -> list[str]:
     """Recover the first `emitted` record lines written before the checkpoint."""
     if emitted == 0:
         return []
-    recorded = ck.get("records")
+    recorded = ck["records"]
     if not recorded:
         raise CheckpointMismatch("checkpoint names no records file to resume from")
     final = Path(recorded)
@@ -308,7 +312,7 @@ def cmd_verify_theorem_a(args, run: _Run) -> int:
                                "pending": len(pending)}, lines, bool(bad))
 
 
-def _resume_setup(args, command: str, group_spec: str):
+def _resume_setup(args, command: str):
     """Returns (checkpoint_or_None, inherited_records).
 
     `inherited_records` is the output path recorded in the checkpoint, so
@@ -318,8 +322,7 @@ def _resume_setup(args, command: str, group_spec: str):
     if not args.resume:
         return None, None
     ck = _load_checkpoint(Path(args.resume), command)
-    check_fields(ck["state"], f"checkpoint {args.resume}", group=group_spec)
-    return ck, Path(ck["records"]) if ck.get("records") else None
+    return ck, Path(ck["records"]) if ck["records"] else None
 
 
 def _enumerating_run(args, run: _Run, group, orbit_dedup: bool,
@@ -333,7 +336,7 @@ def _enumerating_run(args, run: _Run, group, orbit_dedup: bool,
     writes the command's certificate, if any, and returns its (summary,
     lines, violation found); a PARTIAL run adds a resume hint.
     """
-    ck, inherited = _resume_setup(args, run.name, group.spec_string)
+    ck, inherited = _resume_setup(args, run.name)
     enum = ExtremalEnumeration(group, _budget(args), args.extended, orbit_dedup,
                                ck and ck["state"], args.threads)
     prior = _prior_lines(ck, enum.stats.emitted) if ck else []

@@ -314,8 +314,9 @@ class ExtremalEnumeration:
     after the root node whose subtree spent it, and before the first node
     when the allowance is spent already. The pause raises EnumerationPaused
     with state(), which the checkpoint argument restores under any thread
-    count; a checkpoint this run could not have written, or one whose
-    fields have the wrong JSON type, raises CheckpointMismatch.
+    count: the run is rebuilt from the checkpoint's position alone, and a
+    checkpoint that is not the state() of that run raises
+    CheckpointMismatch (see _load). This is the one way to resume a run.
     stats.nodes counts the nodes this call walked, paused or not.
     """
 
@@ -377,35 +378,36 @@ class ExtremalEnumeration:
         return st
 
     def _load(self, st: dict) -> None:
-        check_fields(st, "checkpoint", engine=ENGINE_VERSION, kind="extremal",
-                     group=self.group.spec_string, k=self.k, mode=self.mode,
-                     orbit_dedup=self.orbit_dedup)
-        self.stats.emitted = int(st.get("emitted", 0))
-        self.done = bool(st.get("done", False))
-        inner = st.get("inner")
+        """Rebuild the run at st's position, then refuse st unless it is the
+        state() of that run. The position is the inner engine's state and,
+        in missed-target mode, target_pos and seen; emitted and done follow
+        from it (the inner engine's in direct mode, len(seen) and whether
+        every target is walked otherwise), the rest from this run."""
+        inner = st["inner"]
         if self.mode == "direct":
             if inner is not None:
-                self._engine = SizedEnumerator.from_state(self.group, inner)
+                check_fields(inner, "checkpoint", group=self.group.spec_string,
+                             k=self.k)
+                eng = self._engine = SizedEnumerator.from_state(self.group, inner)
+                self.stats.emitted, self.done = eng.stats.emitted, eng.done
         else:
-            saved_targets = [int(t) for t in st.get("targets", [])]
-            if saved_targets != list(self.targets):
-                raise CheckpointMismatch("checkpoint target list differs")
-            self.target_pos = int(st.get("target_pos", 0))
+            pos = self.target_pos = st["target_pos"]
             # a mid-target state sits at a target; otherwise all may be done
             last = len(self.targets) - (inner is not None)
-            if not 0 <= self.target_pos <= last:
+            if not isinstance(pos, int) or not 0 <= pos <= last:
                 raise CheckpointMismatch(
-                    f"checkpoint target_pos {self.target_pos} outside 0..{last}")
-            self._seen = {int(s, 16) for s in st.get("seen", [])}
+                    f"checkpoint target_pos {pos!r} outside 0..{last}")
+            self._seen = {int(s, 16) for s in st["seen"]}
+            self.stats.emitted = len(self._seen)
+            self.done = pos == len(self.targets)
             if inner is not None:
+                # a walk ends before the next target's starts, so none is done
+                t = self.targets[pos]
+                check_fields(inner, "checkpoint", group=self.group.spec_string,
+                             target=t, k=self.k, done=False)
                 self._engine = AvoidingEnumerator.from_state(
-                    self.group, inner, None,
-                    self._stabilizer(int(inner.get("target", -1))))
-                if self._engine.target != self.targets[self.target_pos]:
-                    raise CheckpointMismatch("checkpoint target out of step")
-        if self._engine is not None and self._engine.k != self.k:
-            raise CheckpointMismatch(
-                f"checkpoint engine size {self._engine.k} != {self.k}")
+                    self.group, inner, None, self._stabilizer(t))
+        check_fields(st, "corrupt checkpoint:", **self.state())
 
     # record construction -----------------------------------------------------
 
@@ -532,23 +534,14 @@ def make_example_1(p: int, q: int, seed: int = 0) -> ElementSet:
     return a
 
 
-def make_example_2(p: int, q: int, gen: int | None = None,
-                   group: GroupSpec | None = None) -> ElementSet:
-    """The symmetric interval {+-g, +-2g, ..., +-((p+q-2)/2) g} for a
-    generator g of order pq. Requires (p, q) in pq_window's 'interval' window.
-    The result has size p + q - 2 = cr(Z_pq) - 1 and is verified non-spanning.
+def make_example_2(p: int, q: int) -> ElementSet:
+    """The symmetric interval {+-1, +-2, ..., +-(p+q-2)/2} of Z_pq.
+    Requires (p, q) in pq_window's 'interval' window. The result has size
+    p + q - 2 = cr(Z_pq) - 1 and is verified non-spanning.
     """
     _require_window("example 2", p, q, "interval")
-    g = group if group is not None else make_group((p * q,))
-    if g.order != p * q:
-        raise ValueError(f"group order {g.order} != p*q = {p * q}")
-    if gen is None:
-        gen = next(x for x in range(1, g.order) if g.element_order(x) == g.order)
-    if g.element_order(gen) != g.order:
-        raise ValueError(f"element {gen} has order {g.element_order(gen)}, "
-                         f"need {g.order}")
-    m_half = (p + q - 2) // 2
-    bits = _interval_set_bits(g, gen, m_half)
+    g = make_group((p * q,))
+    bits = _interval_set_bits(g, 1, (p + q - 2) // 2)
     a = ElementSet(g, bits)
     if len(a) != p + q - 2:
         raise AssertionError("interval set has repeated elements")  # pragma: no cover
@@ -589,15 +582,15 @@ class Verdict:
             if len(self.examples) < MAX_COUNTEREXAMPLES:
                 self.examples.append(record)
 
-    def feed(self, enum: ExtremalEnumeration) -> dict | None:
-        """Fold every record enum yields; the pause state if its budget ran
-        out, else None."""
+    def feed(self, enum: ExtremalEnumeration) -> bool:
+        """Fold every record enum yields; whether its walk finished before
+        the budget ran out."""
         try:
             for rec in enum.records():
                 self.add(rec.to_dict())
-        except EnumerationPaused as paused:
-            return paused.state
-        return None
+        except EnumerationPaused:
+            return False
+        return True
 
     def outcome(self, complete: bool) -> str:
         if not complete:
@@ -619,16 +612,14 @@ class ConjectureReport:
     extremal_count: int
     failing_count: int
     counterexamples: list[dict]  # the first MAX_COUNTEREXAMPLES of them
-    checkpoint: dict | None = None
     orbit_dedup: bool = False
 
     @classmethod
     def from_verdict(cls, which: int, p: int, q: int, verdict: Verdict,
-                     complete: bool, checkpoint: dict | None = None
-                     ) -> ConjectureReport:
+                     complete: bool) -> ConjectureReport:
         return cls(which, p, q, f"Z{p * q}", conjecture_claim(which, p, q)[1],
                    verdict.outcome(complete), verdict.total, verdict.failing,
-                   verdict.examples, checkpoint)
+                   verdict.examples)
 
     def to_dict(self) -> dict:
         return {
@@ -659,7 +650,6 @@ def conjecture_claim(which: int, p: int, q: int) -> tuple[str, str]:
 
 def check_conjecture(which: int, p: int, q: int,
                      budget: SearchBudget | None = None, extended: bool = False,
-                     checkpoint: dict | None = None,
                      threads: int = 1) -> ConjectureReport:
     """Enumerate every extremal set of Z_pq and test the conjectured property.
 
@@ -671,16 +661,15 @@ def check_conjecture(which: int, p: int, q: int,
     The enumeration is literal (no orbit dedup) and streamed through a
     Verdict: VERIFIED means every extremal set carries the property,
     REFUTED counts the failing sets and lists the first
-    MAX_COUNTEREXAMPLES of them, PARTIAL means the budget ran out (the
-    report then carries the checkpoint).
+    MAX_COUNTEREXAMPLES of them, PARTIAL means the budget ran out. A run
+    resumes only through ExtremalEnumeration's checkpoint, as the command
+    line resumes it.
     """
     verdict = Verdict(conjecture_claim(which, p, q)[0])
     enum = ExtremalEnumeration(make_group((p * q,)), budget, extended,
-                               orbit_dedup=False, checkpoint=checkpoint,
-                               threads=threads)
-    paused = verdict.feed(enum)
-    return ConjectureReport.from_verdict(which, p, q, verdict, paused is None,
-                                         paused)
+                               orbit_dedup=False, threads=threads)
+    return ConjectureReport.from_verdict(which, p, q, verdict,
+                                         verdict.feed(enum))
 
 
 # -- main structure theorem --------------------------------------------------------
@@ -697,16 +686,14 @@ class TheoremReport:
     violation_count: int
     violations: list[dict]  # the first MAX_COUNTEREXAMPLES of them
     orbit_dedup: bool
-    checkpoint: dict | None = None
 
     @classmethod
     def from_verdict(cls, group: GroupSpec, verdict: Verdict, complete: bool,
-                     orbit_dedup: bool, checkpoint: dict | None = None
-                     ) -> TheoremReport:
+                     orbit_dedup: bool) -> TheoremReport:
         return cls(group.spec_string, theorem_main_hypothesis(group),
                    verdict.required, verdict.outcome(complete), verdict.total,
                    dict(sorted(verdict.tag_counts.items())), verdict.failing,
-                   verdict.examples, orbit_dedup, checkpoint)
+                   verdict.examples, orbit_dedup)
 
     def to_dict(self) -> dict:
         return {
@@ -724,23 +711,25 @@ class TheoremReport:
 def theorem_main_hypothesis(group: GroupSpec) -> str:
     """'even' or 'odd' when the structure theorem applies, else ValueError.
 
-    Applies when p = 2 and |G| >= 36, or when (p, |G|/p) is in pq_window's
-    'theorem' window: |G|/p prime and at least 2p + 3. The even case
-    requires SHAPE_I, the odd case SHAPE_II.
+    Applies when |G| is even and at least 36 (the even case, which requires
+    SHAPE_I), or when |G| = pq for odd primes p < q with q >= 2p + 3, i.e.
+    (p, q) in pq_window's 'theorem' window (the odd case, SHAPE_II). The
+    abstract settles even orders only from 36, so |G| = 2q below 36 is not
+    covered although (2, q) is in that window: Z14 has an extremal set,
+    {3, 5, 6, 8, 9, 11}, that is not SHAPE_I.
     """
     n = group.order
     if n < 3:
         raise ValueError("group too small")
     p = smallest_prime_divisor(n)
-    m = n // p
     if p == 2 and n >= 36:
         return "even"
-    if pq_window(p, m) == "theorem":
-        return "even" if p == 2 else "odd"
+    if p > 2 and pq_window(p, n // p) == "theorem":
+        return "odd"
     raise ValueError(
         f"{group.spec_string} meets no structure-theorem hypothesis "
-        f"(need p = 2 with |G| >= 36, or |G|/p prime >= 2p + 3); "
-        f"use plain enumeration for exploratory reports")
+        f"(need |G| even and >= 36, or |G| = pq for odd primes with "
+        f"q >= 2p + 3); use plain enumeration for exploratory reports")
 
 
 def theorem_verdict(group: GroupSpec) -> Verdict:
@@ -751,16 +740,16 @@ def theorem_verdict(group: GroupSpec) -> Verdict:
 
 def verify_theorem_main(group: GroupSpec, budget: SearchBudget | None = None,
                         extended: bool = False, orbit_dedup: bool = True,
-                        checkpoint: dict | None = None,
                         threads: int = 1) -> TheoremReport:
     """Check that every extremal set has the shape the structure theorem
     demands: SHAPE_I when p = 2, SHAPE_II when p is odd. Violations list
     the first MAX_COUNTEREXAMPLES failing sets. orbit_dedup checks one set
     per unit orbit where ExtremalEnumeration allows it (extended runs on
-    single-factor specs); the report records whether it was in effect."""
+    single-factor specs); the report records whether it was in effect.
+    A run out of budget is PARTIAL; it resumes only through
+    ExtremalEnumeration's checkpoint."""
     verdict = theorem_verdict(group)
     enum = ExtremalEnumeration(group, budget, extended, orbit_dedup,
-                               checkpoint, threads)
-    paused = verdict.feed(enum)
-    return TheoremReport.from_verdict(group, verdict, paused is None,
-                                      enum.orbit_dedup, paused)
+                               threads=threads)
+    return TheoremReport.from_verdict(group, verdict, verdict.feed(enum),
+                                      enum.orbit_dedup)

@@ -197,13 +197,13 @@ class _Engine:
 
     @classmethod
     def from_state(cls, group: GroupSpec, state: dict,
-                   budget: SearchBudget | None = None, *args, **kwargs):
+                   budget: SearchBudget | None = None, *args):
         """Rebuild an engine at a state() position; the trailing arguments
         go to the constructor after budget (AvoidingEnumerator: symmetries).
         Raises CheckpointMismatch for a position the run cannot reach."""
         check_fields(state, "checkpoint", engine=ENGINE_VERSION, kind=cls.kind,
                      group=group.spec_string)
-        self = cls(group, *(int(state[f]) for f in cls.fields), budget, *args, **kwargs)
+        self = cls(group, *(int(state[f]) for f in cls.fields), budget, *args)
         path = [int(x) for x in state["path"]]
         cursor = [int(x) for x in state["cursor"]]
         below = [self.root - 1, *path]
@@ -219,9 +219,9 @@ class _Engine:
                 f"corrupt checkpoint: path {path}, cursor {cursor} is no "
                 f"{self.kind} size-{self.k} search position")
         self.cursor = cursor
-        self.stats.nodes = int(state.get("nodes", 0))
-        self.stats.emitted = int(state.get("emitted", 0))
-        self.done = bool(state.get("done", False))
+        self.stats.nodes = int(state["nodes"])
+        self.stats.emitted = int(state["emitted"])
+        self.done = bool(state["done"])
         return self
 
     def _start(self) -> int:

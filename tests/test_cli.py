@@ -6,6 +6,7 @@ import hashlib
 import json
 import os
 import re
+import shutil
 from concurrent.futures import Future
 
 import pytest
@@ -469,6 +470,97 @@ def test_resume_refuses_a_malformed_checkpoint_as_corrupt(cli, edit):
     assert "corrupt checkpoint" in err
     assert "CheckpointMismatch" in _campaigns(cli)[-1]["summary"]["error"]
     assert _campaigns(cli)[-1]["status"] == "FAILED"
+
+
+_GONE = object()  # the edit that deletes a field
+
+
+def _one_field_edits(value):
+    """(name, value) of each edit of one checkpoint field: deleted, null, a
+    wrong type, +-1, a flipped bool, a list shortened or lengthened."""
+    if isinstance(value, bool):
+        edits = {"flipped": not value, "string": "x"}
+    elif isinstance(value, int):
+        edits = {"+1": value + 1, "-1": value - 1, "string": str(value),
+                 "float": value + 0.5}
+    elif isinstance(value, str):
+        edits = {"number": 5}
+    elif isinstance(value, list):
+        edits = {"dict": {}, "shortened": value[:-1],
+                 "lengthened": value + (value[-1:] or [1])}
+    elif isinstance(value, dict):
+        edits = {"list": []}
+    else:  # null
+        edits = {"list": [], "string": "x"}
+    edits.update(deleted=_GONE, null=None)
+    return [(name, edit) for name, edit in edits.items() if edit != value]
+
+
+# real checkpoints: (group, mode, --max-nodes of the paused run, or None for
+# a finished one). The Z21 walk pauses between two targets at 1456 nodes,
+# inside its second target, before that target's first record, at 1500, and
+# inside its last target, after every record, at 3000
+_CHECKPOINTS = {
+    "Z15-direct": ("Z15", [], 200),
+    "Z15-direct-finished": ("Z15", [], None),
+    "Z21-mid-target-early": ("Z21", ["--extended"], 1500),
+    "Z21-mid-target": ("Z21", ["--extended"], 3000),
+    "Z21-mid-target-pool": ("Z21", ["--extended", "--threads", 2], 3000),
+    "Z21-between-targets": ("Z21", ["--extended"], 1456),
+}
+
+
+@pytest.mark.parametrize("spec,mode,allowance", _CHECKPOINTS.values(),
+                         ids=_CHECKPOINTS)
+def test_each_one_field_edit_of_a_checkpoint_is_refused_or_resumes_exactly(
+        cli, spec, mode, allowance):
+    # each field of the envelope, of state and of state.inner, edited one at
+    # a time; the edited checkpoint resumes a copy of the interrupted output
+    full = cli.tmp / "full.jsonl"
+    assert cli("enumerate-extremal", "--group", spec, "--out", full, *mode)[0] == 0
+    ck = cli.tmp / "ck.json"
+    budget = ["--max-nodes", allowance] if allowance else []
+    code, _, _ = cli("enumerate-extremal", "--group", spec, "--out",
+                     cli.tmp / "r.jsonl", "--checkpoint", ck, *budget, *mode)
+    assert code == (2 if allowance else 0)
+    data = json.loads(ck.read_text())
+    inner = data["state"]["inner"]
+    between_targets = allowance == 1456
+    assert (inner is None) == between_targets
+    fields = ([(key,) for key in data] + [("state", key) for key in data["state"]]
+              + [("state", "inner", key) for key in inner or ()])
+    outcomes = []
+    for path in fields:
+        *parents, key = path
+        owner = data
+        for name in parents:
+            owner = owner[name]
+        for how, value in _one_field_edits(owner[key]):
+            if between_targets and path == ("state", "target_pos") and how == "+1":
+                continue  # skips a whole target: the one edit a resume cannot see
+            where = cli.tmp / f"edit-{len(outcomes)}"
+            where.mkdir()
+            for kept in cli.tmp.glob("r.jsonl*"):
+                shutil.copy(kept, where / kept.name)
+            edited = json.loads(json.dumps(dict(data, records=str(where / "r.jsonl"))))
+            owner = edited
+            for name in parents:
+                owner = owner[name]
+            if value is _GONE:
+                del owner[key]
+            else:
+                owner[key] = value
+            (where / "ck.json").write_text(json.dumps(edited))
+            code, _, _ = cli("enumerate-extremal", "--group", spec, "--resume",
+                             where / "ck.json", *mode)
+            rec, label = _campaigns(cli)[-1], ("/".join(path), how)
+            if code == 0:
+                assert (where / "r.jsonl").read_bytes() == full.read_bytes(), label
+            else:
+                assert code == 1 and rec["status"] == "FAILED", label
+                assert "CheckpointMismatch" in rec["summary"]["error"], label
+            outcomes.append(code)
+    assert len(outcomes) > 60 and 0 in outcomes and 1 in outcomes
 
 
 def test_fresh_run_errors_keep_their_own_text(cli):

@@ -11,6 +11,7 @@ import pytest
 
 import reference as ref
 import spanlab as S
+from spanlab.extremal import Verdict
 from spanlab.store import dump_json
 
 
@@ -589,6 +590,20 @@ def test_conjecture_certificate_for_complete_subset(z21_records):
     assert rep.counterexamples == failing[:25]
 
 
+def test_a_budgeted_report_is_partial_and_a_run_resumes_on_its_enumeration():
+    # the reports carry no checkpoint: a paused run resumes on its
+    # ExtremalEnumeration, and one Verdict folds the records on both sides
+    rep = S.check_conjecture(2, 3, 5, S.SearchBudget(max_nodes=60))
+    assert rep.outcome == "PARTIAL" and not hasattr(rep, "checkpoint")
+    verdict = Verdict(S.SHAPE_EX2)
+    enum = S.ExtremalEnumeration(_g("Z15"), S.SearchBudget(max_nodes=60))
+    assert verdict.feed(enum) is False
+    resumed = S.ExtremalEnumeration(_g("Z15"), checkpoint=enum.state())
+    assert verdict.feed(resumed) is True
+    assert (verdict.outcome(True), verdict.total, verdict.failing) == \
+        ("REFUTED", 28, 24)
+
+
 def test_conjecture_windows_are_enforced():
     with pytest.raises(ValueError):
         S.check_conjecture(1, 3, 5)   # 5 < 6: outside the open window
@@ -600,9 +615,16 @@ def test_conjecture_windows_are_enforced():
 
 
 def test_structure_theorem_hypothesis_detection():
+    # the abstract settles even orders from 36 on, so |G| = 2q below 36 is
+    # outside the theorem although (2, q) is in pq_window's 'theorem'
+    # window: Z14's extremal set {3, 5, 6, 8, 9, 11} is not SHAPE_I
     assert S.theorem_main_hypothesis(_g("Z33")) == "odd"
     assert S.theorem_main_hypothesis(_g("Z36")) == "even"
-    for spec in ("Z15", "Z16", "Z21", "Z25"):
+    assert S.pq_window(2, 7) == "theorem"
+    z14 = S.classify(S.ElementSet.from_indices(_g("Z14"), [3, 5, 6, 8, 9, 11]))
+    assert z14.tags == (S.UNCLASSIFIED,)
+    for spec in ("Z15", "Z16", "Z21", "Z25", "Z14", "Z2xZ7", "Z22", "Z26",
+                 "Z34"):
         with pytest.raises(ValueError):
             S.theorem_main_hypothesis(_g(spec))
 
