@@ -10,9 +10,9 @@ proved statement), else 0; bad usage exits 1 too. Conjecture certificates
 are different: REFUTED is a definitive, successful outcome there, so it
 exits 0.
 
-Configuration precedence: command-line flags, then SPANLAB_* environment
-variables (SPANLAB_STORE, SPANLAB_THREADS, SPANLAB_SEED), then defaults.
-The effective configuration is echoed into every CampaignRecord.
+The flags are the configuration, each range-checked as it is parsed; the
+one environment variable, SPANLAB_STORE, is --store's default. The
+effective configuration is echoed into every CampaignRecord.
 
 Group specs are written Z<n> or Z<n1>xZ<n2>x... (case-insensitive), e.g.
 Z15, Z2xZ4.
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -51,21 +52,25 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-# Flags whose default comes from an environment variable, read only when a
-# command that takes the flag runs without it: dest -> (variable, fallback).
-_ENV_DEFAULTS = {"threads": ("SPANLAB_THREADS", 1), "seed": ("SPANLAB_SEED", 0)}
+def _int_at_least(low: int):
+    """An argparse type: an integer of at least `low`."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return integer
 
 
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None or raw == "":
-        return default
+def _finite_float(text: str) -> float:
+    """An argparse type: a float that is neither NaN nor infinite."""
     try:
-        return int(raw)
+        value = float(text)
     except ValueError:
-        print(f"spanlab: error: {name} must be an integer, got {raw!r}",
-              file=sys.stderr)
-        raise SystemExit(1) from None
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
 
 
 def _config(args) -> dict:
@@ -436,8 +441,7 @@ def cmd_verify_main(args, run: _Run) -> int:
 
 def cmd_fuzz(args, run: _Run) -> int:
     lemmas = args.lemma or list(CAMPAIGNS)
-    reports = run_all_campaigns(args.trials, args.seed, lemmas,
-                                exhaustive=args.exhaustive)
+    reports = run_all_campaigns(args.trials, args.seed, lemmas)
     run.artifact("fuzz.json", [r.to_dict() for r in reports])
     dirty = [r for r in reports if not r.clean]
     lines = []
@@ -564,7 +568,7 @@ def cmd_report(args, store: CampaignStore) -> int:
 def _add_budget_flags(p: _Parser, scope: str) -> None:
     p.add_argument("--max-nodes", type=int, default=None, metavar="N",
                    help=f"stop after N search nodes {scope}")
-    p.add_argument("--max-seconds", type=float, default=None, metavar="S",
+    p.add_argument("--max-seconds", type=_finite_float, default=None, metavar="S",
                    help=f"stop after S seconds {scope}")
 
 
@@ -577,15 +581,18 @@ def _add_enum_flags(p: _Parser, orbit_dedup: bool = True) -> None:
                        help="emit every extremal set, not one per "
                             "unit-scaling orbit (orbit dedup applies to "
                             "extended runs on cyclic groups only)")
-    p.add_argument("--threads", type=int,
+    p.add_argument("--threads", type=_int_at_least(1), default=1,
                    help="worker processes for extended enumeration, at "
                         "least 1; the pool has at most one per CPU "
-                        "(default SPANLAB_THREADS or 1)")
+                        "(default 1)")
     p.add_argument("--resume", metavar="CHECKPOINT",
                    help="resume from a checkpoint.json written by an "
                         "interrupted run")
-    p.add_argument("--checkpoint-every", type=int, default=1000, metavar="N",
-                   help="rewrite the checkpoint every N records (default 1000)")
+    p.add_argument("--checkpoint-every", type=_int_at_least(0), default=1000,
+                   metavar="N",
+                   help="rewrite the checkpoint every N records (default "
+                        "1000); 0 writes it only at a pause, a Ctrl-C or "
+                        "the end")
 
 
 def build_parser() -> _Parser:
@@ -666,12 +673,9 @@ def build_parser() -> _Parser:
                             "bound checks")
     p.add_argument("--lemma", action="append", choices=sorted(CAMPAIGNS),
                    help="bound to fuzz (repeatable; default: all)")
-    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
-    p.add_argument("--seed", type=int,
-                   help="campaign seed (default SPANLAB_SEED or 0)")
-    p.add_argument("--exhaustive", action=argparse.BooleanOptionalAction,
-                   default=True,
-                   help="include the exhaustive sub-suites (default on)")
+    p.add_argument("--trials", type=_int_at_least(0), default=DEFAULT_TRIALS)
+    p.add_argument("--seed", type=int, default=0,
+                   help="campaign seed (default 0)")
     p.set_defaults(func=cmd_fuzz)
 
     p = sub.add_parser("report", help="render stored campaigns")
@@ -687,14 +691,6 @@ def main(argv: list[str] | None = None) -> int:
     whose ledger record a failure also lands in (status FAILED, exit 1)."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    for dest, (var, fallback) in _ENV_DEFAULTS.items():
-        if getattr(args, dest, fallback) is None:
-            setattr(args, dest, _env_int(var, fallback))
-    if getattr(args, "threads", 1) < 1:
-        parser.error(f"--threads (or SPANLAB_THREADS) must be at least 1, "
-                     f"got {args.threads}")
-    if getattr(args, "trials", 0) < 0:
-        parser.error(f"--trials must be at least 0, got {args.trials}")
     if getattr(args, "formula", False):
         given = [f"--{dest.replace('_', '-')}" for dest in
                  ("max_nodes", "max_seconds", "max_exact_order")

@@ -383,6 +383,7 @@ class ExtremalEnumeration:
         in missed-target mode, target_pos and seen; emitted and done follow
         from it (the inner engine's in direct mode, len(seen) and whether
         every target is walked otherwise), the rest from this run."""
+        check_fields(st, "checkpoint", mode=self.mode)
         inner = st["inner"]
         if self.mode == "direct":
             if inner is not None:

@@ -322,8 +322,8 @@ CAMPAIGNS: dict[str, Campaign] = {
 }
 
 
-def run_campaign(lemma: str, trials: int = DEFAULT_TRIALS, seed: int = 0,
-                 exhaustive: bool = True) -> FuzzReport:
+def run_campaign(lemma: str, trials: int = DEFAULT_TRIALS,
+                 seed: int = 0) -> FuzzReport:
     try:
         campaign = CAMPAIGNS[lemma]
     except KeyError:
@@ -343,13 +343,12 @@ def run_campaign(lemma: str, trials: int = DEFAULT_TRIALS, seed: int = 0,
                 examples.append({**example(), "report": rep.to_dict()})
     report = FuzzReport(lemma, campaign.description, trials, applied,
                         violations, seed, examples)
-    if exhaustive and campaign.census is not None:
+    if campaign.census is not None:
         report.exhaustive = campaign.census()
     return report
 
 
 def run_all_campaigns(trials: int = DEFAULT_TRIALS, seed: int = 0,
-                      lemmas: list[str] | None = None,
-                      exhaustive: bool = True) -> list[FuzzReport]:
-    return [run_campaign(name, trials, seed, exhaustive)
+                      lemmas: list[str] | None = None) -> list[FuzzReport]:
+    return [run_campaign(name, trials, seed)
             for name in (lemmas or list(CAMPAIGNS))]

@@ -157,7 +157,7 @@ class _Engine:
     """A lexicographic DFS over size-k subsets of G \\ {0} and its checkpoint.
 
     The position is path (the elements chosen) and cursor (cursor[d], the
-    least element depth d tries next; past path[d] while that is chosen).
+    least element depth d tries next; path[d] + 1 while that is chosen).
     A kind names its state fields and root cursor, keeps its own per-depth
     stacks, and pushes one element with _descend, which returns False where
     its run() would cut that child. Both run() loops take their stop point
@@ -208,10 +208,12 @@ class _Engine:
         cursor = [int(x) for x in state["cursor"]]
         below = [self.root - 1, *path]
         last = group.order - self.k + 1  # past the last start at depth 0
-        # root <= path ascending; path[d] (path[-1] at the top) < cursor[d]
-        # <= last + d; every prefix kept by the kind's prune
+        # root <= path ascending; cursor[d] = path[d] + 1 below the top, and
+        # path[d] (path[-1] at the top) < cursor[d] <= last + d; every
+        # prefix kept by the kind's prune
         if (len(cursor) != len(path) + 1 or len(path) >= self.k
                 or any(a >= b for a, b in zip(below, path))
+                or cursor[:-1] != [x + 1 for x in path]
                 or any(not x < c <= last + d
                        for d, (x, c) in enumerate(zip(path + below[-1:], cursor)))
                 or not all(self._descend(x) for x in path)):
@@ -553,10 +555,11 @@ def run_work_unit(orders: tuple[int, ...], target: int, k: int, first: int,
         return [], 0
     if k == 1:  # the root node {first} is the leaf
         return [1 << first], 0
-    # first chosen, and the root cursor past the last start
+    # first chosen, then the root cursor moved past the last start
     state = dict(AvoidingEnumerator(group, target, k).state(),
-                 path=[first], cursor=[last + 1, first + 1])
+                 path=[first], cursor=[first + 1, first + 1])
     eng = AvoidingEnumerator.from_state(group, state, None, symmetries)
+    eng.cursor[0] = last + 1
     out = [sum(1 << i for i in leaf) for leaf in eng.run()]
     return out, eng.stats.nodes
 

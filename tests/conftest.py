@@ -9,9 +9,8 @@ import spanlab as S
 
 @pytest.fixture(autouse=True)
 def _clean_environment(monkeypatch):
-    """Keep ambient SPANLAB_* settings from leaking into any test."""
-    for var in ("SPANLAB_STORE", "SPANLAB_THREADS", "SPANLAB_SEED"):
-        monkeypatch.delenv(var, raising=False)
+    """Keep an ambient SPANLAB_STORE from leaking into any test."""
+    monkeypatch.delenv("SPANLAB_STORE", raising=False)
 
 
 def _records(spec: str):

@@ -171,45 +171,42 @@ def test_malformed_group_spec_exits_one(cli):
     assert "Zfoo" in err
 
 
-def test_bad_integer_environment_exits_one(cli):
-    code, _, err = cli("fuzz-bounds", "--lemma", "2.1", "--trials", "50",
-                       env={"SPANLAB_SEED": "abc"})
+@pytest.mark.parametrize("args,flag", [
+    (["enumerate-extremal", "--group", "Z3", "--threads", 0], "--threads"),
+    (["fuzz-bounds", "--lemma", "2.1", "--trials", -1], "--trials"),
+    (["enumerate-extremal", "--group", "Z15", "--checkpoint-every", -1],
+     "--checkpoint-every"),
+    (["cr", "--group", "Z21", "--max-seconds", "nan"], "--max-seconds"),
+    (["cr", "--group", "Z21", "--max-seconds", "inf"], "--max-seconds"),
+], ids=["threads-0", "trials-neg", "checkpoint-every-neg", "seconds-nan",
+        "seconds-inf"])
+def test_out_of_range_flag_is_a_usage_error(cli, args, flag):
+    code, _, err = cli(*args)
     assert code == 1
-    assert "SPANLAB_SEED" in err
+    assert f"argument {flag}:" in err
+    assert _campaigns(cli) == []
 
 
-@pytest.mark.parametrize("args,env", [
-    (["cr", "--group", "Z15", "--formula"], {"SPANLAB_THREADS": "abc"}),
-    (["enumerate-extremal", "--group", "Z15", "--threads", 1],
-     {"SPANLAB_THREADS": "abc"}),
-    (["cr", "--group", "Z15", "--formula"], {"SPANLAB_SEED": "abc"}),
-    (["fuzz-bounds", "--lemma", "2.1", "--trials", 50, "--no-exhaustive",
-      "--seed", 3], {"SPANLAB_SEED": "abc"}),
-], ids=["threads-cr", "threads-flag-given", "seed-cr", "seed-flag-given"])
-def test_environment_is_read_only_for_a_flag_left_unset(cli, args, env):
-    code, _, _ = cli(*args, env=env)
-    assert code == 0
-    (rec,) = _campaigns(cli)
-    assert rec["status"] == "COMPLETE"
+@pytest.mark.parametrize("var", ["SPANLAB_THREADS", "SPANLAB_SEED"])
+def test_threads_and_seed_environment_variables_change_nothing(cli, var):
+    runs = [["enumerate-extremal", "--group", "Z15", "--extended"],
+            ["fuzz-bounds", "--lemma", "2.1", "--trials", 50]]
+    plain = [cli(*args)[1] for args in runs]
+    dirty = [cli(*args, env={var: "abc"})[1] for args in runs]
+    records = _campaigns(cli)
+    for rec, again, out, out_env in zip(records, records[2:], plain, dirty):
+        assert rec["config"] == again["config"]
+        assert rec["summary"] == again["summary"]
+        assert (out_env.replace(again["campaign_id"], rec["campaign_id"])
+                == out)
 
 
-def test_ledger_config_echoes_an_environment_default(cli):
-    assert cli("fuzz-bounds", "--lemma", "2.1", "--trials", 50,
-               "--no-exhaustive", env={"SPANLAB_SEED": "9"})[0] == 0
-    (rec,) = _campaigns(cli)
-    assert rec["config"]["seed"] == 9
-
-
-@pytest.mark.parametrize("flags,env", [
-    (["--threads", 0], None),
-    (["--threads", -3], None),
-    ([], {"SPANLAB_THREADS": "0"}),
-])
-def test_threads_below_one_is_a_usage_error(cli, flags, env):
+@pytest.mark.parametrize("flags", [["--threads", 0], ["--threads", -3]])
+def test_threads_below_one_is_a_usage_error(cli, flags):
     code, _, err = cli("enumerate-extremal", "--group", "Z3", "--extended",
-                       *flags, env=env)
+                       *flags)
     assert code == 1
-    assert "SPANLAB_THREADS" in err
+    assert "--threads" in err
     assert _campaigns(cli) == []
 
 
@@ -235,17 +232,13 @@ class _InlinePool:
 
 
 @pytest.mark.parametrize("cpus,workers", [(3, 3), (None, 1)])
-@pytest.mark.parametrize("flags,env", [
-    (["--threads", 100_000], None),
-    ([], {"SPANLAB_THREADS": "100000"}),
-])
 def test_threads_pool_has_at_most_one_worker_per_cpu(cli, monkeypatch, cpus,
-                                                     workers, flags, env):
+                                                     workers):
     monkeypatch.setattr(_InlinePool, "sizes", [])
     monkeypatch.setattr(spanlab.extremal, "ProcessPoolExecutor", _InlinePool)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     code, _, _ = cli("enumerate-extremal", "--group", "Z3", "--extended",
-                     *flags, env=env)
+                     "--threads", 100_000)
     assert code == 0
     assert _InlinePool.sizes == [workers]
     (rec,) = _campaigns(cli)
@@ -425,6 +418,21 @@ def test_resume_with_wrong_group_fails(cli):
     assert "Z21" in err
 
 
+@pytest.mark.parametrize("paused,resumed,have,want", [
+    ([], ["--extended"], "direct", "missed_target"),
+    (["--extended"], [], "missed_target", "direct"),
+], ids=["direct-resumed-extended", "extended-resumed-direct"])
+def test_resume_in_another_mode_names_the_mode(cli, paused, resumed, have, want):
+    ck = cli.tmp / "ck.json"
+    assert cli("enumerate-extremal", "--group", "Z21", "--out",
+               cli.tmp / "r.jsonl", "--checkpoint", ck, "--max-nodes", 3000,
+               *paused)[0] == 2
+    code, _, err = cli("enumerate-extremal", "--group", "Z21", "--resume", ck,
+                       *resumed)
+    assert code == 1
+    assert f"checkpoint mode {have!r}, this run needs {want!r}" in err
+
+
 def test_resume_with_corrupt_checkpoint_fails(cli):
     ck = cli.tmp / "ck.json"
     ck.write_text("{not json")
@@ -535,7 +543,14 @@ def test_each_one_field_edit_of_a_checkpoint_is_refused_or_resumes_exactly(
         owner = data
         for name in parents:
             owner = owner[name]
-        for how, value in _one_field_edits(owner[key]):
+        edits = _one_field_edits(owner[key])
+        if path == ("state", "inner", "cursor"):
+            # each cursor below the top moved by one; the top one, moved,
+            # steps over or back to a node, which a resume cannot see
+            edits += [(f"[{d}]{step:+d}", [*owner[key][:d], c + step,
+                                           *owner[key][d + 1:]])
+                      for d, c in enumerate(owner[key][:-1]) for step in (1, -1)]
+        for how, value in edits:
             if between_targets and path == ("state", "target_pos") and how == "+1":
                 continue  # skips a whole target: the one edit a resume cannot see
             where = cli.tmp / f"edit-{len(outcomes)}"
@@ -662,8 +677,7 @@ def test_conjecture_window_violation_fails(cli):
 
 
 def test_fuzz_clean_campaign_exits_zero(cli):
-    code, out, _ = cli("fuzz-bounds", "--lemma", "2.1", "--trials", 300,
-                       "--no-exhaustive")
+    code, out, _ = cli("fuzz-bounds", "--lemma", "2.1", "--trials", 300)
     assert code == 0
     (rec,) = _campaigns(cli)
     (entry,) = json.loads(_artifact(cli, rec, "fuzz.json").read_text())
@@ -673,26 +687,18 @@ def test_fuzz_clean_campaign_exits_zero(cli):
 
 
 def test_fuzz_negative_trials_is_a_usage_error(cli):
-    code, _, err = cli("fuzz-bounds", "--lemma", "2.1", "--trials", -5,
-                       "--no-exhaustive")
+    code, _, err = cli("fuzz-bounds", "--lemma", "2.1", "--trials", -5)
     assert code == 1
     assert "--trials" in err
     assert _campaigns(cli) == []
 
 
-def test_fuzz_seed_resolution_flag_beats_environment(cli):
-    code, _, _ = cli("fuzz-bounds", "--lemma", "2.2", "--trials", 50,
-                     "--no-exhaustive", env={"SPANLAB_SEED": "9"})
-    assert code == 0
-    code, _, _ = cli("fuzz-bounds", "--lemma", "2.2", "--trials", 50,
-                     "--seed", 4, "--no-exhaustive",
-                     env={"SPANLAB_SEED": "9"})
-    assert code == 0
-    first, second = _campaigns(cli)
-    env_payload = json.loads(_artifact(cli, first, "fuzz.json").read_text())
-    flag_payload = json.loads(_artifact(cli, second, "fuzz.json").read_text())
-    assert env_payload[0]["seed"] == 9
-    assert flag_payload[0]["seed"] == 4
+def test_fuzz_exhaustive_is_an_unknown_argument(cli):
+    for flag in ("--exhaustive", "--no-exhaustive"):
+        code, _, err = cli("fuzz-bounds", "--lemma", "2.6", "--trials", 0, flag)
+        assert code == 1
+        assert f"unrecognized arguments: {flag}" in err
+    assert _campaigns(cli) == []
 
 
 # ----------------------------------------------------- store paths
@@ -789,8 +795,7 @@ def test_verify_main_z65_at_the_pq_boundary(cli):
 
 def test_report_lists_campaigns_without_adding_records(cli):
     assert cli("cr", "--group", "Z15", "--formula")[0] == 0
-    assert cli("fuzz-bounds", "--lemma", "2.3", "--trials", 50,
-               "--no-exhaustive")[0] == 0
+    assert cli("fuzz-bounds", "--lemma", "2.3", "--trials", 50)[0] == 0
     before = _campaigns(cli)
     code, out, _ = cli("report")
     assert code == 0

@@ -22,7 +22,7 @@ def test_campaign_registry_is_complete():
 
 @pytest.mark.parametrize("lemma", ALL_LEMMAS)
 def test_campaigns_report_zero_violations(lemma):
-    rep = S.run_campaign(lemma, trials=2000, seed=0, exhaustive=False)
+    rep = S.run_campaign(lemma, trials=2000, seed=0)
     assert rep.lemma == lemma
     assert rep.trials == 2000
     assert rep.violations == 0
@@ -34,8 +34,8 @@ def test_campaigns_report_zero_violations(lemma):
 
 def test_negative_trials_are_refused():
     with pytest.raises(ValueError, match="trials"):
-        S.run_campaign("2.1", trials=-1, exhaustive=False)
-    rep = S.run_campaign("2.9", trials=0, seed=0, exhaustive=True)
+        S.run_campaign("2.1", trials=-1)
+    rep = S.run_campaign("2.9", trials=0, seed=0)
     assert (rep.trials, rep.applied, rep.violations) == (0, 0, 0)
     assert rep.exhaustive["sequences"] == 27695
 
@@ -54,24 +54,23 @@ def test_every_bound_report_is_pinned():
 
 
 def test_campaigns_are_deterministic_per_seed():
-    a = S.run_campaign("2.4", trials=500, seed=7, exhaustive=False)
-    b = S.run_campaign("2.4", trials=500, seed=7, exhaustive=False)
+    a = S.run_campaign("2.4", trials=500, seed=7)
+    b = S.run_campaign("2.4", trials=500, seed=7)
     assert (a.applied, a.violations) == (b.applied, b.violations)
-    c = S.run_campaign("2.4", trials=500, seed=8, exhaustive=False)
+    c = S.run_campaign("2.4", trials=500, seed=8)
     assert c.seed != a.seed
 
 
 def test_run_all_campaigns_covers_every_lemma():
-    reports = S.run_all_campaigns(trials=200, seed=1, exhaustive=False)
+    reports = S.run_all_campaigns(trials=200, seed=1)
     assert [r.lemma for r in reports] == ALL_LEMMAS
     assert all(r.violations == 0 for r in reports)
-    subset = S.run_all_campaigns(trials=200, seed=1, lemmas=["2.2", "2.5"],
-                                 exhaustive=False)
+    subset = S.run_all_campaigns(trials=200, seed=1, lemmas=["2.2", "2.5"])
     assert [r.lemma for r in subset] == ["2.2", "2.5"]
 
 
 def test_restricted_sum_exhaustive_census():
-    rep = S.run_campaign("2.6", trials=100, seed=0, exhaustive=True)
+    rep = S.run_campaign("2.6", trials=100, seed=0)
     assert rep.violations == 0
     ex = rep.exhaustive
     assert ex["violations"] == 0
@@ -92,12 +91,7 @@ def test_restricted_sum_exhaustive_census():
 
 
 def test_sequence_growth_exhaustive_census():
-    rep = S.run_campaign("2.9", trials=100, seed=0, exhaustive=True)
+    rep = S.run_campaign("2.9", trials=100, seed=0)
     assert rep.violations == 0
     assert rep.exhaustive["sequences"] == 27695
     assert rep.exhaustive["violations"] == 0
-
-
-def test_exhaustive_flag_off_skips_the_census():
-    rep = S.run_campaign("2.6", trials=100, seed=0, exhaustive=False)
-    assert rep.exhaustive is None

@@ -423,6 +423,8 @@ def test_avoiding_from_state_rejects_paths_off_the_candidate_mask(path, why):
     ([3], [4, 3], "depth-1 cursor not past the path"),
     ([3], [11, 4], "depth-0 cursor past its last start 10"),
     ([3], [4, 12], "depth-1 cursor past its last start 11"),
+    ([3], [5, 4], "depth-0 cursor raised past path[0] + 1: skips 4"),
+    ([3, 5], [4, 7, 6], "depth-1 cursor raised past path[1] + 1: skips 6"),
 ])
 def test_sized_from_state_rejects_positions_off_the_tree(path, cursor, why):
     g = S.parse_group_spec("Z15")
