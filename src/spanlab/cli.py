@@ -566,7 +566,7 @@ def cmd_report(args, store: CampaignStore) -> int:
 
 
 def _add_budget_flags(p: _Parser, scope: str) -> None:
-    p.add_argument("--max-nodes", type=int, default=None, metavar="N",
+    p.add_argument("--max-nodes", type=_int_at_least(0), default=None, metavar="N",
                    help=f"stop after N search nodes {scope}")
     p.add_argument("--max-seconds", type=_finite_float, default=None, metavar="S",
                    help=f"stop after S seconds {scope}")
@@ -620,7 +620,7 @@ def build_parser() -> _Parser:
                    help="closed form only (default: formula plus certified "
                         "exhaustive search with agreement check)")
     _add_budget_flags(p, "in all")
-    p.add_argument("--max-exact-order", type=int, metavar="N",
+    p.add_argument("--max-exact-order", type=_int_at_least(1), metavar="N",
                    help=f"largest group order searched exhaustively "
                         f"(default {MAX_EXACT_ORDER}; larger orders are "
                         f"skipped)")
@@ -629,8 +629,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("verify-theorem-a",
                        help="formula vs exhaustive search on every abelian "
                             "group up to an order cap")
-    p.add_argument("--max-order", type=int, default=24,
-                   help="largest group order to verify (default 24)")
+    p.add_argument("--max-order", type=_int_at_least(3), default=24,
+                   help="largest group order to verify, at least 3 (default 24)")
     _add_budget_flags(p, "per group (each group's search gets the whole "
                          "allowance)")
     p.set_defaults(func=cmd_verify_theorem_a)

@@ -27,7 +27,6 @@ from __future__ import annotations
 import os
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from math import comb
@@ -288,6 +287,13 @@ def check_observation_31(a: ElementSet) -> ObservationReport:
 
 
 # -- enumeration ----------------------------------------------------------------
+
+
+def ProcessPoolExecutor(max_workers: int):
+    """A concurrent.futures process pool of max_workers, imported here so
+    that a run with one worker never loads the pool machinery."""
+    from concurrent.futures import ProcessPoolExecutor as pool
+    return pool(max_workers=max_workers)
 
 
 class ExtremalEnumeration:

@@ -7,7 +7,10 @@ import json
 import os
 import re
 import shutil
+import subprocess
+import sys
 from concurrent.futures import Future
+from pathlib import Path
 
 import pytest
 
@@ -178,8 +181,13 @@ def test_malformed_group_spec_exits_one(cli):
      "--checkpoint-every"),
     (["cr", "--group", "Z21", "--max-seconds", "nan"], "--max-seconds"),
     (["cr", "--group", "Z21", "--max-seconds", "inf"], "--max-seconds"),
+    (["enumerate-extremal", "--group", "Z15", "--max-nodes", -5], "--max-nodes"),
+    (["cr", "--group", "Z15", "--max-exact-order", -1], "--max-exact-order"),
+    (["cr", "--group", "Z15", "--max-exact-order", 0], "--max-exact-order"),
+    (["verify-theorem-a", "--max-order", 2], "--max-order"),
 ], ids=["threads-0", "trials-neg", "checkpoint-every-neg", "seconds-nan",
-        "seconds-inf"])
+        "seconds-inf", "max-nodes-neg", "max-exact-order-neg",
+        "max-exact-order-0", "max-order-2"])
 def test_out_of_range_flag_is_a_usage_error(cli, args, flag):
     code, _, err = cli(*args)
     assert code == 1
@@ -243,6 +251,18 @@ def test_threads_pool_has_at_most_one_worker_per_cpu(cli, monkeypatch, cpus,
     assert _InlinePool.sizes == [workers]
     (rec,) = _campaigns(cli)
     assert len(_artifact(cli, rec, "records.jsonl").read_text().splitlines()) == 1
+
+
+def test_import_loads_no_pool_machinery():
+    # only a run with --threads > 1 may load the pool stack; a fresh
+    # interpreter, since this module imports concurrent.futures itself
+    src = Path(spanlab.cli.__file__).resolve().parents[1]
+    probe = ("import sys, spanlab.cli; print(sorted(m for m in "
+             "('concurrent.futures', 'multiprocessing') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", probe], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}).stdout
+    assert out == "[]\n"
 
 
 # ---------------------------------------------------- enumeration
@@ -745,15 +765,6 @@ def test_verify_theorem_a_names_unsettled_groups_not_disagreements(cli):
                                   "disagreement, unsettled: Z3, Z2xZ2, Z4, Z5")
     table = json.loads(_artifact(cli, rec, "table.json").read_text())
     assert table["all_agree"] is False
-
-
-def test_verify_theorem_a_below_order_3_fails(cli):
-    code, out, err = cli("verify-theorem-a", "--max-order", 2)
-    assert code == 1
-    assert "FAILED" in out and "max_order" in err
-    (rec,) = _campaigns(cli)
-    assert rec["status"] == "FAILED"
-    assert rec["summary"]["error"].startswith("ValueError")
 
 
 def test_classify_prints_record(cli):
