@@ -23,9 +23,8 @@ from .extremal import (HAS_COMPLETE_SUBSET, SHAPE_B, SHAPE_EX1, SHAPE_EX2,
                        CosetProfile, ExtremalEnumeration, ExtremalRecord,
                        ObservationReport, TheoremReport, check_conjecture,
                        check_observation_31, classify, coset_profile,
-                       enumerate_extremal, extremality_failure, is_extremal,
-                       make_example_1, make_example_2, theorem_main_hypothesis,
-                       verify_theorem_main)
+                       extremality_failure, make_example_1, make_example_2,
+                       theorem_main_hypothesis, verify_theorem_main)
 from .fuzz import CAMPAIGNS, FuzzReport, run_all_campaigns, run_campaign
 from .groups import (ElementSet, GroupSpec, abelian_groups_of_order,
                      all_subgroups, cosets, generated_subgroup, is_prime,
@@ -59,8 +58,8 @@ __all__ = [
     "contains_complete_subset", "coset_profile", "cosets",
     "critical_number_case", "critical_number_formula",
     "critical_number_search", "detect_ap",
-    "elementary_divisors", "enumerate_extremal", "epsilon",
-    "extremality_failure", "generated_subgroup", "is_complete", "is_extremal",
+    "elementary_divisors", "epsilon",
+    "extremality_failure", "generated_subgroup", "is_complete",
     "is_prime", "make_example_1", "make_example_2", "make_group",
     "max_avoiding", "parse_group_spec", "pq_window", "restricted_sums",
     "run_all_campaigns", "run_campaign", "spans", "subgroups_of_order",

@@ -62,14 +62,14 @@ def _int_at_least(low: int):
     return integer
 
 
-def _finite_float(text: str) -> float:
-    """An argparse type: a float that is neither NaN nor infinite."""
+def _seconds(text: str) -> float:
+    """An argparse type: a finite float of at least 0."""
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    if not math.isfinite(value) or value < 0:
+        raise argparse.ArgumentTypeError(f"must be finite and at least 0, got {text}")
     return value
 
 
@@ -317,40 +317,36 @@ def cmd_verify_theorem_a(args, run: _Run) -> int:
                                "pending": len(pending)}, lines, bool(bad))
 
 
-def _resume_setup(args, command: str):
-    """Returns (checkpoint_or_None, inherited_records).
-
-    `inherited_records` is the output path recorded in the checkpoint, so
-    a bare `--resume <ck>` keeps appending to the interrupted run's file
-    instead of starting a fresh one in the new campaign's directory.
-    """
-    if not args.resume:
-        return None, None
-    ck = _load_checkpoint(Path(args.resume), command)
-    return ck, Path(ck["records"]) if ck["records"] else None
-
-
 def _enumerating_run(args, run: _Run, group, orbit_dedup: bool,
                      verdict: Verdict, report) -> int:
     """The run shared by enumerate-extremal, conjecture and verify-main.
 
     Resumes from --resume (a finished checkpoint searches nothing and
-    rebuilds from its lines), streams the records to disk while folding
-    the prior lines and then the new ones into `verdict`, registers the
-    artifacts and finishes the run. report(enum, complete, records_path)
+    rebuilds from its lines; an extended one whose seen is not the set
+    bitmasks of those lines is refused) and, without --out, appends to the
+    records file the checkpoint names. It streams the records to disk while
+    folding the prior lines and then the new ones into `verdict`, registers
+    the artifacts and finishes the run. report(enum, complete, records_path)
     writes the command's certificate, if any, and returns its (summary,
     lines, violation found); a PARTIAL run adds a resume hint.
     """
-    ck, inherited = _resume_setup(args, run.name)
+    ck = _load_checkpoint(Path(args.resume), run.name) if args.resume else None
     enum = ExtremalEnumeration(group, _budget(args), args.extended, orbit_dedup,
                                ck and ck["state"], args.threads)
     prior = _prior_lines(ck, enum.stats.emitted) if ck else []
-    out = getattr(args, "out", None)
-    records_path = Path(out) if out else inherited or run.dir / "records.jsonl"
+    records_path = Path(getattr(args, "out", None) or ck and ck["records"]
+                        or run.dir / "records.jsonl")
     ck_path = Path(getattr(args, "checkpoint", None) or args.resume
                    or run.dir / "checkpoint.json")
+    seen = set()
     for line in prior:
-        verdict.add(json.loads(line))
+        record = json.loads(line)
+        verdict.add(record)
+        seen.add(format(sum(1 << i for i in record["set"]), "x"))
+    if ck and enum.mode == "missed_target" and seen != set(ck["state"]["seen"]):
+        raise CheckpointMismatch(
+            f"checkpoint seen differs from the sets of the {len(prior)} "
+            f"records written before it")
     stopped = _stream_records(enum, records_path, ck_path, run.name,
                               args.checkpoint_every, prior, verdict.add)
     summary, lines, violation = report(enum, stopped is None, records_path)
@@ -568,7 +564,7 @@ def cmd_report(args, store: CampaignStore) -> int:
 def _add_budget_flags(p: _Parser, scope: str) -> None:
     p.add_argument("--max-nodes", type=_int_at_least(0), default=None, metavar="N",
                    help=f"stop after N search nodes {scope}")
-    p.add_argument("--max-seconds", type=_finite_float, default=None, metavar="S",
+    p.add_argument("--max-seconds", type=_seconds, default=None, metavar="S",
                    help=f"stop after S seconds {scope}")
 
 

@@ -132,10 +132,6 @@ def extremality_failure(a: ElementSet) -> str | None:
     return None
 
 
-def is_extremal(a: ElementSet) -> bool:
-    return extremality_failure(a) is None
-
-
 def _coset_pair_shape(g: GroupSpec, subgroups: list[ElementSet],
                       a_bits: int) -> tuple[ElementSet, int] | None:
     """The first H in subgroups with H \\ {0} <= A <= H + (x+H) + (-x+H),
@@ -347,7 +343,6 @@ class ExtremalEnumeration:
         self.orbit_dedup = bool(orbit_dedup and extended and group.is_cyclic_spec)
         self.threads = threads
         self.stats = SearchStats()
-        self.done = False
         self._engine: SizedEnumerator | AvoidingEnumerator | None = None
         self._seen: set[int] = set()
         self.targets = (target_representatives(group, self.orbit_dedup)
@@ -361,10 +356,29 @@ class ExtremalEnumeration:
             except (AttributeError, KeyError, TypeError, ValueError) as exc:
                 raise CheckpointMismatch(f"corrupt checkpoint: {exc}") from None
 
+    def engine(self) -> SizedEnumerator | AvoidingEnumerator | None:
+        """The engine at this run's position, built at its root on first use:
+        the SizedEnumerator in direct mode, the AvoidingEnumerator of
+        targets[target_pos] in missed-target mode, and None once every
+        target is walked."""
+        if self._engine is None:
+            if self.mode == "direct":
+                self._engine = SizedEnumerator(self.group, self.k)
+            elif self.target_pos < len(self.targets):
+                t = self.targets[self.target_pos]
+                self._engine = AvoidingEnumerator(self.group, t, self.k, None,
+                                                  self._stabilizer(t))
+        return self._engine
+
+    @property
+    def done(self) -> bool:
+        eng = self.engine()
+        return eng is None or eng.done
+
     # state round-trip ------------------------------------------------------
 
     def state(self) -> dict:
-        eng = self._engine
+        eng = self.engine()
         st = {
             "engine": ENGINE_VERSION,
             "kind": "extremal",
@@ -374,8 +388,7 @@ class ExtremalEnumeration:
             "orbit_dedup": self.orbit_dedup,
             "emitted": self.stats.emitted,
             "done": self.done,
-            # an engine that has walked no node holds no position yet
-            "inner": eng.state() if eng and eng.stats.nodes else None,
+            "inner": None if eng is None else eng.state(),
         }
         if self.mode == "missed_target":
             st["targets"] = list(self.targets)
@@ -386,34 +399,32 @@ class ExtremalEnumeration:
     def _load(self, st: dict) -> None:
         """Rebuild the run at st's position, then refuse st unless it is the
         state() of that run. The position is the inner engine's state and,
-        in missed-target mode, target_pos and seen; emitted and done follow
-        from it (the inner engine's in direct mode, len(seen) and whether
-        every target is walked otherwise), the rest from this run."""
+        in missed-target mode, target_pos and seen; inner is null only once
+        every target is walked. emitted and done follow from the position
+        (the inner engine's count in direct mode, len(seen) otherwise), the
+        rest from this run."""
         check_fields(st, "checkpoint", mode=self.mode)
-        inner = st["inner"]
-        if self.mode == "direct":
-            if inner is not None:
-                check_fields(inner, "checkpoint", group=self.group.spec_string,
-                             k=self.k)
-                eng = self._engine = SizedEnumerator.from_state(self.group, inner)
-                self.stats.emitted, self.done = eng.stats.emitted, eng.done
-        else:
+        if self.mode == "missed_target":
             pos = self.target_pos = st["target_pos"]
-            # a mid-target state sits at a target; otherwise all may be done
-            last = len(self.targets) - (inner is not None)
-            if not isinstance(pos, int) or not 0 <= pos <= last:
-                raise CheckpointMismatch(
-                    f"checkpoint target_pos {pos!r} outside 0..{last}")
+            if not isinstance(pos, int) or not 0 <= pos <= len(self.targets):
+                raise CheckpointMismatch(f"checkpoint target_pos {pos!r} "
+                                         f"outside 0..{len(self.targets)}")
             self._seen = {int(s, 16) for s in st["seen"]}
             self.stats.emitted = len(self._seen)
-            self.done = pos == len(self.targets)
-            if inner is not None:
-                # a walk ends before the next target's starts, so none is done
-                t = self.targets[pos]
-                check_fields(inner, "checkpoint", group=self.group.spec_string,
-                             target=t, k=self.k, done=False)
+        root, inner = self.engine(), st["inner"]
+        if root is not None:
+            if inner is None:
+                raise CheckpointMismatch(
+                    f"checkpoint inner null, yet this run is unfinished and "
+                    f"needs its {root.kind} engine's state")
+            check_fields(inner, "checkpoint", group=self.group.spec_string,
+                         **{f: getattr(root, f) for f in root.fields})
+            if self.mode == "direct":
+                eng = self._engine = SizedEnumerator.from_state(self.group, inner)
+                self.stats.emitted = eng.stats.emitted
+            else:
                 self._engine = AvoidingEnumerator.from_state(
-                    self.group, inner, None, self._stabilizer(t))
+                    self.group, inner, None, root.symmetries)
         check_fields(st, "corrupt checkpoint:", **self.state())
 
     # record construction -----------------------------------------------------
@@ -436,7 +447,6 @@ class ExtremalEnumeration:
             # re-raise carrying the enumeration-level state, not the raw
             # engine state, so a resume restores dedup and target position
             raise EnumerationPaused(self.state()) from None
-        self.done = True
 
     def _walk(self, eng: SizedEnumerator | AvoidingEnumerator, leaves: Iterator,
               start: float) -> Iterator:
@@ -451,7 +461,7 @@ class ExtremalEnumeration:
             self.stats.nodes += eng.stats.nodes - before
 
     def _run_direct(self, start: float) -> Iterator[ExtremalRecord]:
-        eng = self._engine = self._engine or SizedEnumerator(self.group, self.k)
+        eng = self.engine()
         for indices in self._walk(eng, eng.run(), start):
             yield self._emit(indices)
 
@@ -477,10 +487,7 @@ class ExtremalEnumeration:
         workers = min(self.threads, os.cpu_count() or 1)
         with (ProcessPoolExecutor(max_workers=workers) if self.threads > 1
               else nullcontext()) as pool:
-            while self.target_pos < len(self.targets):
-                t = self.targets[self.target_pos]
-                eng = self._engine = self._engine or AvoidingEnumerator(
-                    self.group, t, self.k, None, self._stabilizer(t))
+            while (eng := self.engine()) is not None:
                 leaves = (eng.run_split(pool.submit) if pool and not eng.path else
                           (sum(1 << i for i in leaf) for leaf in eng.run()))
                 for mask in self._walk(eng, leaves, start):
@@ -489,17 +496,6 @@ class ExtremalEnumeration:
                         yield self._emit(indices)
                 self._engine = None
                 self.target_pos += 1
-
-
-def enumerate_extremal(group: GroupSpec, budget: SearchBudget | None = None,
-                       extended: bool = False, orbit_dedup: bool = True,
-                       checkpoint: dict | None = None,
-                       threads: int = 1) -> Iterator[ExtremalRecord]:
-    """Convenience wrapper: stream classified extremal records. orbit_dedup
-    asks for one record per unit orbit, which only an extended run on a
-    single-factor spec gives (see ExtremalEnumeration)."""
-    yield from ExtremalEnumeration(group, budget, extended, orbit_dedup,
-                                   checkpoint, threads).records()
 
 
 # -- named example constructions -------------------------------------------------

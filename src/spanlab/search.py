@@ -159,8 +159,9 @@ class _Engine:
     The position is path (the elements chosen) and cursor (cursor[d], the
     least element depth d tries next; path[d] + 1 while that is chosen).
     A kind names its state fields and root cursor, keeps its own per-depth
-    stacks, and pushes one element with _descend, which returns False where
-    its run() would cut that child. Both run() loops take their stop point
+    stacks, and pushes one element with _descend, which returns False for
+    a child that no walk reaches: a spanning prefix (sized), or one off the
+    candidate mask (avoiding). Both run() loops take their stop point
     from _start and _check: a run pauses before the first node it may not
     walk, so stats.nodes counts every node walked once across a pause. A
     run steps past each leaf before yielding it, so no position holds a
@@ -200,7 +201,11 @@ class _Engine:
                    budget: SearchBudget | None = None, *args):
         """Rebuild an engine at a state() position; the trailing arguments
         go to the constructor after budget (AvoidingEnumerator: symmetries).
-        Raises CheckpointMismatch for a position the run cannot reach."""
+        Raises CheckpointMismatch unless engine, kind and group match and
+        the position passes the checks below; a cut of run() that _descend
+        does not make is not replayed (a Z35 target-0 position under the
+        lex-cut root 2 loads and walks no leaf), and nodes, emitted and
+        done are taken as they stand."""
         check_fields(state, "checkpoint", engine=ENGINE_VERSION, kind=cls.kind,
                      group=group.spec_string)
         self = cls(group, *(int(state[f]) for f in cls.fields), budget, *args)
@@ -209,8 +214,8 @@ class _Engine:
         below = [self.root - 1, *path]
         last = group.order - self.k + 1  # past the last start at depth 0
         # root <= path ascending; cursor[d] = path[d] + 1 below the top, and
-        # path[d] (path[-1] at the top) < cursor[d] <= last + d; every
-        # prefix kept by the kind's prune
+        # path[d] (path[-1] at the top) < cursor[d] <= last + d; _descend
+        # accepting every element
         if (len(cursor) != len(path) + 1 or len(path) >= self.k
                 or any(a >= b for a, b in zip(below, path))
                 or cursor[:-1] != [x + 1 for x in path]

@@ -14,7 +14,7 @@ def _clean_environment(monkeypatch):
 
 
 def _records(spec: str):
-    return list(S.enumerate_extremal(S.parse_group_spec(spec)))
+    return list(S.ExtremalEnumeration(S.parse_group_spec(spec)).records())
 
 
 @pytest.fixture(scope="session")

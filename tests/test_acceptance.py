@@ -170,7 +170,7 @@ def test_criterion_5_complete_subset_conjecture_certificate_z21(z21_records):
 def test_criterion_6_coset_observation_holds_on_every_record():
     total = 0
     for spec in ("Z15", "Z16", "Z21"):
-        for rec in S.enumerate_extremal(S.parse_group_spec(spec)):
+        for rec in S.ExtremalEnumeration(S.parse_group_spec(spec)).records():
             assert S.check_observation_31(rec.element_set).holds, rec.indices
             total += 1
     assert total == 28 + 1 + 390

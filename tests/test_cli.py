@@ -185,9 +185,13 @@ def test_malformed_group_spec_exits_one(cli):
     (["cr", "--group", "Z15", "--max-exact-order", -1], "--max-exact-order"),
     (["cr", "--group", "Z15", "--max-exact-order", 0], "--max-exact-order"),
     (["verify-theorem-a", "--max-order", 2], "--max-order"),
+    (["enumerate-extremal", "--group", "Z15", "--max-seconds", -5],
+     "--max-seconds"),
+    (["cr", "--group", "Z15", "--max-seconds", -1], "--max-seconds"),
 ], ids=["threads-0", "trials-neg", "checkpoint-every-neg", "seconds-nan",
         "seconds-inf", "max-nodes-neg", "max-exact-order-neg",
-        "max-exact-order-0", "max-order-2"])
+        "max-exact-order-0", "max-order-2", "enumerate-seconds-neg",
+        "cr-seconds-neg"])
 def test_out_of_range_flag_is_a_usage_error(cli, args, flag):
     code, _, err = cli(*args)
     assert code == 1
@@ -553,10 +557,10 @@ def test_each_one_field_edit_of_a_checkpoint_is_refused_or_resumes_exactly(
     assert code == (2 if allowance else 0)
     data = json.loads(ck.read_text())
     inner = data["state"]["inner"]
-    between_targets = allowance == 1456
-    assert (inner is None) == between_targets
+    # between targets, the next target's engine at its root
+    assert (inner["nodes"] == 0) == (allowance == 1456)
     fields = ([(key,) for key in data] + [("state", key) for key in data["state"]]
-              + [("state", "inner", key) for key in inner or ()])
+              + [("state", "inner", key) for key in inner])
     outcomes = []
     for path in fields:
         *parents, key = path
@@ -571,8 +575,6 @@ def test_each_one_field_edit_of_a_checkpoint_is_refused_or_resumes_exactly(
                                            *owner[key][d + 1:]])
                       for d, c in enumerate(owner[key][:-1]) for step in (1, -1)]
         for how, value in edits:
-            if between_targets and path == ("state", "target_pos") and how == "+1":
-                continue  # skips a whole target: the one edit a resume cannot see
             where = cli.tmp / f"edit-{len(outcomes)}"
             where.mkdir()
             for kept in cli.tmp.glob("r.jsonl*"):
@@ -598,6 +600,45 @@ def test_each_one_field_edit_of_a_checkpoint_is_refused_or_resumes_exactly(
     assert len(outcomes) > 60 and 0 in outcomes and 1 in outcomes
 
 
+def test_resume_refuses_a_null_inner_on_an_unfinished_run(cli):
+    # paused between targets: the checkpoint holds the next target's engine
+    ck = cli.tmp / "ck.json"
+    assert cli("enumerate-extremal", "--group", "Z21", "--extended", "--out",
+               cli.tmp / "r.jsonl", "--checkpoint", ck, "--max-nodes", 1456)[0] == 2
+    data = json.loads(ck.read_text())
+    assert data["state"]["inner"]["path"] == []
+    data["state"]["inner"] = None
+    ck.write_text(json.dumps(data))
+    code, _, err = cli("enumerate-extremal", "--group", "Z21", "--extended",
+                       "--resume", ck)
+    assert code == 1
+    assert "checkpoint inner null" in err
+    assert "CheckpointMismatch" in _campaigns(cli)[-1]["summary"]["error"]
+
+
+def test_resume_refuses_a_seen_entry_swapped_for_a_later_set(cli):
+    full = cli.tmp / "full.jsonl"
+    assert cli("enumerate-extremal", "--group", "Z21", "--extended",
+               "--out", full)[0] == 0
+    masks = [format(sum(1 << i for i in json.loads(line)["set"]), "x")
+             for line in full.read_text().splitlines()]
+    ck = cli.tmp / "ck.json"
+    assert cli("enumerate-extremal", "--group", "Z21", "--extended", "--out",
+               cli.tmp / "r.jsonl", "--checkpoint", ck, "--max-nodes", 600)[0] == 2
+    data = json.loads(ck.read_text())
+    seen = data["state"]["seen"]
+    assert len(seen) == data["state"]["emitted"] == 22
+    assert sorted(seen) == sorted(masks[:22])
+    # sorted as state() writes it, so the checkpoint itself round-trips
+    data["state"]["seen"] = sorted(set(seen) - {masks[0]} | {masks[30]})
+    ck.write_text(json.dumps(data))
+    code, _, err = cli("enumerate-extremal", "--group", "Z21", "--extended",
+                       "--resume", ck)
+    assert code == 1
+    assert "checkpoint seen differs" in err
+    assert "CheckpointMismatch" in _campaigns(cli)[-1]["summary"]["error"]
+
+
 def test_fresh_run_errors_keep_their_own_text(cli):
     code, _, err = cli("enumerate-extremal", "--group", "Z31")
     assert code == 1
@@ -621,7 +662,8 @@ def test_zero_second_budget_pauses_before_the_first_node(cli):
     assert code == 2 and "budget exhausted" in text
     (rec,) = _campaigns(cli)
     assert rec["summary"]["nodes"] == 0 and rec["summary"]["records"] == 0
-    assert json.loads(ck.read_text())["state"]["inner"] is None
+    inner = json.loads(ck.read_text())["state"]["inner"]
+    assert inner["path"] == [] and inner["nodes"] == 0  # the root engine
     assert cli("enumerate-extremal", "--group", "Z15", "--resume", ck)[0] == 0
     assert _campaigns(cli)[-1]["summary"]["nodes"] == 2804
     assert hashlib.sha256(out.read_bytes()).hexdigest() == _ENUM_Z15
@@ -830,6 +872,30 @@ def test_report_markdown_format(cli):
                        "--format", "markdown")
     assert code == 0
     assert "|" in out  # tables render as pipe markdown
+
+
+def _cells(out: str, fmt: str) -> list[list[str]]:
+    """The rows of every table in a report, as lists of cells."""
+    if fmt == "markdown":
+        return [[c.strip() for c in line.strip("|").split("|")]
+                for line in out.splitlines() if line.startswith("|")]
+    return [line.split() for line in out.splitlines()]
+
+
+@pytest.mark.parametrize("fmt", ["text", "markdown"])
+def test_report_renders_records_and_fuzz_tables(cli, fmt):
+    assert cli("enumerate-extremal", "--group", "Z15")[0] == 0
+    assert cli("fuzz-bounds", "--trials", 30)[0] == 0
+    enum, fuzz = _campaigns(cli)
+    code, out, _ = cli("report", "--campaign", enum["campaign_id"], "--format", fmt)
+    assert code == 0 and "28 records" in out
+    rows = _cells(out, fmt)
+    assert ["SHAPE_EX2", "4"] in rows and ["UNCLASSIFIED", "24"] in rows
+    code, out, _ = cli("report", "--campaign", fuzz["campaign_id"], "--format", fmt)
+    assert code == 0
+    rows = [row for row in _cells(out, fmt) if row and row[0] in S.CAMPAIGNS]
+    assert [row[0] for row in rows] == sorted(S.CAMPAIGNS)  # one row per bound
+    assert all(row[1] == "30" and row[-1] == "yes" for row in rows)
 
 
 # ------------------------------------------------------ golden bytes

@@ -77,7 +77,7 @@ def test_every_small_direct_census_classifies_to_pinned_bytes():
             if comb(n - 1, S.critical_number_formula(g) - 1) > 1_000_000:
                 continue
             groups += 1
-            for rec in S.enumerate_extremal(g):
+            for rec in S.ExtremalEnumeration(g).records():
                 records += 1
                 digest.update(json.dumps(rec.to_dict(), sort_keys=True).encode())
     assert (groups, records) == (34, 8884)
@@ -95,14 +95,14 @@ def test_enumeration_is_exhaustive_against_brute_force(z15_records):
 
 
 def test_enumeration_streams_are_deterministic():
-    a = [tuple(r.indices) for r in S.enumerate_extremal(_g("Z15"))]
-    b = [tuple(r.indices) for r in S.enumerate_extremal(_g("Z15"))]
+    a = [tuple(r.indices) for r in S.ExtremalEnumeration(_g("Z15")).records()]
+    b = [tuple(r.indices) for r in S.ExtremalEnumeration(_g("Z15")).records()]
     assert a == b
 
 
 def test_orbit_dedup_keeps_one_representative_per_orbit(z15_records):
     g = _g("Z15")
-    reduced = list(S.enumerate_extremal(g, extended=True, orbit_dedup=True))
+    reduced = list(S.ExtremalEnumeration(g, extended=True, orbit_dedup=True).records())
     literal_orbits = {g.canonical_bits_under_units(r.element_set.bits)
                       for r in z15_records}
     reduced_bits = [r.element_set.bits for r in reduced]
@@ -121,7 +121,7 @@ def test_orbit_dedup_applies_to_extended_runs_on_cyclic_groups_only(z15_records)
     raw = S.ExtremalEnumeration(g, extended=True, orbit_dedup=True)
     assert not raw.orbit_dedup and len(raw.targets) == g.order
     assert sorted(r.indices for r in raw.records()) == \
-        sorted(r.indices for r in S.enumerate_extremal(g))
+        sorted(r.indices for r in S.ExtremalEnumeration(g).records())
 
 
 @pytest.mark.parametrize("threads", [0, -3])
@@ -146,7 +146,7 @@ def test_missed_target_engine_matches_direct_on_noncyclic_groups(spec):
 
 def test_enumeration_pause_and_resume_round_trip():
     g = _g("Z21")
-    full = [tuple(r.indices) for r in S.enumerate_extremal(g)]
+    full = [tuple(r.indices) for r in S.ExtremalEnumeration(g).records()]
     enum = S.ExtremalEnumeration(g, budget=S.SearchBudget(max_nodes=3000))
     first = []
     state = None
@@ -208,7 +208,7 @@ def test_unpruned_snapshots_resume_under_stabilizer_pruning(monkeypatch):
     # the pruned DFS cuts
     g = _g("Z33")
     full = [dump_json(rec.to_dict())
-            for rec in S.enumerate_extremal(g, extended=True)]
+            for rec in S.ExtremalEnumeration(g, extended=True).records()]
     with monkeypatch.context() as m:
         m.setattr(S.ExtremalEnumeration, "_stabilizer", lambda self, t: ())
         unpruned, snapshots = _snapshots(S.ExtremalEnumeration(g, extended=True))
@@ -243,7 +243,8 @@ def test_stabilizer_pruned_orbit_records_match_the_unpruned_tree(n):
 @pytest.mark.parametrize("spec", ["Z35", "Z36"])
 def test_stabilizer_pruned_orbit_records_match_with_two_workers(spec):
     g = _g(spec)
-    recs = S.enumerate_extremal(g, extended=True, orbit_dedup=True, threads=2)
+    recs = S.ExtremalEnumeration(g, extended=True, orbit_dedup=True,
+                                 threads=2).records()
     assert [tuple(rec.indices) for rec in recs] == ref.orbit_records_unpruned(g)
 
 
@@ -266,7 +267,7 @@ def test_node_budget_bounds_the_whole_run_at_any_thread_count():
     # invocation pauses it, where one allowance per target would not
     g = _g("Z3xZ3xZ3")
     straight = [tuple(rec.indices)
-                for rec in S.enumerate_extremal(g, extended=True)]
+                for rec in S.ExtremalEnumeration(g, extended=True).records()]
     budget = S.SearchBudget(max_nodes=10_000)
     for threads in (1, 2):
         records, state = _run_to_pause(g, budget, threads=threads)
@@ -281,7 +282,8 @@ def test_node_budget_bounds_the_whole_run_at_any_thread_count():
 def test_zero_second_budget_pauses_before_the_first_target(threads):
     records, state = _run_to_pause(
         _g("Z3xZ3xZ3"), S.SearchBudget(max_seconds=0), threads=threads)
-    assert records == [] and state["target_pos"] == 0 and state["inner"] is None
+    assert records == [] and state["target_pos"] == 0
+    assert state["inner"]["path"] == [] and state["inner"]["nodes"] == 0
 
 
 @pytest.mark.parametrize("spec", ["Z3xZ3xZ3", "Z35"])
@@ -341,13 +343,11 @@ def test_enumeration_rejects_an_inner_engine_of_another_size(spec, extended):
 # ------------------------------------------------------ extremality
 
 
-def test_is_extremal_and_failure_reasons():
+def test_extremality_failure_reasons():
     g = _g("Z15")
     good = S.ElementSet.from_indices(g, [1, 2, 3, 12, 13, 14])
-    assert S.is_extremal(good)
     assert S.extremality_failure(good) is None
     spanning = S.ElementSet.from_indices(g, [1, 2, 3, 4, 5, 6])
-    assert not S.is_extremal(spanning)
     assert "cover" in S.extremality_failure(spanning)
     wrong_size = S.ElementSet.from_indices(g, [1, 2, 3])
     assert "6" in S.extremality_failure(wrong_size)
@@ -517,7 +517,7 @@ def test_example_constructor_coset_variant(p, q):
     assert g.order == p * q
     assert a.cardinality == p + q - 3 == S.critical_number_formula(g) - 1
     assert not ref.spans_brute(g, list(a.indices()))
-    assert S.is_extremal(a)
+    assert S.extremality_failure(a) is None
     # the order-p subgroup is fully present minus zero
     k = next(h for h in S.all_subgroups(g) if h.cardinality == p)
     inter = set(a.indices()) & set(k.indices())
@@ -544,7 +544,7 @@ def test_example_constructor_interval_variant(p, q):
     assert g.order == p * q
     assert a.cardinality == p + q - 2 == S.critical_number_formula(g) - 1
     assert not ref.spans_brute(g, list(a.indices()))
-    assert S.is_extremal(a)
+    assert S.extremality_failure(a) is None
     assert ref.shape_symmetric_interval(g, list(a.indices()))
 
 
@@ -642,7 +642,7 @@ def test_structure_theorem_extended_runs(spec, tag):
 @pytest.mark.extended
 def test_z55_parallel_missed_target_records_bytes():
     # the benchmark's extremal-parallel run: 2 pool workers, unit-orbit dedup
-    recs = S.enumerate_extremal(_g("Z55"), extended=True, threads=2)
+    recs = S.ExtremalEnumeration(_g("Z55"), extended=True, threads=2).records()
     lines = [dump_json(rec.to_dict()) + "\n" for rec in recs]
     assert len(lines) == 126
     assert hashlib.sha256("".join(lines).encode()).hexdigest() == (
