@@ -13,8 +13,7 @@ representative in [1, (p-1)/2], so d and -d never disagree across calls.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .groups import ElementSet, all_subgroups, generated_subgroup, is_prime
 from .sums import (SequenceOverGroup, restricted_sums, subset_sums_bits, sumset,
@@ -38,16 +37,14 @@ def two_sqrt_floor(n: int) -> int:
 # -- arithmetic progression detection ---------------------------------------
 
 
-@dataclass(frozen=True)
-class APWitness:
+class APWitness(NamedTuple):
     is_ap: bool
-    first: int | None = None
-    difference: int | None = None
-    size: int = 0
+    first: int | None
+    difference: int | None
+    size: int
 
     def to_dict(self) -> dict:
-        return {"is_ap": self.is_ap, "first": self.first,
-                "difference": self.difference, "size": self.size}
+        return self._asdict()
 
 
 def _prime_cyclic_order(b: ElementSet | SequenceOverGroup) -> int:
@@ -103,17 +100,19 @@ def _progression_step(bits: int, n: int, p: int) -> tuple[int, int] | None:
 # -- report types ------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class BoundReport:
+class BoundReport(NamedTuple):
+    """One check on one instance; actual and bound are None where the check
+    computed none, and detail holds plain JSON values."""
+
     check: str
     applied: bool
     holds: bool
-    actual: int | None = None
-    bound: int | None = None
-    detail: dict = field(default_factory=dict)
+    actual: int | None
+    bound: int | None
+    detail: dict
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 # -- the checks ---------------------------------------------------------------
@@ -126,11 +125,11 @@ def check_folk_lemma(a: ElementSet, b: ElementSet) -> BoundReport:
     g = a.group
     applied = a.cardinality + b.cardinality >= g.order + 1
     if not applied:
-        return BoundReport("folk_lemma", False, True,
-                           detail={"sizes": [a.cardinality, b.cardinality], "order": g.order})
+        return BoundReport("folk_lemma", False, True, None, None,
+                           {"sizes": [a.cardinality, b.cardinality], "order": g.order})
     s = sumset(a, b)
-    return BoundReport("folk_lemma", True, s.is_full, actual=s.cardinality, bound=g.order,
-                       detail={"sizes": [a.cardinality, b.cardinality], "order": g.order})
+    return BoundReport("folk_lemma", True, s.is_full, s.cardinality, g.order,
+                       {"sizes": [a.cardinality, b.cardinality], "order": g.order})
 
 
 def check_hamidoune_dichotomy(a: ElementSet) -> BoundReport:
@@ -155,9 +154,9 @@ def check_hamidoune_dichotomy(a: ElementSet) -> BoundReport:
             concentrated = h.serialize()
             break
     return BoundReport("hamidoune_dichotomy", True, branch_i or branch_ii,
-                       actual=sigma0, bound=bound,
-                       detail={"branch_i": branch_i, "branch_ii": branch_ii,
-                               "subgroup": concentrated})
+                       sigma0, bound,
+                       {"branch_i": branch_i, "branch_ii": branch_ii,
+                        "subgroup": concentrated})
 
 
 def _iterated_sumset_size(sets: Sequence[ElementSet]) -> int:
@@ -174,8 +173,8 @@ def check_cauchy_davenport(sets: Sequence[ElementSet]) -> BoundReport:
     total = sum(s.cardinality for s in sets)
     bound = min(p, total - len(sets) + 1)
     actual = _iterated_sumset_size(sets)
-    return BoundReport("cauchy_davenport", True, actual >= bound, actual=actual, bound=bound,
-                       detail={"sizes": [s.cardinality for s in sets], "p": p})
+    return BoundReport("cauchy_davenport", True, actual >= bound, actual, bound,
+                       {"sizes": [s.cardinality for s in sets], "p": p})
 
 
 def _distinct_sign_assignment(diffs: Sequence[int], p: int) -> list[int] | None:
@@ -231,13 +230,13 @@ def check_diderrich(sets: Sequence[ElementSet]) -> BoundReport:
     total = sum(s.cardinality for s in sets)
     actual = _iterated_sumset_size(sets)
     if not applied:
-        return BoundReport("diderrich", False, True, actual=actual, bound=None,
-                           detail={"exception_count": exceptions, "p": p,
-                                   "sign_assignment": None})
+        return BoundReport("diderrich", False, True, actual, None,
+                           {"exception_count": exceptions, "p": p,
+                            "sign_assignment": None})
     bound = min(p, total - 1)
-    return BoundReport("diderrich", True, actual >= bound, actual=actual, bound=bound,
-                       detail={"exception_count": exceptions, "p": p,
-                               "sign_assignment": assignment})
+    return BoundReport("diderrich", True, actual >= bound, actual, bound,
+                       {"exception_count": exceptions, "p": p,
+                        "sign_assignment": assignment})
 
 
 def check_vosper(b1: ElementSet, b2: ElementSet) -> BoundReport:
@@ -264,13 +263,13 @@ def check_vosper(b1: ElementSet, b2: ElementSet) -> BoundReport:
     bound = min(p - 1, b1.cardinality + b2.cardinality)
     detail: dict = {"p": p, "sizes": [b1.cardinality, b2.cardinality]}
     if s >= bound:
-        return BoundReport("vosper", False, True, actual=s, bound=bound, detail=detail)
+        return BoundReport("vosper", False, True, s, bound, detail)
     w1, w2 = detect_ap(b1), detect_ap(b2)
     # canonical differences live in [1,(p-1)/2], so {d,-d} classes compare equal
     match = bool(w1.is_ap and w2.is_ap and w1.difference == w2.difference)
     detail.update(b1_witness=w1.to_dict(), b2_witness=w2.to_dict(),
                   differences_match=match)
-    return BoundReport("vosper", True, match, actual=s, bound=bound, detail=detail)
+    return BoundReport("vosper", True, match, s, bound, detail)
 
 
 def check_three_facts(a: ElementSet, h: int) -> BoundReport:
@@ -316,8 +315,7 @@ def check_three_facts(a: ElementSet, h: int) -> BoundReport:
         detail["clause_iii"] = {"actual": actual_iii, "bound": p, "holds": clause_iii}
         holds = holds and clause_iii
 
-    return BoundReport("three_facts", True, holds, actual=actual_i, bound=bound_i,
-                       detail=detail)
+    return BoundReport("three_facts", True, holds, actual_i, bound_i, detail)
 
 
 def check_growth_bound(a: ElementSet) -> BoundReport:
@@ -327,8 +325,8 @@ def check_growth_bound(a: ElementSet) -> BoundReport:
     generated = generated_subgroup(a).cardinality
     actual = subset_sums_bits(a.group, a.indices()).bit_count()
     bound = min(generated, 2 * a.cardinality - 1)
-    return BoundReport("growth_bound", True, actual >= bound, actual=actual, bound=bound,
-                       detail={"generated_order": generated, "size": a.cardinality})
+    return BoundReport("growth_bound", True, actual >= bound, actual, bound,
+                       {"generated_order": generated, "size": a.cardinality})
 
 
 def check_prime_growth_bound(a: ElementSet) -> BoundReport:
@@ -339,8 +337,8 @@ def check_prime_growth_bound(a: ElementSet) -> BoundReport:
     ell = a.cardinality
     actual = (subset_sums_bits(a.group, a.indices()) | 1).bit_count()
     bound = min(p, 2 * ell - 1 + epsilon(ell))
-    return BoundReport("prime_growth_bound", True, actual >= bound, actual=actual, bound=bound,
-                       detail={"p": p, "ell": ell})
+    return BoundReport("prime_growth_bound", True, actual >= bound, actual, bound,
+                       {"p": p, "ell": ell})
 
 
 def check_sequence_growth(t: SequenceOverGroup) -> BoundReport:
@@ -364,5 +362,4 @@ def check_sequence_growth(t: SequenceOverGroup) -> BoundReport:
         detail["equality"] = {"support": support, "long": length >= p - 1,
                               "pm_pair": pm_pair, "holds": structure_ok}
         holds = structure_ok
-    return BoundReport("sequence_growth", True, holds, actual=actual, bound=bound,
-                       detail=detail)
+    return BoundReport("sequence_growth", True, holds, actual, bound, detail)

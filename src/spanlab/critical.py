@@ -19,7 +19,7 @@ given order and reports agreement row by row.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .bounds import two_sqrt_floor
 from .groups import (GroupSpec, abelian_groups_of_order, is_prime, make_group,
@@ -106,8 +106,7 @@ def critical_number_formula(group: GroupSpec) -> int:
     return n // p + p - 2
 
 
-@dataclass(frozen=True)
-class CriticalSearchOutcome:
+class CriticalSearchOutcome(NamedTuple):
     """Result of the exhaustive search. status is 'complete',
     'budget_exceeded', or 'skipped' (order above max_exact_order)."""
 
@@ -119,7 +118,7 @@ class CriticalSearchOutcome:
     targets_searched: int
 
     def to_dict(self) -> dict:
-        return {**vars(self),
+        return {**self._asdict(),
                 "witness": list(self.witness) if self.witness is not None else None}
 
 
@@ -175,8 +174,7 @@ def critical_number_search(group: GroupSpec, budget: SearchBudget | None = None,
                                  best_wit, nodes, len(targets))
 
 
-@dataclass(frozen=True)
-class CriticalRow:
+class CriticalRow(NamedTuple):
     spec: str
     order: int
     formula: int
@@ -187,14 +185,16 @@ class CriticalRow:
     status: str
 
     def to_dict(self) -> dict:
-        return {**vars(self),
+        return {**self._asdict(),
                 "witness": list(self.witness) if self.witness is not None else None}
 
 
-@dataclass
 class CriticalTable:
-    max_order: int
-    rows: list[CriticalRow] = field(default_factory=list)
+    __slots__ = ("max_order", "rows")
+
+    def __init__(self, max_order: int):
+        self.max_order = max_order
+        self.rows: list[CriticalRow] = []
 
     @property
     def all_agree(self) -> bool:

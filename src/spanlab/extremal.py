@@ -28,9 +28,8 @@ import os
 import random
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass, field
 from math import comb
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .critical import critical_number_formula, pq_window
 from .groups import (ElementSet, GroupSpec, cosets, make_group,
@@ -62,8 +61,7 @@ class EnumerationBudgetError(ValueError):
 # -- coset profiles -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CosetProfile:
+class CosetProfile(NamedTuple):
     """Layout of a set against a subgroup H: how much of H it fills and how
     its remainder spreads over the nonzero cosets.
 
@@ -166,8 +164,7 @@ def _interval_set_bits(g: GroupSpec, gen: int, m: int) -> int:
     return bits
 
 
-@dataclass
-class ExtremalRecord:
+class ExtremalRecord(NamedTuple):
     group: GroupSpec
     indices: tuple[int, ...]
     tags: tuple[str, ...]
@@ -252,8 +249,7 @@ def classify(a: ElementSet) -> ExtremalRecord:
 # -- observation: complete subsets fill their subgroup --------------------------
 
 
-@dataclass(frozen=True)
-class ObservationReport:
+class ObservationReport(NamedTuple):
     """For an extremal A: every subgroup K with Sigma(A intersect K) = K
     must satisfy A intersect K = K \\ {0}."""
 
@@ -559,7 +555,6 @@ def make_example_2(p: int, q: int) -> ElementSet:
 MAX_COUNTEREXAMPLES = 25
 
 
-@dataclass
 class Verdict:
     """Streaming fold of one claim over extremal record dicts: every record
     must carry the `required` tag (None only tallies tags).
@@ -569,11 +564,13 @@ class Verdict:
     group; the records file holds every one of them.
     """
 
-    required: str | None
-    total: int = 0
-    failing: int = 0
-    tag_counts: dict[str, int] = field(default_factory=dict)
-    examples: list[dict] = field(default_factory=list)
+    __slots__ = ("required", "total", "failing", "tag_counts", "examples")
+
+    def __init__(self, required: str | None):
+        self.required = required
+        self.total = self.failing = 0
+        self.tag_counts: dict[str, int] = {}
+        self.examples: list[dict] = []
 
     def add(self, record: dict) -> None:
         self.total += 1
@@ -604,8 +601,7 @@ class Verdict:
 # -- conjecture campaigns ---------------------------------------------------------
 
 
-@dataclass
-class ConjectureReport:
+class ConjectureReport(NamedTuple):
     which: int
     p: int
     q: int
@@ -678,8 +674,7 @@ def check_conjecture(which: int, p: int, q: int,
 # -- main structure theorem --------------------------------------------------------
 
 
-@dataclass
-class TheoremReport:
+class TheoremReport(NamedTuple):
     group: str
     case: str  # "even" | "odd"
     required_tag: str

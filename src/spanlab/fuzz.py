@@ -23,10 +23,9 @@ rows of one table (CAMPAIGNS) that one trial loop (run_campaign) drives.
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .bounds import (check_cauchy_davenport, check_diderrich, check_folk_lemma,
                      check_growth_bound, check_hamidoune_dichotomy,
@@ -42,16 +41,15 @@ _MAX_EXAMPLES = 5
 DEFAULT_TRIALS = 10_000
 
 
-@dataclass
-class FuzzReport:
+class FuzzReport(NamedTuple):
     lemma: str
     description: str
     trials: int
     applied: int
     violations: int
     seed: int
-    examples: list[dict] = field(default_factory=list)
-    exhaustive: dict | None = None
+    examples: list[dict]  # the first _MAX_EXAMPLES violations, as plain JSON
+    exhaustive: dict | None  # the census, or None for a campaign without one
 
     @property
     def clean(self) -> bool:
@@ -59,7 +57,7 @@ class FuzzReport:
             self.exhaustive is None or self.exhaustive.get("violations", 0) == 0)
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "clean": self.clean}
+        return {**self._asdict(), "clean": self.clean}
 
 
 def _trial_rng(seed: int, trial: int) -> random.Random:
@@ -290,8 +288,7 @@ def _exhaustive_restricted_sums() -> dict:
 # -- campaign table ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Campaign:
+class Campaign(NamedTuple):
     """One bound's campaign: `case` builds and checks one trial, whose
     report's `applied` counts it as hypothesis-applied; `census` is the
     optional exhaustive sub-suite."""
@@ -341,11 +338,9 @@ def run_campaign(lemma: str, trials: int = DEFAULT_TRIALS,
             violations += 1
             if len(examples) < _MAX_EXAMPLES:
                 examples.append({**example(), "report": rep.to_dict()})
-    report = FuzzReport(lemma, campaign.description, trials, applied,
-                        violations, seed, examples)
-    if campaign.census is not None:
-        report.exhaustive = campaign.census()
-    return report
+    exhaustive = campaign.census() if campaign.census is not None else None
+    return FuzzReport(lemma, campaign.description, trials, applied,
+                      violations, seed, examples, exhaustive)
 
 
 def run_all_campaigns(trials: int = DEFAULT_TRIALS, seed: int = 0,

@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 import re
 import threading
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple
 
@@ -256,13 +255,22 @@ class GroupSpec:
         return best
 
 
-@dataclass(frozen=True)
 class ElementSet:
     """Immutable subset of a group, stored as a bitmask over element indices.
     Subgroups and cosets are ElementSets too; set algebra works on `bits`."""
 
-    group: GroupSpec
-    bits: int
+    __slots__ = ("group", "bits")
+
+    def __init__(self, group: GroupSpec, bits: int):
+        self.group = group
+        self.bits = bits
+
+    def __eq__(self, other: object) -> bool:
+        return (isinstance(other, ElementSet) and self.bits == other.bits
+                and self.group == other.group)
+
+    def __hash__(self) -> int:
+        return hash((self.group, self.bits))
 
     @classmethod
     def from_indices(cls, group: GroupSpec, indices: Iterable[int]) -> "ElementSet":

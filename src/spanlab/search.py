@@ -52,8 +52,7 @@ top.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .groups import GroupSpec, automorphism_generators, cached_group
 
@@ -83,8 +82,7 @@ def check_fields(state: dict, where: str, **want) -> None:
                 f"{where} {key} {state.get(key)!r}, this run needs {value!r}")
 
 
-@dataclass
-class SearchBudget:
+class SearchBudget(NamedTuple):
     """The allowance of one search call: nodes walked and seconds spent.
     An engine pauses once it has walked max_nodes nodes, or once it reads
     the clock (every 4,096 nodes) max_seconds after its run() started;
@@ -103,10 +101,12 @@ class SearchBudget:
             else self.max_seconds - (time.monotonic() - since))
 
 
-@dataclass
 class SearchStats:
-    nodes: int = 0
-    emitted: int = 0
+    __slots__ = ("nodes", "emitted")
+
+    def __init__(self):
+        self.nodes = 0
+        self.emitted = 0
 
 
 def target_representatives(g: GroupSpec, reduce_orbits: bool) -> list[int]:
@@ -512,8 +512,7 @@ def _doubled(bits: int, doublings: tuple[int, ...]) -> int:
     return bits
 
 
-@dataclass
-class MaxSearchResult:
+class MaxSearchResult(NamedTuple):
     size: int
     witness: tuple[int, ...] | None
     nodes: int

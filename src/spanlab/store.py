@@ -18,9 +18,7 @@ import fcntl
 import hashlib
 import json
 import os
-import secrets
 import time
-from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any
 
@@ -54,21 +52,31 @@ def atomic_write_text(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
-@dataclass
 class CampaignRecord:
-    campaign_id: str
-    command: str
-    group: str | None
-    status: str
-    started: str
-    finished: str
-    artifacts: dict[str, str] = field(default_factory=dict)
-    checksums: dict[str, str] = field(default_factory=dict)
-    config: dict = field(default_factory=dict)
-    summary: dict = field(default_factory=dict)
+    """One ledger line. The cli fills in status, finished, artifacts,
+    checksums and summary as the run goes."""
+
+    __slots__ = ("campaign_id", "command", "group", "status", "started",
+                 "finished", "artifacts", "checksums", "config", "summary")
+
+    def __init__(self, campaign_id: str, command: str, group: str | None,
+                 status: str, started: str, finished: str,
+                 artifacts: dict[str, str] | None = None,
+                 checksums: dict[str, str] | None = None,
+                 config: dict | None = None, summary: dict | None = None):
+        self.campaign_id = campaign_id
+        self.command = command
+        self.group = group
+        self.status = status
+        self.started = started
+        self.finished = finished
+        self.artifacts = {} if artifacts is None else artifacts
+        self.checksums = {} if checksums is None else checksums
+        self.config = {} if config is None else config
+        self.summary = {} if summary is None else summary
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {name: getattr(self, name) for name in self.__slots__}
 
 
 class CampaignStore:
@@ -79,7 +87,7 @@ class CampaignStore:
 
     def new_campaign_id(self, command: str) -> str:
         stamp = time.strftime("%Y%m%dT%H%M%S", time.gmtime())
-        return f"{stamp}-{command}-{secrets.token_hex(3)}"
+        return f"{stamp}-{command}-{os.urandom(3).hex()}"
 
     def artifact_dir(self, campaign_id: str) -> Path:
         d = self.artifacts_root / campaign_id

@@ -14,18 +14,29 @@ Convention: Sigma(empty) = {0}, Sigma_0 = {0}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Union
 
 from .groups import ElementSet, GroupSpec, all_subgroups, generated_subgroup
 
 
-@dataclass(frozen=True)
 class SequenceOverGroup:
     """A finite multiset of group elements, stored as a sorted tuple of indices."""
 
-    group: GroupSpec
-    terms: tuple[int, ...]
+    __slots__ = ("group", "terms")
+
+    def __init__(self, group: GroupSpec, terms: tuple[int, ...]):
+        self.group = group
+        self.terms = terms
+
+    def __eq__(self, other: object) -> bool:
+        return (isinstance(other, SequenceOverGroup) and self.terms == other.terms
+                and self.group == other.group)
+
+    def __hash__(self) -> int:
+        return hash((self.group, self.terms))
+
+    def __repr__(self) -> str:
+        return f"SequenceOverGroup(group={self.group!r}, terms={self.terms!r})"
 
     @classmethod
     def from_indices(cls, group: GroupSpec, indices: Iterable[int]) -> "SequenceOverGroup":

@@ -257,16 +257,27 @@ def test_threads_pool_has_at_most_one_worker_per_cpu(cli, monkeypatch, cpus,
     assert len(_artifact(cli, rec, "records.jsonl").read_text().splitlines()) == 1
 
 
-def test_import_loads_no_pool_machinery():
-    # only a run with --threads > 1 may load the pool stack; a fresh
-    # interpreter, since this module imports concurrent.futures itself
+def _loaded_by_fresh_import(*modules: str) -> str:
+    """Those of modules that are in sys.modules after `import spanlab.cli`
+    in a fresh interpreter (this one has imported far more), as a printed list."""
     src = Path(spanlab.cli.__file__).resolve().parents[1]
-    probe = ("import sys, spanlab.cli; print(sorted(m for m in "
-             "('concurrent.futures', 'multiprocessing') if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", probe], check=True,
-                         capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": str(src)}).stdout
-    assert out == "[]\n"
+    probe = ("import sys, spanlab.cli; "
+             f"print(sorted(m for m in {modules!r} if m in sys.modules))")
+    return subprocess.run([sys.executable, "-c", probe], check=True,
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}).stdout
+
+
+def test_import_loads_no_pool_machinery():
+    # only a run with --threads > 1 may load the pool stack
+    assert _loaded_by_fresh_import("concurrent.futures", "multiprocessing") == "[]\n"
+
+
+def test_import_loads_no_dataclass_or_secrets_stack():
+    # dataclasses (with inspect, ast and dis) and secrets (with hmac) cost
+    # every invocation start-up time before its first unit of work
+    assert _loaded_by_fresh_import("dataclasses", "inspect", "ast", "dis",
+                                   "secrets", "hmac") == "[]\n"
 
 
 # ---------------------------------------------------- enumeration

@@ -95,3 +95,32 @@ def test_sequence_growth_exhaustive_census():
     assert rep.violations == 0
     assert rep.exhaustive["sequences"] == 27695
     assert rep.exhaustive["violations"] == 0
+
+
+FAILING_REPORT_SHA256 = {
+    "2.5": "752a96eaafc6eb71f0c0f83f5237ebcb83596d91abd22aa29d6d2619fd52fa44",
+    "2.9": "be4852d3811f6fb476d80a60d1da9470d78d973fa5122ff49d8998be94d86d49",
+}
+
+
+@pytest.mark.parametrize("lemma", FAILING_REPORT_SHA256)
+def test_failing_campaign_report_is_pinned(monkeypatch, lemma):
+    # every golden fuzz.json run is clean; here one trial in seven is made to
+    # fail, so the report carries violations and its capped examples, each
+    # with the failing BoundReport's to_dict() (2.9 adds the census)
+    orig = S.CAMPAIGNS[lemma]
+
+    def case(rng, i):
+        rep, example = orig.case(rng, i)
+        if i % 7 == 3:
+            rep = S.BoundReport(rep.check, rep.applied, False, rep.actual,
+                                rep.bound, rep.detail)
+        return rep, example
+
+    monkeypatch.setitem(S.CAMPAIGNS, lemma,
+                        fuzz.Campaign(orig.description, case, orig.census))
+    rep = S.run_campaign(lemma, trials=50, seed=11)
+    assert (rep.violations, len(rep.examples), rep.clean) == (7, 5, False)
+    text = json.dumps(rep.to_dict())
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == FAILING_REPORT_SHA256[lemma], text

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 from datetime import datetime
 
 import pytest
@@ -74,10 +75,14 @@ def test_store_find_by_id(tmp_path):
     assert store.find("nope") is None
 
 
-def test_campaign_ids_are_unique_and_ordered(tmp_path):
+def test_campaign_ids_are_unique_and_well_formed(tmp_path):
+    # a UTC stamp to the second, the command and 3 random bytes in hex; ids
+    # made in the same second are not ordered, only distinct
     store = S.CampaignStore(tmp_path / "store")
     ids = [store.new_campaign_id("cr") for _ in range(5)]
     assert len(set(ids)) == 5
+    for cid in ids:
+        assert re.fullmatch(r"\d{8}T\d{6}-cr-[0-9a-f]{6}", cid), cid
 
 
 def test_artifacts_live_under_campaign_directory(tmp_path):

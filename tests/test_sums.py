@@ -90,6 +90,16 @@ def test_sequence_over_group_sums():
     assert sorted(S.subset_sums(t).indices()) == [0, 1, 2]
 
 
+def test_sequence_over_group_compares_as_a_multiset():
+    g = S.parse_group_spec("Z6")
+    a = S.SequenceOverGroup.from_indices(g, (2, 1, 1))
+    assert a == S.SequenceOverGroup.from_indices(g, (1, 2, 1))
+    assert len({a, S.SequenceOverGroup.from_indices(g, (1, 1, 2))}) == 1
+    assert a != S.SequenceOverGroup.from_indices(g, (1, 2))
+    assert a != S.SequenceOverGroup.from_indices(S.parse_group_spec("Z7"), (1, 1, 2))
+    assert repr(a) == "SequenceOverGroup(group=GroupSpec(Z6), terms=(1, 1, 2))"
+
+
 # ------------------------------------------------- spanning/complete
 
 
