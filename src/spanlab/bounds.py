@@ -177,28 +177,6 @@ def check_cauchy_davenport(sets: Sequence[ElementSet]) -> BoundReport:
                        {"sizes": [s.cardinality for s in sets], "p": p})
 
 
-def _distinct_sign_assignment(diffs: Sequence[int], p: int) -> list[int] | None:
-    """A tuple theta_i in {d_i, -d_i} with pairwise distinct directions, or None.
-
-    A progression of difference d is the same point set read in the other
-    direction as one of difference -d, so theta_i and theta_j clash
-    whenever they agree up to sign: two parallel lines add with
-    Cauchy-Davenport equality no matter which ends they are read from
-    (in Z13, {2,6,11} + {7,11} - both difference-4 lines - has 4
-    elements, the bare minimum). Sign flips therefore cannot rescue a
-    collision; the assignment exists exactly when the difference classes
-    {d_i, -d_i} are pairwise distinct, and the canonical representatives
-    are returned as the witness tuple.
-    """
-    seen: set[int] = set()
-    for d in diffs:
-        key = min(d % p, (-d) % p)
-        if key in seen:
-            return None
-        seen.add(key)
-    return list(diffs)
-
-
 def check_diderrich(sets: Sequence[ElementSet]) -> BoundReport:
     """All but at most one set an AP with a well-defined nonzero difference,
     those differences pairwise distinct under some sign choice:
@@ -225,8 +203,12 @@ def check_diderrich(sets: Sequence[ElementSet]) -> BoundReport:
                 exceptions += 1
         # size p-1 and p sets are progressions for *every* difference, so
         # they can always dodge a clash and never constrain the assignment
-    assignment = _distinct_sign_assignment(diffs, p)
-    applied = exceptions <= 1 and assignment is not None
+    # each difference is its class's representative in [1, p/2], so the
+    # classes {d, -d} are distinct exactly when the differences are. Sign
+    # flips cannot rescue a clash: two parallel lines add with
+    # Cauchy-Davenport equality whichever ends they are read from (in Z13,
+    # {2,6,11} + {7,11}, both difference-4 lines, has 4 elements)
+    applied = exceptions <= 1 and len(set(diffs)) == len(diffs)
     total = sum(s.cardinality for s in sets)
     actual = _iterated_sumset_size(sets)
     if not applied:
@@ -236,7 +218,7 @@ def check_diderrich(sets: Sequence[ElementSet]) -> BoundReport:
     bound = min(p, total - 1)
     return BoundReport("diderrich", True, actual >= bound, actual, bound,
                        {"exception_count": exceptions, "p": p,
-                        "sign_assignment": assignment})
+                        "sign_assignment": diffs})
 
 
 def check_vosper(b1: ElementSet, b2: ElementSet) -> BoundReport:

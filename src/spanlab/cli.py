@@ -322,7 +322,7 @@ def _enumerating_run(args, run: _Run, group, orbit_dedup: bool,
     """The run shared by enumerate-extremal, conjecture and verify-main.
 
     Resumes from --resume (a finished checkpoint searches nothing and
-    rebuilds from its lines; an extended one whose seen is not the set
+    rebuilds from its lines; a missed-target one whose seen is not the set
     bitmasks of those lines is refused) and, without --out, appends to the
     records file the checkpoint names. It streams the records to disk while
     folding the prior lines and then the new ones into `verdict`, registers
@@ -331,7 +331,8 @@ def _enumerating_run(args, run: _Run, group, orbit_dedup: bool,
     lines, violation found); a PARTIAL run adds a resume hint.
     """
     ck = _load_checkpoint(Path(args.resume), run.name) if args.resume else None
-    enum = ExtremalEnumeration(group, _budget(args), args.extended, orbit_dedup,
+    enum = ExtremalEnumeration(group, _budget(args),
+                               getattr(args, "extended", False), orbit_dedup,
                                ck and ck["state"], args.threads)
     prior = _prior_lines(ck, enum.stats.emitted) if ck else []
     records_path = Path(getattr(args, "out", None) or ck and ck["records"]
@@ -570,15 +571,13 @@ def _add_budget_flags(p: _Parser, scope: str) -> None:
 
 def _add_enum_flags(p: _Parser, orbit_dedup: bool = True) -> None:
     _add_budget_flags(p, "in all, at any --threads (writes a checkpoint)")
-    p.add_argument("--extended", action="store_true",
-                   help="allow long-running searches (missed-target engine)")
     if orbit_dedup:
         p.add_argument("--no-orbit-dedup", action="store_true",
                        help="emit every extremal set, not one per "
                             "unit-scaling orbit (orbit dedup applies to "
-                            "extended runs on cyclic groups only)")
+                            "missed-target runs on cyclic groups only)")
     p.add_argument("--threads", type=_int_at_least(1), default=1,
-                   help="worker processes for extended enumeration, at "
+                   help="worker processes for a missed-target run, at "
                         "least 1; the pool has at most one per CPU "
                         "(default 1)")
     p.add_argument("--resume", metavar="CHECKPOINT",
@@ -638,6 +637,9 @@ def build_parser() -> _Parser:
                                  "artifact directory)")
     p.add_argument("--checkpoint", help="checkpoint file location (default: "
                                         "inside the campaign artifact directory)")
+    p.add_argument("--extended", action="store_true",
+                   help="take the missed-target walk even where the direct "
+                        "walk fits (the group picks the walk otherwise)")
     _add_enum_flags(p)
     p.set_defaults(func=cmd_enumerate)
 

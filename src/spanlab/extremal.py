@@ -28,7 +28,6 @@ import os
 import random
 import time
 from contextlib import nullcontext
-from math import comb
 from typing import Iterator, NamedTuple
 
 from .critical import critical_number_formula, pq_window
@@ -41,7 +40,7 @@ from .search import (ENGINE_VERSION, AvoidingEnumerator, CheckpointMismatch,
 from .sums import complete_subgroup_witnesses, contains_complete_subset, subset_sums_bits
 
 SCHEMA_VERSION = 1
-MAX_CANDIDATES = 5_000_000  # the largest C(|G|-1, k) the direct engine walks
+MAX_CANDIDATES = 5_000_000  # the largest C(|G|-1, k) the direct walk takes
 
 SHAPE_I = "SHAPE_I"
 SHAPE_II = "SHAPE_II"
@@ -52,10 +51,6 @@ HAS_COMPLETE_SUBSET = "HAS_COMPLETE_SUBSET"
 UNCLASSIFIED = "UNCLASSIFIED"
 
 _SHAPE_TAGS = frozenset({SHAPE_I, SHAPE_II, SHAPE_B, SHAPE_EX1, SHAPE_EX2})
-
-
-class EnumerationBudgetError(ValueError):
-    """The candidate space is too large for the direct engine."""
 
 
 # -- coset profiles -------------------------------------------------------------
@@ -281,6 +276,18 @@ def check_observation_31(a: ElementSet) -> ObservationReport:
 # -- enumeration ----------------------------------------------------------------
 
 
+def _candidates_fit(n: int, k: int) -> bool:
+    """Whether C(n, k) <= MAX_CANDIDATES. C(n, i) grows with i up to
+    min(k, n - k), so the product stops once it passes the budget and no
+    binomial past it is built."""
+    count = 1
+    for i in range(min(k, n - k)):
+        count = count * (n - i) // (i + 1)
+        if count > MAX_CANDIDATES:
+            return False
+    return True
+
+
 def ProcessPoolExecutor(max_workers: int):
     """A concurrent.futures process pool of max_workers, imported here so
     that a run with one worker never loads the pool machinery."""
@@ -291,16 +298,17 @@ def ProcessPoolExecutor(max_workers: int):
 class ExtremalEnumeration:
     """Streams every extremal set of a group exactly once, classified.
 
-    Two engines: "direct" walks all size-k subsets of G \\ {0} on a
-    SizedEnumerator, which cuts spanning prefixes (up to MAX_CANDIDATES
-    candidate sets); with extended, "missed_target" runs one
-    target-avoiding DFS per missed value, which scales to far larger
-    spaces but revisits sets missing several targets, so it deduplicates
-    -- by unit-orbit canonical form with orbit dedup (target list shrinks
-    to one representative per divisor class), by raw bitmask otherwise
-    (all targets searched). orbit_dedup asks for it; self.orbit_dedup is
-    whether it is in effect, only on an extended run over a single-factor
-    spec: a direct run or a product spec emits every set.
+    The group picks the walk. "direct" walks all size-k subsets of
+    G \\ {0} on a SizedEnumerator, which cuts spanning prefixes; it is
+    taken when there are at most MAX_CANDIDATES of them. Otherwise, or
+    with extended, "missed_target" runs one target-avoiding DFS per
+    missed value, which scales to far larger spaces but revisits sets
+    missing several targets, so it deduplicates -- by unit-orbit
+    canonical form with orbit dedup (target list shrinks to one
+    representative per divisor class), by raw bitmask otherwise (all
+    targets searched). orbit_dedup asks for it; self.orbit_dedup is
+    whether it is in effect, only on a missed-target run over a
+    single-factor spec: a direct run or a product spec emits every set.
 
     threads must be at least 1; threads > 1 hands each target's walk to
     AvoidingEnumerator.run_split over a process pool of min(threads, CPUs)
@@ -326,23 +334,15 @@ class ExtremalEnumeration:
         self.group = group
         self.budget = budget or SearchBudget()
         self.k = critical_number_formula(group) - 1
-        n_candidates = comb(group.order - 1, self.k)
-        if extended:
-            self.mode = "missed_target"
-        elif n_candidates <= MAX_CANDIDATES:
-            self.mode = "direct"
-        else:
-            raise EnumerationBudgetError(
-                f"{group.spec_string}: {n_candidates} candidate sets exceed the "
-                f"direct-mode budget of {MAX_CANDIDATES}; "
-                f"rerun with extended search")
-        self.orbit_dedup = bool(orbit_dedup and extended and group.is_cyclic_spec)
+        missed = extended or not _candidates_fit(group.order - 1, self.k)
+        self.mode = "missed_target" if missed else "direct"
+        self.orbit_dedup = bool(orbit_dedup and missed and group.is_cyclic_spec)
         self.threads = threads
         self.stats = SearchStats()
         self._engine: SizedEnumerator | AvoidingEnumerator | None = None
         self._seen: set[int] = set()
         self.targets = (target_representatives(group, self.orbit_dedup)
-                        if extended else [])
+                        if missed else [])
         self.target_pos = 0
         if checkpoint is not None:
             try:
@@ -648,7 +648,7 @@ def conjecture_claim(which: int, p: int, q: int) -> tuple[str, str]:
 
 
 def check_conjecture(which: int, p: int, q: int,
-                     budget: SearchBudget | None = None, extended: bool = False,
+                     budget: SearchBudget | None = None,
                      threads: int = 1) -> ConjectureReport:
     """Enumerate every extremal set of Z_pq and test the conjectured property.
 
@@ -665,7 +665,7 @@ def check_conjecture(which: int, p: int, q: int,
     line resumes it.
     """
     verdict = Verdict(conjecture_claim(which, p, q)[0])
-    enum = ExtremalEnumeration(make_group((p * q,)), budget, extended,
+    enum = ExtremalEnumeration(make_group((p * q,)), budget,
                                orbit_dedup=False, threads=threads)
     return ConjectureReport.from_verdict(which, p, q, verdict,
                                          verdict.feed(enum))
@@ -737,17 +737,17 @@ def theorem_verdict(group: GroupSpec) -> Verdict:
 
 
 def verify_theorem_main(group: GroupSpec, budget: SearchBudget | None = None,
-                        extended: bool = False, orbit_dedup: bool = True,
+                        orbit_dedup: bool = True,
                         threads: int = 1) -> TheoremReport:
     """Check that every extremal set has the shape the structure theorem
     demands: SHAPE_I when p = 2, SHAPE_II when p is odd. Violations list
     the first MAX_COUNTEREXAMPLES failing sets. orbit_dedup checks one set
-    per unit orbit where ExtremalEnumeration allows it (extended runs on
-    single-factor specs); the report records whether it was in effect.
+    per unit orbit where ExtremalEnumeration allows it (missed-target runs
+    on single-factor specs); the report records whether it was in effect.
     A run out of budget is PARTIAL; it resumes only through
     ExtremalEnumeration's checkpoint."""
     verdict = theorem_verdict(group)
-    enum = ExtremalEnumeration(group, budget, extended, orbit_dedup,
+    enum = ExtremalEnumeration(group, budget, orbit_dedup=orbit_dedup,
                                threads=threads)
     return TheoremReport.from_verdict(group, verdict, verdict.feed(enum),
                                       enum.orbit_dedup)

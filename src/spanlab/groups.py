@@ -381,8 +381,10 @@ def _unit_generators(n: int) -> list[int]:
     for u in range(2, n):
         if math.gcd(u, n) == 1 and u not in reached:
             gens.append(u)
+            # <reached, u> is the cosets reached * u^j below the first
+            # power of u that lies in reached
             grown, power = set(reached), u
-            while power != 1:
+            while power not in reached:
                 grown.update(r * power % n for r in reached)
                 power = power * u % n
             reached = grown

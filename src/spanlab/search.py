@@ -545,7 +545,7 @@ def max_avoiding(group: GroupSpec, target: int, floor: int = 0,
     return MaxSearchResult(eng.k - 1, witness, eng.stats.nodes, eng.done)
 
 
-# -- parallel work units for extended enumeration ------------------------------
+# -- parallel work units for missed-target enumeration -------------------------
 
 
 def run_work_unit(orders: tuple[int, ...], target: int, k: int, first: int,

@@ -203,8 +203,7 @@ def test_criterion_8_structure_theorem_smallest_qualifying_groups(spec, required
     g = S.parse_group_spec(spec)
     threads = min(8, os.cpu_count() or 1)
     t0 = time.monotonic()
-    rep = S.verify_theorem_main(g, extended=True, orbit_dedup=True,
-                                threads=threads)
+    rep = S.verify_theorem_main(g, orbit_dedup=True, threads=threads)
     dt = time.monotonic() - t0
     assert dt <= 7200, f"took {dt:.0f}s, budget 2h"
     assert rep.required_tag == required

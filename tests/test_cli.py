@@ -124,9 +124,12 @@ def test_unknown_flag_exits_one(cli):
     ["cr", "--group", "Z15", "--no-reduce-orbits"],
     ["verify-theorem-a", "--max-order", 5, "--reduce-orbits"],
     ["cr", "--group", "Z15", "--both"],
+    ["verify-main", "--group", "Z33", "--extended"],
+    ["conjecture", "--which", 2, "--p", 3, "--q", 5, "--extended"],
 ], ids=["cr-extended", "theorem-a-extended", "conjecture-orbit-dedup",
         "conjecture-no-orbit-dedup", "enumerate-max-candidates",
-        "cr-no-reduce-orbits", "theorem-a-reduce-orbits", "cr-both"])
+        "cr-no-reduce-orbits", "theorem-a-reduce-orbits", "cr-both",
+        "verify-main-extended", "conjecture-extended"])
 def test_removed_flags_exit_one(cli, args):
     # flags these commands no longer take are refused before any campaign
     code, _, err = cli(*args)
@@ -409,7 +412,7 @@ def test_resume_of_completed_run_is_a_noop(cli):
 @pytest.mark.parametrize("args,cert", [
     (["enumerate-extremal", "--group", "Z15"], None),
     (["conjecture", "--which", 2, "--p", 3, "--q", 5], "cert.json"),
-    (["verify-main", "--group", "Z33", "--extended"], "theorem.json"),
+    (["verify-main", "--group", "Z33"], "theorem.json"),
 ], ids=["enumerate-extremal", "conjecture", "verify-main"])
 def test_resume_of_finished_run_rebuilds_from_records(cli, monkeypatch, args,
                                                       cert):
@@ -651,11 +654,37 @@ def test_resume_refuses_a_seen_entry_swapped_for_a_later_set(cli):
 
 
 def test_fresh_run_errors_keep_their_own_text(cli):
-    code, _, err = cli("enumerate-extremal", "--group", "Z31")
+    code, _, err = cli("enumerate-extremal", "--group", "Z2")
     assert code == 1
-    assert "rerun with extended search" in err
+    assert "critical number requires order >= 3" in err
     assert _campaigns(cli)[-1]["summary"]["error"].startswith(
-        "EnumerationBudgetError: Z31: 14307150 candidate sets")
+        "ValueError: critical number requires order >= 3")
+
+
+def test_group_past_the_direct_budget_takes_the_missed_target_walk(cli):
+    # C(30, 9) = 14,307,150 candidate sets: past the direct walk's budget,
+    # so the plain run is the --extended one, record for record
+    digests = []
+    for flags in ([], ["--extended"]):
+        out = cli.tmp / f"z31{len(flags)}.jsonl"
+        code, text, _ = cli("enumerate-extremal", "--group", "Z31",
+                            "--out", out, *flags)
+        assert code == 0
+        assert "(size 9, mode missed_target, orbit_dedup true)" in text
+        digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
+    assert digests == [
+        "17f05b9cf220fb7419d59ac6d0511aa82f42af18ca9db8d5a953a0c507d4b019"] * 2
+
+
+def test_group_past_the_padded_layout_cap_fails_with_its_text(cli):
+    # the walk is chosen without building C(65535, k), whose digits would
+    # exceed Python's integer-to-string limit
+    spec = "x".join(["Z2"] * 16)
+    code, _, err = cli("enumerate-extremal", "--group", spec)
+    assert code == 1
+    assert "exceeds the padded-layout cap" in err
+    assert _campaigns(cli)[-1]["summary"]["error"].startswith(
+        "GroupTooLargeError: ")
 
 
 def test_orbit_dedup_is_no_flag_only_no_orbit_dedup_is(cli):
@@ -845,8 +874,7 @@ def test_verify_main_rejects_group_outside_hypothesis(cli):
 def test_verify_main_z65_at_the_pq_boundary(cli):
     # Z65: p = 5, q = 13 = 2p + 3, the smallest q of the paper's second result
     # at p = 5; unit-orbit dedup with the stabilizer-pruned DFS on 2 workers
-    code, out, _ = cli("verify-main", "--group", "Z65", "--extended",
-                       "--threads", 2)
+    code, out, _ = cli("verify-main", "--group", "Z65", "--threads", 2)
     assert code == 0
     assert "VERIFIED" in out and "extremal sets: 110, violations: 0" in out
     (rec,) = _campaigns(cli)
@@ -1022,7 +1050,7 @@ GOLDEN = {
          "extremal sets: 390, failing: 358", "campaign <id>: COMPLETE"],
         {"failing": 358, "outcome": "REFUTED", "total": 390}),
     "verify-main-Z33": (
-        ["verify-main", "--group", "Z33", "--extended"],
+        ["verify-main", "--group", "Z33"],
         {"checkpoint.json": "038d33fe213d51de1a1293abdc9803327151b3606d58ee355080046da120e23c",
          "records.jsonl": "9c10172d616683c433377486722816c1f7cd843e53a5f8c9a5068f96737510e3",
          "theorem.json": "2f45fd950b769cb670f2b5b888213a9d0ca269a2b96ed1285ecec4e142f1caf9"},
@@ -1031,7 +1059,7 @@ GOLDEN = {
         {"outcome": "VERIFIED", "total": 2, "violations": 0,
          "tags": {"HAS_COMPLETE_SUBSET": 2, "SHAPE_B": 2, "SHAPE_II": 2}}),
     "verify-main-Z36": (
-        ["verify-main", "--group", "Z36", "--extended"],
+        ["verify-main", "--group", "Z36"],
         {"checkpoint.json": "dd30bc39434c6414a41891855b361b1232ccf8f38afb27d0cb9bde1cde9f55be",
          "records.jsonl": _ENUM_Z36,
          "theorem.json": "2496daddc54cedac8b66212eaa200954e8f4545477b51702de1ce847186dc489"},

@@ -11,7 +11,7 @@ import pytest
 
 import reference as ref
 import spanlab as S
-from spanlab.extremal import Verdict
+from spanlab.extremal import MAX_CANDIDATES, Verdict
 from spanlab.store import dump_json
 
 
@@ -122,6 +122,23 @@ def test_orbit_dedup_applies_to_extended_runs_on_cyclic_groups_only(z15_records)
     assert not raw.orbit_dedup and len(raw.targets) == g.order
     assert sorted(r.indices for r in raw.records()) == \
         sorted(r.indices for r in S.ExtremalEnumeration(g).records())
+
+
+def test_the_group_picks_the_walk():
+    # direct exactly when C(|G|-1, k) is within the budget: 40 groups up to
+    # order 300, none above order 27; extended forces the missed-target walk
+    direct = []
+    for n in range(3, 301):
+        for orders in S.abelian_groups_of_order(n):
+            g = S.make_group(orders)
+            enum = S.ExtremalEnumeration(g)
+            fits = comb(n - 1, enum.k) <= MAX_CANDIDATES
+            assert enum.mode == ("direct" if fits else "missed_target"), g
+            if fits:
+                direct.append(n)
+                assert S.ExtremalEnumeration(g, extended=True).mode == \
+                    "missed_target"
+    assert len(direct) == 40 and max(direct) == 27
 
 
 @pytest.mark.parametrize("threads", [0, -3])
@@ -631,12 +648,20 @@ def test_structure_theorem_hypothesis_detection():
 
 @pytest.mark.parametrize("spec,tag", [("Z33", S.SHAPE_II), ("Z36", S.SHAPE_I)])
 def test_structure_theorem_extended_runs(spec, tag):
-    rep = S.verify_theorem_main(_g(spec), extended=True, orbit_dedup=True)
+    rep = S.verify_theorem_main(_g(spec), orbit_dedup=True)
     assert rep.outcome == "VERIFIED"
     assert rep.required_tag == tag
     assert not rep.violations and rep.violation_count == 0
     assert rep.extremal_count > 0
     assert rep.tag_counts.get(tag) == rep.extremal_count
+
+
+def test_structure_theorem_needs_no_flag():
+    # every group the theorem covers is past the direct walk's budget (Z33
+    # has C(32, 11) = 129,024,480 candidate sets), so the default call takes
+    # the missed-target walk, with orbit dedup
+    rep = S.verify_theorem_main(_g("Z33"))
+    assert rep.outcome == "VERIFIED" and rep.orbit_dedup
 
 
 @pytest.mark.extended

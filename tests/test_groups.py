@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
 
 import reference as ref
 import spanlab as S
-from spanlab.groups import automorphism_generators
+from spanlab.groups import _unit_generators, automorphism_generators
 
 
 # ------------------------------------------------------------- parsing
@@ -177,6 +178,22 @@ def test_automorphism_generators_are_automorphisms():
                 for e in gens:
                     for x in range(order):
                         assert perm[g.add(x, e)] == g.add(perm[x], perm[e])
+
+
+def test_unit_generators_are_the_greedy_choice_over_the_units():
+    # each unit not yet generated is taken in ascending order; what they
+    # generate is closed by multiplying until nothing new appears
+    for n in range(2, 400):
+        gens, reached = [], {1}
+        for u in range(2, n):
+            if math.gcd(u, n) == 1 and u not in reached:
+                gens.append(u)
+                grown = reached | {u}
+                while grown != reached:
+                    reached = grown
+                    grown = reached | {r * u % n for r in reached}
+        assert _unit_generators(n) == gens, n
+        assert reached == {u for u in range(n) if math.gcd(u, n) == 1}, n
 
 
 def test_units_and_scaling():
