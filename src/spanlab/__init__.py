@@ -32,7 +32,7 @@ from .groups import (ElementSet, GroupSpec, abelian_groups_of_order,
 from .search import (AvoidingEnumerator, CheckpointMismatch, EnumerationPaused,
                      MaxSearchResult, SearchBudget, SearchStats, SizedEnumerator,
                      max_avoiding, target_representatives, target_symmetries)
-from .store import CampaignRecord, CampaignStore
+from .store import CampaignStore
 from .sums import (SequenceOverGroup, complete_subgroup_witnesses,
                    contains_complete_subset, is_complete, restricted_sums,
                    spans, subset_sums, subset_sums_bits, subset_sums_with_zero,
@@ -42,7 +42,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "APWitness", "AvoidingEnumerator", "BoundReport", "CAMPAIGNS",
-    "CampaignRecord", "CampaignStore", "CheckpointMismatch", "ConjectureReport",
+    "CampaignStore", "CheckpointMismatch", "ConjectureReport",
     "CosetProfile", "CriticalRow", "CriticalSearchOutcome", "CriticalTable",
     "ElementSet", "EnumerationPaused", "ExtremalEnumeration",
     "ExtremalRecord", "FuzzReport", "GroupSpec", "HAS_COMPLETE_SUBSET",

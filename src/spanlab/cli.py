@@ -1,18 +1,19 @@
 """Command-line interface.
 
-Every run (except the read-only ``report``) appends one CampaignRecord to
-the store ledger and writes its outputs as artifacts under
-``<store>/artifacts/<campaign_id>/``. The exit code follows from the
-run's status (see _Run.finish): 2 when it is PARTIAL (a budget ran out and
-a resumable checkpoint was written), 1 when it is FAILED or the run found a
-violation (a formula/search disagreement, a bound violation, or a refuted
-proved statement), else 0; bad usage exits 1 too. Conjecture certificates
-are different: REFUTED is a definitive, successful outcome there, so it
-exits 0.
+Every run (except the read-only ``report``) appends exactly one record, a
+plain dict, to the store ledger, a failed or interrupted run included, and
+writes its outputs as artifacts under ``<store>/artifacts/<campaign_id>/``.
+The exit code follows from the run's status (see _Run.finish): 2 when it
+is PARTIAL (a budget ran out, or a Ctrl-C came during an enumerating
+command, and a resumable checkpoint was written), 1 when it is FAILED or
+the run found a violation (a formula/search disagreement, a bound
+violation, or a refuted proved statement), else 0; bad usage and a closed
+stdout exit 1 too. Conjecture certificates are different: REFUTED is a
+definitive, successful outcome there, so it exits 0.
 
 The flags are the configuration, each range-checked as it is parsed; the
 one environment variable, SPANLAB_STORE, is --store's default. The
-effective configuration is echoed into every CampaignRecord.
+effective configuration is echoed into every ledger record.
 
 Group specs are written Z<n> or Z<n1>xZ<n2>x... (case-insensitive), e.g.
 Z15, Z2xZ4.
@@ -35,10 +36,10 @@ from .extremal import (ConjectureReport, ExtremalEnumeration, TheoremReport,
 from .fuzz import CAMPAIGNS, DEFAULT_TRIALS, run_all_campaigns
 from .groups import ElementSet, parse_group_spec
 from .search import (CheckpointMismatch, EnumerationPaused, SearchBudget,
-                     check_fields)
+                     check_fields, check_no_extra_fields)
 from .store import (STATUS_COMPLETE, STATUS_FAILED, STATUS_PARTIAL,
-                    CampaignRecord, CampaignStore, atomic_write_text, dump_json,
-                    sha256_file, utc_stamp)
+                    CampaignStore, atomic_write_text, dump_json, sha256_file,
+                    utc_stamp)
 
 DEFAULT_STORE = Path.home() / ".spanlab"
 CHECKPOINT_SCHEMA = 1
@@ -97,18 +98,16 @@ class _Run:
 
     def __init__(self, store: CampaignStore, args):
         self.store = store
+        self.args = args
         self.name = name = args.subcommand
         config = _config(args)
         self.campaign_id = store.new_campaign_id(name)
-        self.record = CampaignRecord(
-            campaign_id=self.campaign_id,
-            command=_normalized_command(name, config),
-            group=getattr(args, "group", None),
-            status=STATUS_FAILED,
-            started=utc_stamp(),
-            finished="",
-            config=config,
-        )
+        self.record = {"campaign_id": self.campaign_id,
+                       "command": _normalized_command(name, config),
+                       "group": getattr(args, "group", None),
+                       "status": STATUS_FAILED, "started": utc_stamp(),
+                       "finished": "", "artifacts": {}, "checksums": {},
+                       "config": config, "summary": {}}
 
     @property
     def dir(self) -> Path:
@@ -120,30 +119,39 @@ class _Run:
         return path
 
     def register(self, name: str, path: Path) -> None:
-        self.record.artifacts[name] = str(path)
+        self.record["artifacts"][name] = str(path)
         if path.exists():
-            self.record.checksums[name] = sha256_file(path)
+            self.record["checksums"][name] = sha256_file(path)
 
     def finish(self, status: str, summary: dict, lines: list[str],
                violation: bool = False) -> int:
-        """Record the run, print its lines and return its exit code: 2 when
-        status is PARTIAL, 1 when it is FAILED or a violation was found,
-        else 0."""
-        self.record.status = status
-        self.record.finished = utc_stamp()
-        self.record.summary = summary
+        """Append the record, the campaign's one ledger line, keep the lines
+        for execute to print and return the exit code: 2 when status is
+        PARTIAL, 1 when it is FAILED or a violation was found, else 0."""
+        self.record.update(status=status, finished=utc_stamp(), summary=summary)
+        self.lines = [*lines, f"campaign {self.campaign_id}: {status}"]
         self.store.append(self.record)
-        for line in lines:
-            print(line)
-        print(f"campaign {self.campaign_id}: {status}")
         if status == STATUS_PARTIAL:
             return 2
         return 1 if status == STATUS_FAILED or violation else 0
 
-    def fail(self, exc: BaseException) -> int:
-        msg = f"{type(exc).__name__}: {exc}"
-        print(f"error: {exc}", file=sys.stderr)
-        return self.finish(STATUS_FAILED, {"error": msg}, [])
+    def execute(self) -> int:
+        """Run the command, which ends in finish, or finish the run FAILED
+        if the command raised first (a Ctrl-C included); then print the lines.
+        They print after the append, so a failure there, such as a closed
+        stdout, is main's to report and adds no second record."""
+        try:
+            code = self.args.func(self.args, self)
+        except KeyboardInterrupt:
+            print("interrupted", file=sys.stderr)
+            code = self.finish(STATUS_FAILED, {"error": "KeyboardInterrupt"}, [])
+        except Exception as exc:  # noqa: BLE001 - every failure must land in the ledger
+            print(f"error: {exc}", file=sys.stderr)
+            code = self.finish(STATUS_FAILED,
+                               {"error": f"{type(exc).__name__}: {exc}"}, [])
+        for line in self.lines:
+            print(line)
+        return code
 
 
 # -- checkpoint plumbing -----------------------------------------------------------
@@ -170,6 +178,8 @@ def _load_checkpoint(path: Path, command: str) -> dict:
             f"column {exc.colno}") from None
     if not isinstance(data, dict) or not isinstance(data.get("state"), dict):
         raise CheckpointMismatch(f"corrupt checkpoint {path}: no 'state' object")
+    check_no_extra_fields(data, f"corrupt checkpoint {path}:",
+                          ("schema", "command", "records", "state"))
     records = data.get("records", False)  # absent is as wrong as a number
     if records is not None and not isinstance(records, str):
         raise CheckpointMismatch(
@@ -397,7 +407,7 @@ def cmd_classify(args, run: _Run) -> int:
 
 def cmd_conjecture(args, run: _Run) -> int:
     which, p, q = args.which, args.p, args.q
-    run.record.group = f"Z{p * q}"
+    run.record["group"] = f"Z{p * q}"
     verdict = Verdict(conjecture_claim(which, p, q)[0])
 
     def report(enum, complete, records_path):
@@ -686,7 +696,8 @@ def build_parser() -> _Parser:
 
 def main(argv: list[str] | None = None) -> int:
     """Run one command. Every command but report is a campaign: one _Run,
-    whose ledger record a failure also lands in (status FAILED, exit 1)."""
+    which appends exactly one ledger record, FAILED (exit 1) when the
+    command raised or was interrupted."""
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "formula", False):
@@ -700,14 +711,20 @@ def main(argv: list[str] | None = None) -> int:
     store = CampaignStore(args.store)
     try:
         if args.func is cmd_report:
-            return cmd_report(args, store)
-        run = _Run(store, args)
-        try:
-            return args.func(args, run)
-        except Exception as exc:  # noqa: BLE001 - every failure must land in the ledger
-            return run.fail(exc)
+            code = cmd_report(args, store)
+        else:
+            code = _Run(store, args).execute()
+        sys.stdout.flush()
+        return code
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
+        return 1
+    except BrokenPipeError as exc:
+        # stdout's reader is gone: drop what is buffered, or exit fails again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: {exc}", file=sys.stderr)
         return 1
 
 

@@ -35,8 +35,8 @@ from .groups import (ElementSet, GroupSpec, cosets, make_group,
                      smallest_prime_divisor, subgroups_of_order)
 from .search import (ENGINE_VERSION, AvoidingEnumerator, CheckpointMismatch,
                      EnumerationPaused, SearchBudget, SearchStats,
-                     SizedEnumerator, check_fields, target_representatives,
-                     target_symmetries)
+                     SizedEnumerator, check_fields, check_no_extra_fields,
+                     target_representatives, target_symmetries)
 from .sums import complete_subgroup_witnesses, contains_complete_subset, subset_sums_bits
 
 SCHEMA_VERSION = 1
@@ -398,7 +398,7 @@ class ExtremalEnumeration:
         in missed-target mode, target_pos and seen; inner is null only once
         every target is walked. emitted and done follow from the position
         (the inner engine's count in direct mode, len(seen) otherwise), the
-        rest from this run."""
+        rest from this run; a field state() does not write is refused."""
         check_fields(st, "checkpoint", mode=self.mode)
         if self.mode == "missed_target":
             pos = self.target_pos = st["target_pos"]
@@ -421,7 +421,9 @@ class ExtremalEnumeration:
             else:
                 self._engine = AvoidingEnumerator.from_state(
                     self.group, inner, None, root.symmetries)
-        check_fields(st, "corrupt checkpoint:", **self.state())
+        want = self.state()
+        check_no_extra_fields(st, "corrupt checkpoint:", want)
+        check_fields(st, "corrupt checkpoint:", **want)
 
     # record construction -----------------------------------------------------
 

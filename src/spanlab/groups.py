@@ -198,11 +198,10 @@ class GroupSpec:
                 raise GroupTooLargeError(
                     f"{self.spec_string}: a doubled mask of {widths[0] * strides[0]} "
                     f"bits exceeds the padded-layout cap {MAX_PADDED_BITS}")
-            pad = [sum(x * s for x, s in zip(self.coords_of(i), strides))
-                   for i in range(self.order)]
-            box = 1
-            for n, s in zip(self.cyclic_orders, strides):
-                box = sum(box << x * s for x in range(n))
+            pad, box = [0], 1
+            for n, s in zip(self.cyclic_orders, strides):  # n copies, s apart
+                pad = [p + x * s for p in pad for x in range(n)]
+                box *= ((1 << n * s) - 1) // ((1 << s) - 1)
             return PaddedLayout(
                 tuple(pad + [pad[-1] + 1]), {p: i for i, p in enumerate(pad)}, box,
                 tuple(n * s for n, s in zip(self.cyclic_orders, strides)))

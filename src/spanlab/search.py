@@ -82,6 +82,14 @@ def check_fields(state: dict, where: str, **want) -> None:
                 f"{where} {key} {state.get(key)!r}, this run needs {value!r}")
 
 
+def check_no_extra_fields(state: dict, where: str, fields) -> None:
+    """Raise CheckpointMismatch naming the first field of `state` outside `fields`."""
+    extra = sorted(set(state) - set(fields))
+    if extra:
+        raise CheckpointMismatch(
+            f"{where} field {extra[0]!r}, which this run does not write")
+
+
 class SearchBudget(NamedTuple):
     """The allowance of one search call: nodes walked and seconds spent.
     An engine pauses once it has walked max_nodes nodes, or once it reads
@@ -117,11 +125,13 @@ def target_representatives(g: GroupSpec, reduce_orbits: bool) -> list[int]:
     avoids t exactly when phi A avoids phi t, and a set missing t is
     carried to one missing t's representative. The representative of an
     orbit is its least index; they are listed ascending with 0 last, which
-    on a single-factor spec gives the divisors d < n followed by 0. A
+    on a single-factor spec are the divisors d < n then 0, read off n. A
     witness found this way is canonical only up to those automorphisms.
     """
     if not reduce_orbits:
         return list(range(g.order))
+    if g.is_cyclic_spec:  # the orbits of the units: one per divisor of n
+        return [d for d in range(1, g.order) if g.order % d == 0] + [0]
     root = list(range(g.order))
 
     def find(x: int) -> int:

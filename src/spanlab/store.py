@@ -2,7 +2,8 @@
 
 Layout under one root directory:
 
-    <store>/campaigns.jsonl            append-only run ledger, one JSON per line
+    <store>/campaigns.jsonl            append-only run ledger, one JSON
+                                       object per campaign (a plain dict)
     <store>/artifacts/<campaign_id>/   per-run output files
 
 Artifacts are written atomically (temp file in the target directory, then
@@ -52,33 +53,6 @@ def atomic_write_text(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
-class CampaignRecord:
-    """One ledger line. The cli fills in status, finished, artifacts,
-    checksums and summary as the run goes."""
-
-    __slots__ = ("campaign_id", "command", "group", "status", "started",
-                 "finished", "artifacts", "checksums", "config", "summary")
-
-    def __init__(self, campaign_id: str, command: str, group: str | None,
-                 status: str, started: str, finished: str,
-                 artifacts: dict[str, str] | None = None,
-                 checksums: dict[str, str] | None = None,
-                 config: dict | None = None, summary: dict | None = None):
-        self.campaign_id = campaign_id
-        self.command = command
-        self.group = group
-        self.status = status
-        self.started = started
-        self.finished = finished
-        self.artifacts = {} if artifacts is None else artifacts
-        self.checksums = {} if checksums is None else checksums
-        self.config = {} if config is None else config
-        self.summary = {} if summary is None else summary
-
-    def to_dict(self) -> dict:
-        return {name: getattr(self, name) for name in self.__slots__}
-
-
 class CampaignStore:
     def __init__(self, root: str | os.PathLike):
         self.root = Path(root)
@@ -99,9 +73,9 @@ class CampaignStore:
         atomic_write_text(path, dump_json(obj, pretty=True))
         return path
 
-    def append(self, record: CampaignRecord) -> None:
+    def append(self, record: dict) -> None:
         self.root.mkdir(parents=True, exist_ok=True)
-        line = dump_json(record.to_dict()) + "\n"
+        line = dump_json(record) + "\n"
         with open(self.ledger_path, "a", encoding="utf-8") as f:
             fcntl.flock(f.fileno(), fcntl.LOCK_EX)
             try:
@@ -123,8 +97,5 @@ class CampaignStore:
         return out
 
     def find(self, campaign_id: str) -> dict | None:
-        hit = None
-        for rec in self.records():
-            if rec.get("campaign_id") == campaign_id:
-                hit = rec
-        return hit
+        return next((rec for rec in self.records()
+                     if rec.get("campaign_id") == campaign_id), None)

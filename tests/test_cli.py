@@ -153,6 +153,74 @@ def test_finish_derives_the_exit_code_from_the_status(cli, status, violation,
     assert rec["status"] == status
 
 
+def test_closed_stdout_leaves_one_complete_record(cli, monkeypatch):
+    # the lines print after the record is appended, so the broken pipe they
+    # meet adds no second, FAILED record
+    read, write = os.pipe()
+    os.close(read)
+    with open(write, "w") as closed, monkeypatch.context() as m:
+        m.setattr(sys, "stdout", closed)
+        code, _, err = cli("cr", "--group", "Z15")
+    assert code == 1
+    assert err == "error: [Errno 32] Broken pipe\n"
+    (rec,) = _campaigns(cli)
+    assert rec["status"] == "COMPLETE"
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+def test_closed_pipe_ends_quietly(tmp_path, buffered):
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(spanlab.cli.__file__).resolve().parents[1])}
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    store = tmp_path / "store"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "spanlab", "--store", str(store), "cr",
+             "--group", "Z15"], stdout=write, stderr=subprocess.PIPE,
+            text=True, env=env, timeout=120)
+    finally:
+        os.close(write)
+    assert proc.returncode == 1
+    assert proc.stderr == "error: [Errno 32] Broken pipe\n"  # no traceback
+    (line,) = (store / "campaigns.jsonl").read_text().splitlines()
+    assert json.loads(line)["status"] == "COMPLETE"
+
+
+def _interrupt(*args, **kwargs):
+    raise KeyboardInterrupt
+
+
+@pytest.mark.parametrize("args,callee", [
+    (["cr", "--group", "Z15"], "spanlab.critical.max_avoiding"),
+    (["verify-theorem-a", "--max-order", 8], "spanlab.critical.max_avoiding"),
+    (["fuzz-bounds", "--lemma", "2.3", "--trials", 5], "spanlab.fuzz.run_campaign"),
+], ids=["cr", "verify-theorem-a", "fuzz-bounds"])
+def test_ctrl_c_in_a_search_leaves_one_failed_record(cli, monkeypatch, args,
+                                                     callee):
+    monkeypatch.setattr(callee, _interrupt)
+    code, out, err = cli(*args)
+    assert code == 1
+    assert err == "interrupted\n"
+    (rec,) = _campaigns(cli)
+    assert rec["status"] == "FAILED"
+    assert rec["summary"] == {"error": "KeyboardInterrupt"}
+    assert out == f"campaign {rec['campaign_id']}: FAILED\n"
+
+
+def test_ctrl_c_in_an_enumeration_leaves_one_partial_record(cli, monkeypatch):
+    monkeypatch.setattr(Verdict, "add", _interrupt)
+    code, out, _ = cli("enumerate-extremal", "--group", "Z15")
+    assert code == 2
+    (rec,) = _campaigns(cli)
+    assert rec["status"] == "PARTIAL"
+    assert "interrupted; resume with --resume" in out
+    assert Path(rec["artifacts"]["checkpoint"]).exists()
+
+
 @pytest.mark.parametrize("flag,value", [
     ("--max-nodes", 5), ("--max-seconds", 1), ("--max-exact-order", 3),
 ])
@@ -516,6 +584,26 @@ def test_resume_refuses_a_malformed_checkpoint_as_corrupt(cli, edit):
     assert "corrupt checkpoint" in err
     assert "CheckpointMismatch" in _campaigns(cli)[-1]["summary"]["error"]
     assert _campaigns(cli)[-1]["status"] == "FAILED"
+
+
+@pytest.mark.parametrize("where", ["state", "envelope"])
+@pytest.mark.parametrize("spec,mode,allowance", [
+    ("Z15", [], 200), ("Z21", ["--extended"], 600),
+], ids=["direct", "missed-target"])
+def test_resume_refuses_a_field_the_run_does_not_write(cli, spec, mode,
+                                                       allowance, where):
+    ck = cli.tmp / "ck.json"
+    assert cli("enumerate-extremal", "--group", spec, "--out", cli.tmp / "r.jsonl",
+               "--checkpoint", ck, "--max-nodes", allowance, *mode)[0] == 2
+    data = json.loads(ck.read_text())
+    (data["state"] if where == "state" else data)["bogus"] = 1
+    ck.write_text(json.dumps(data))
+    code, _, err = cli("enumerate-extremal", "--group", spec, "--resume", ck, *mode)
+    assert code == 1
+    assert "field 'bogus', which this run does not write" in err
+    rec = _campaigns(cli)[-1]
+    assert rec["status"] == "FAILED"
+    assert "CheckpointMismatch" in rec["summary"]["error"]
 
 
 _GONE = object()  # the edit that deletes a field

@@ -357,6 +357,15 @@ def test_enumeration_rejects_an_inner_engine_of_another_size(spec, extended):
         S.ExtremalEnumeration(_g(spec), extended=extended, checkpoint=state)
 
 
+@pytest.mark.parametrize("spec,extended", [("Z15", False), ("Z21", True)])
+def test_enumeration_rejects_a_field_state_does_not_write(spec, extended):
+    state = _state_after_first_record(spec, extended)
+    with pytest.raises(S.CheckpointMismatch, match="field 'bogus'"):
+        S.ExtremalEnumeration(_g(spec), extended=extended,
+                              checkpoint=dict(state, bogus=1))
+    S.ExtremalEnumeration(_g(spec), extended=extended, checkpoint=state)
+
+
 # ------------------------------------------------------ extremality
 
 

@@ -101,6 +101,13 @@ def test_orbit_targets_on_cyclic_specs_are_the_divisors_then_zero():
         assert S.target_representatives(g, reduce_orbits=True) == want, n
 
 
+def test_orbit_targets_on_a_large_cyclic_spec_build_no_automorphisms():
+    g = S.make_group((100000,))
+    want = [d for d in range(1, 100000) if 100000 % d == 0] + [0]
+    assert S.target_representatives(g, reduce_orbits=True) == want
+    assert g._automorphisms is None
+
+
 def test_orbit_targets_shrink_the_noncyclic_searches():
     counts = {spec: len(S.target_representatives(S.parse_group_spec(spec), True))
               for spec in ("Z2xZ2xZ2xZ2xZ2", "Z5xZ5", "Z7xZ7", "Z3xZ12")}

@@ -12,7 +12,7 @@ import spanlab as S
 from spanlab.store import atomic_write_text, dump_json, sha256_file, utc_stamp
 
 
-def _record(campaign_id: str, **over) -> S.CampaignRecord:
+def _record(campaign_id: str, **over) -> dict:
     base = dict(
         campaign_id=campaign_id,
         command="cr --group=Z15",
@@ -26,7 +26,7 @@ def _record(campaign_id: str, **over) -> S.CampaignRecord:
         summary={"formula": 7},
     )
     base.update(over)
-    return S.CampaignRecord(**base)
+    return base
 
 
 def test_dump_json_is_key_order_independent():
@@ -73,6 +73,9 @@ def test_store_find_by_id(tmp_path):
     assert store.find(first)["summary"] == {"formula": 7}
     assert store.find(second)["command"] == "fuzz-bounds"
     assert store.find("nope") is None
+    # one record per campaign: find takes the first line of an id
+    store.append(_record(first, status="FAILED"))
+    assert store.find(first)["status"] == "COMPLETE"
 
 
 def test_campaign_ids_are_unique_and_well_formed(tmp_path):
@@ -94,15 +97,19 @@ def test_artifacts_live_under_campaign_directory(tmp_path):
     assert json.loads(path.read_text()) == {"formula": 7, "agree": True}
 
 
-def test_record_round_trip_through_dict():
-    rec = _record("c-1")
-    d = rec.to_dict()
+def test_record_round_trip_through_dict(tmp_path):
+    d = _record("c-1")
     assert d["campaign_id"] == "c-1"
     assert set(d) >= {"campaign_id", "command", "group", "status", "started",
                       "finished", "artifacts", "checksums", "config",
                       "summary"}
     line = dump_json(d)
     assert json.loads(line) == d
+    # the ledger line has sorted keys, whatever order the dict was built in
+    store = S.CampaignStore(tmp_path / "store")
+    store.append(dict(reversed(d.items())))
+    assert store.ledger_path.read_text() == line + "\n"
+    assert store.records() == [d]
 
 
 def test_store_tolerates_missing_root_until_first_write(tmp_path):
