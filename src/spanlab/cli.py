@@ -157,12 +157,12 @@ class _Run:
 # -- checkpoint plumbing -----------------------------------------------------------
 
 
-def _write_checkpoint(path: Path, command: str, records_path: Path | None,
+def _write_checkpoint(path: Path, command: str, records_path: Path,
                       state: dict) -> None:
     atomic_write_text(path, dump_json({
         "schema": CHECKPOINT_SCHEMA,
         "command": command,
-        "records": str(records_path) if records_path else None,
+        "records": str(records_path),
         "state": state,
     }, pretty=True))
 
@@ -180,8 +180,8 @@ def _load_checkpoint(path: Path, command: str) -> dict:
         raise CheckpointMismatch(f"corrupt checkpoint {path}: no 'state' object")
     check_no_extra_fields(data, f"corrupt checkpoint {path}:",
                           ("schema", "command", "records", "state"))
-    records = data.get("records", False)  # absent is as wrong as a number
-    if records is not None and not isinstance(records, str):
+    records = data.get("records")  # absent or null is as wrong as a number
+    if not isinstance(records, str) or not records:
         raise CheckpointMismatch(
             f"corrupt checkpoint {path}: records {records!r} names no file")
     check_fields(data, f"checkpoint {path}", schema=CHECKPOINT_SCHEMA,
@@ -193,10 +193,7 @@ def _prior_lines(ck: dict, emitted: int) -> list[str]:
     """Recover the first `emitted` record lines written before the checkpoint."""
     if emitted == 0:
         return []
-    recorded = ck["records"]
-    if not recorded:
-        raise CheckpointMismatch("checkpoint names no records file to resume from")
-    final = Path(recorded)
+    final = Path(ck["records"])
     partial = final.with_name(final.name + ".partial")
     source = partial if partial.exists() else final if final.exists() else None
     if source is None:
@@ -259,7 +256,10 @@ def _stream_records(enum: ExtremalEnumeration, records_final: Path,
 
 
 def _budget(args) -> SearchBudget:
-    return SearchBudget(args.max_nodes, args.max_seconds)
+    """The search allowance of --max-nodes and --max-seconds, each infinite
+    when unset (the ledger config keeps null)."""
+    return SearchBudget(*(math.inf if x is None else x
+                          for x in (args.max_nodes, args.max_seconds)))
 
 
 def cmd_cr(args, run: _Run) -> int:

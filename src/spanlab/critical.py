@@ -122,7 +122,7 @@ class CriticalSearchOutcome(NamedTuple):
                 "witness": list(self.witness) if self.witness is not None else None}
 
 
-def critical_number_search(group: GroupSpec, budget: SearchBudget | None = None,
+def critical_number_search(group: GroupSpec, budget: SearchBudget = SearchBudget(),
                            reduce_orbits: bool = True,
                            max_exact_order: int = MAX_EXACT_ORDER
                            ) -> CriticalSearchOutcome:
@@ -149,7 +149,6 @@ def critical_number_search(group: GroupSpec, budget: SearchBudget | None = None,
     n = group.order
     if n < 3:
         raise ValueError(f"critical number requires order >= 3, got {n}")
-    budget = budget or SearchBudget()
     if n > max_exact_order:
         return CriticalSearchOutcome("skipped", None, None, None, 0, 0)
     targets = target_representatives(group, reduce_orbits)
@@ -213,7 +212,7 @@ class CriticalTable:
         }
 
 
-def verify_critical_formula(max_order: int, budget: SearchBudget | None = None
+def verify_critical_formula(max_order: int, budget: SearchBudget = SearchBudget()
                             ) -> CriticalTable:
     """Formula vs exhaustive search on every abelian group of order
     3..max_order, each group's search on the whole budget. ValueError for

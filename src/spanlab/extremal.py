@@ -310,9 +310,9 @@ class ExtremalEnumeration:
     whether it is in effect, only on a missed-target run over a
     single-factor spec: a direct run or a product spec emits every set.
 
-    threads must be at least 1; threads > 1 hands each target's walk to
-    AvoidingEnumerator.run_split over a process pool of min(threads, CPUs)
-    workers: one unit per root node the walk pushes, merged in
+    threads must be at least 1; more than one worker, min(threads, CPUs),
+    hands each target's walk to AvoidingEnumerator.run_split over a process
+    pool of that many: one unit per root node the walk pushes, merged in
     lexicographic order, so the records are the bytes of a single-worker
     run. The budget bounds the whole
     records() call under one rule at any thread count: a walk pauses once
@@ -326,13 +326,13 @@ class ExtremalEnumeration:
     stats.nodes counts the nodes this call walked, paused or not.
     """
 
-    def __init__(self, group: GroupSpec, budget: SearchBudget | None = None,
+    def __init__(self, group: GroupSpec, budget: SearchBudget = SearchBudget(),
                  extended: bool = False, orbit_dedup: bool = True,
                  checkpoint: dict | None = None, threads: int = 1):
         if threads < 1:
             raise ValueError(f"threads must be at least 1, got {threads}")
         self.group = group
-        self.budget = budget or SearchBudget()
+        self.budget = budget
         self.k = critical_number_formula(group) - 1
         missed = extended or not _candidates_fit(group.order - 1, self.k)
         self.mode = "missed_target" if missed else "direct"
@@ -483,7 +483,7 @@ class ExtremalEnumeration:
         run in this process with one worker or when resumed below the root,
         otherwise split over a pool of at most one worker per CPU."""
         workers = min(self.threads, os.cpu_count() or 1)
-        with (ProcessPoolExecutor(max_workers=workers) if self.threads > 1
+        with (ProcessPoolExecutor(max_workers=workers) if workers > 1
               else nullcontext()) as pool:
             while (eng := self.engine()) is not None:
                 leaves = (eng.run_split(pool.submit) if pool and not eng.path else
@@ -613,7 +613,6 @@ class ConjectureReport(NamedTuple):
     extremal_count: int
     failing_count: int
     counterexamples: list[dict]  # the first MAX_COUNTEREXAMPLES of them
-    orbit_dedup: bool = False
 
     @classmethod
     def from_verdict(cls, which: int, p: int, q: int, verdict: Verdict,
@@ -633,7 +632,7 @@ class ConjectureReport(NamedTuple):
             "extremal_count": self.extremal_count,
             "failing_count": self.failing_count,
             "counterexamples": self.counterexamples,
-            "orbit_dedup": self.orbit_dedup,
+            "orbit_dedup": False,  # check_conjecture runs without orbit dedup
         }
 
 
@@ -650,7 +649,7 @@ def conjecture_claim(which: int, p: int, q: int) -> tuple[str, str]:
 
 
 def check_conjecture(which: int, p: int, q: int,
-                     budget: SearchBudget | None = None,
+                     budget: SearchBudget = SearchBudget(),
                      threads: int = 1) -> ConjectureReport:
     """Enumerate every extremal set of Z_pq and test the conjectured property.
 
@@ -738,7 +737,7 @@ def theorem_verdict(group: GroupSpec) -> Verdict:
     return Verdict(SHAPE_I if case == "even" else SHAPE_II)
 
 
-def verify_theorem_main(group: GroupSpec, budget: SearchBudget | None = None,
+def verify_theorem_main(group: GroupSpec, budget: SearchBudget = SearchBudget(),
                         orbit_dedup: bool = True,
                         threads: int = 1) -> TheoremReport:
     """Check that every extremal set has the shape the structure theorem

@@ -51,6 +51,7 @@ top.
 
 from __future__ import annotations
 
+import math
 import time
 from typing import Iterator, NamedTuple
 
@@ -58,7 +59,7 @@ from .groups import GroupSpec, automorphism_generators, cached_group
 
 ENGINE_VERSION = "search-1"
 
-_CLOCK_EVERY = 4096  # nodes between two reads of the clock
+_CLOCK_BITS = 1 << 18  # mask bits walked between two reads of the clock
 
 
 class EnumerationPaused(Exception):
@@ -91,22 +92,23 @@ def check_no_extra_fields(state: dict, where: str, fields) -> None:
 
 
 class SearchBudget(NamedTuple):
-    """The allowance of one search call: nodes walked and seconds spent.
-    An engine pauses once it has walked max_nodes nodes, or once it reads
-    the clock (every 4,096 nodes) max_seconds after its run() started;
-    before its first node if either is spent already (<= 0)."""
+    """The allowance of one search call: nodes walked and seconds spent,
+    each infinite unless set. An engine pauses once it has walked
+    max_nodes nodes, or once it reads the clock max_seconds after its
+    run() started; before its first node if either is spent already
+    (<= 0). It reads the clock every _CLOCK_BITS // (the width of the
+    group's padded box) nodes, and at least every node: every 4,096 nodes
+    on Z64, every node on Z1000000, whatever the budget."""
 
-    max_nodes: int | None = None
-    max_seconds: float | None = None
+    max_nodes: float = math.inf
+    max_seconds: float = math.inf
 
     def remaining(self, nodes: int, since: float) -> SearchBudget:
         """This budget less `nodes` nodes and the seconds since the
         time.monotonic() stamp `since`: one allowance shared by a run's
         successive engines."""
-        return SearchBudget(
-            None if self.max_nodes is None else self.max_nodes - nodes,
-            None if self.max_seconds is None
-            else self.max_seconds - (time.monotonic() - since))
+        return SearchBudget(self.max_nodes - nodes,
+                            self.max_seconds - (time.monotonic() - since))
 
 
 class SearchStats:
@@ -182,12 +184,12 @@ class _Engine:
     fields: tuple[str, ...] = ("k",)
     root = 0
 
-    def __init__(self, group: GroupSpec, k: int, budget: SearchBudget | None = None):
+    def __init__(self, group: GroupSpec, k: int, budget: SearchBudget = SearchBudget()):
         if not 0 < k < group.order:
             raise ValueError(f"subset size {k} out of range for {group.spec_string}")
         self.group = group
         self.k = k
-        self.budget = budget or SearchBudget()
+        self.budget = budget
         self.path: list[int] = []
         self.cursor: list[int] = [self.root]
         self.stats = SearchStats()
@@ -208,7 +210,7 @@ class _Engine:
 
     @classmethod
     def from_state(cls, group: GroupSpec, state: dict,
-                   budget: SearchBudget | None = None, *args):
+                   budget: SearchBudget = SearchBudget(), *args):
         """Rebuild an engine at a state() position; the trailing arguments
         go to the constructor after budget (AvoidingEnumerator: symmetries).
         Raises CheckpointMismatch unless engine, kind and group match and
@@ -246,24 +248,21 @@ class _Engine:
         and max_seconds from now. Pauses at once if that allowance is
         already spent, else returns the count at which to _check next."""
         b = self.budget
-        self._stop = None if b.max_nodes is None else self.stats.nodes + b.max_nodes
-        self._deadline = (None if b.max_seconds is None
-                          else time.monotonic() + b.max_seconds)
+        self._stop = self.stats.nodes + b.max_nodes
+        self._deadline = time.monotonic() + b.max_seconds
+        self._every = max(1, _CLOCK_BITS // self.group.padded_layout().box.bit_length())
         return self._check(self.stats.nodes)
 
     def _check(self, nodes: int) -> int:
         """Pause with `nodes` walked if the allowance is spent, else return
-        the count at which to check again (-1: never). The run loops call
-        this when their count reaches that value, before walking the next
-        node, so the clock is read every _CLOCK_EVERY nodes."""
-        if (self._stop is not None and nodes >= self._stop) or (
-                self._deadline is not None and time.monotonic() >= self._deadline):
+        the count at which to check again: the stop point, or sooner the
+        next clock read, one interval (see SearchBudget) on. The run loops
+        call this when their count reaches that value, before walking the
+        next node."""
+        if nodes >= self._stop or time.monotonic() >= self._deadline:
             self.stats.nodes = nodes
             raise EnumerationPaused(self.state())
-        if self._deadline is None:
-            return -1 if self._stop is None else self._stop
-        ahead = nodes + _CLOCK_EVERY
-        return ahead if self._stop is None else min(ahead, self._stop)
+        return min(nodes + self._every, self._stop)
 
 
 class SizedEnumerator(_Engine):
@@ -278,7 +277,7 @@ class SizedEnumerator(_Engine):
     kind = "sized"
     root = 1
 
-    def __init__(self, group: GroupSpec, k: int, budget: SearchBudget | None = None):
+    def __init__(self, group: GroupSpec, k: int, budget: SearchBudget = SearchBudget()):
         super().__init__(group, k, budget)
         self.sigs: list[int] = [0]
 
@@ -350,7 +349,7 @@ class AvoidingEnumerator(_Engine):
     fields = ("target", "k")
 
     def __init__(self, group: GroupSpec, target: int, k: int,
-                 budget: SearchBudget | None = None,
+                 budget: SearchBudget = SearchBudget(),
                  symmetries: tuple[tuple[int, ...], ...] = ()):
         if not 0 <= target < group.order:
             raise ValueError(f"target {target} out of range")
@@ -530,7 +529,7 @@ class MaxSearchResult(NamedTuple):
 
 
 def max_avoiding(group: GroupSpec, target: int, floor: int = 0,
-                 budget: SearchBudget | None = None,
+                 budget: SearchBudget = SearchBudget(),
                  symmetries: tuple[tuple[int, ...], ...] = ()) -> MaxSearchResult:
     """Largest subset of G \\ {0} whose Sigma avoids target; only sets larger
     than floor are reported. First maximum found is the lexicographic least.
@@ -572,7 +571,7 @@ def run_work_unit(orders: tuple[int, ...], target: int, k: int, first: int,
     # first chosen, then the root cursor moved past the last start
     state = dict(AvoidingEnumerator(group, target, k).state(),
                  path=[first], cursor=[first + 1, first + 1])
-    eng = AvoidingEnumerator.from_state(group, state, None, symmetries)
+    eng = AvoidingEnumerator.from_state(group, state, SearchBudget(), symmetries)
     eng.cursor[0] = last + 1
     out = [sum(1 << i for i in leaf) for leaf in eng.run()]
     return out, eng.stats.nodes

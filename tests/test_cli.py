@@ -323,7 +323,8 @@ def test_threads_pool_has_at_most_one_worker_per_cpu(cli, monkeypatch, cpus,
     code, _, _ = cli("enumerate-extremal", "--group", "Z3", "--extended",
                      "--threads", 100_000)
     assert code == 0
-    assert _InlinePool.sizes == [workers]
+    # one worker walks inline: no pool is started
+    assert _InlinePool.sizes == ([workers] if workers > 1 else [])
     (rec,) = _campaigns(cli)
     assert len(_artifact(cli, rec, "records.jsonl").read_text().splitlines()) == 1
 

@@ -598,7 +598,7 @@ def test_conjecture_certificate_for_interval_shape(z15_records):
     assert rep.failing_count == 24
     assert len(z15_records) == 28
     assert len(rep.counterexamples) == 24
-    assert rep.orbit_dedup is False
+    assert rep.to_dict()["orbit_dedup"] is False
     assert rep.counterexamples == [r.to_dict() for r in z15_records
                                    if S.SHAPE_EX2 not in r.tags]
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import types
 from concurrent.futures import Future
 
 import pytest
@@ -50,6 +51,34 @@ def test_budget_exhaustion_reports_incomplete():
     g = S.parse_group_spec("Z21")
     res = S.max_avoiding(g, 1, budget=S.SearchBudget(max_nodes=10))
     assert not res.complete
+
+
+def test_an_unset_budget_is_infinite():
+    budget = S.SearchBudget()
+    assert budget == (math.inf, math.inf)
+    assert budget.remaining(10**9, 0.0) == (math.inf, math.inf)
+
+
+@pytest.mark.parametrize("make", [
+    lambda g, budget: S.SizedEnumerator(g, 2, budget),
+    lambda g, budget: S.AvoidingEnumerator(g, 1, 2, budget),
+], ids=["sized", "avoiding"])
+def test_a_wide_group_reads_the_clock_before_every_node(monkeypatch, make):
+    # a node on Z1000000 shifts a 10^6-bit box, so the walk reads the clock
+    # before each one; with a clock one second on at every read, run() fixes
+    # its deadline, reads 1 s (allowed), walks a node and reads 2 s: a pause
+    reads = []
+
+    def clock():
+        reads.append(None)
+        return float(len(reads) - 1)
+
+    monkeypatch.setattr("spanlab.search.time", types.SimpleNamespace(monotonic=clock))
+    eng = make(S.parse_group_spec("Z1000000"), S.SearchBudget(max_seconds=1.5))
+    with pytest.raises(S.EnumerationPaused) as pause:
+        list(eng.run())
+    assert pause.value.state["nodes"] == eng.stats.nodes == 1
+    assert len(reads) == 3
 
 
 @pytest.mark.parametrize("spec", ["Z7", "Z9", "Z15"])
