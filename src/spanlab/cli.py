@@ -26,6 +26,7 @@ import json
 import math
 import os
 import sys
+from itertools import islice
 from pathlib import Path
 
 from .critical import (MAX_EXACT_ORDER, critical_number_case,
@@ -189,44 +190,44 @@ def _load_checkpoint(path: Path, command: str) -> dict:
     return data
 
 
-def _prior_lines(ck: dict, emitted: int) -> list[str]:
-    """Recover the first `emitted` record lines written before the checkpoint."""
-    if emitted == 0:
-        return []
-    final = Path(ck["records"])
-    partial = final.with_name(final.name + ".partial")
-    source = partial if partial.exists() else final if final.exists() else None
-    if source is None:
+def _partial(records: Path) -> Path:
+    return records.with_name(records.name + ".partial")
+
+
+def _prefix_lines(records: Path, emitted: int) -> list[bytes]:
+    """The first `emitted` record lines a run wrote before its checkpoint,
+    from <records>.partial, or from <records> once the run finished."""
+    source = _partial(records) if _partial(records).exists() else records
+    lines = []
+    if emitted and source.exists():
+        with open(source, "rb") as f:
+            lines = list(islice(f, emitted))
+    if len(lines) < emitted or lines and not lines[-1].endswith(b"\n"):
         raise CheckpointMismatch(
-            f"resume needs {partial} (or {final}) from the interrupted run")
-    lines = [ln for ln in source.read_text().splitlines() if ln.strip()]
-    if len(lines) < emitted:
-        raise CheckpointMismatch(
-            f"{source} holds {len(lines)} records but the checkpoint expects "
-            f">= {emitted}; refusing to resume from inconsistent output")
-    return lines[:emitted]
+            f"{source} is missing or holds fewer than the {emitted} records "
+            f"the checkpoint expects; refusing to resume from it")
+    return lines
 
 
 def _stream_records(enum: ExtremalEnumeration, records_final: Path,
                     ck_path: Path, command: str, checkpoint_every: int,
-                    prior: list[str], collect) -> str | None:
+                    keep: int, collect) -> str | None:
     """Drive an enumeration, writing one JSON line per record.
 
-    Output goes to <records_final>.partial and is atomically renamed on
-    completion; the checkpoint is rewritten every `checkpoint_every`
-    records, always after the matching lines are flushed, so the pair
-    (partial file, checkpoint) is never ahead of itself. Returns None on
-    completion, else why the run stopped. A Ctrl-C can land mid-write or
-    mid-step in the engine, so it saves the last checkpointed state.
+    Output goes to <records_final>.partial, cut after `keep` bytes and
+    appended to, then atomically renamed on completion; the checkpoint is
+    rewritten every `checkpoint_every` records, after the matching lines are
+    flushed, so the pair (partial file, checkpoint) is never ahead of
+    itself. Returns None on completion, else why the run stopped. A Ctrl-C
+    can land mid-write or mid-step in the engine, so it saves the last
+    checkpointed state.
     """
-    partial = records_final.with_name(records_final.name + ".partial")
+    partial = _partial(records_final)
     partial.parent.mkdir(parents=True, exist_ok=True)
     consistent = enum.state()
     written = 0
-    with open(partial, "w", encoding="utf-8") as f:
-        for line in prior:
-            f.write(line + "\n")
-        f.flush()
+    with open(partial, "a", encoding="utf-8") as f:
+        f.truncate(keep)
         try:
             for rec in enum.records():
                 d = rec.to_dict()
@@ -331,42 +332,50 @@ def _enumerating_run(args, run: _Run, group, orbit_dedup: bool,
                      verdict: Verdict, report) -> int:
     """The run shared by enumerate-extremal, conjecture and verify-main.
 
-    Resumes from --resume (a finished checkpoint searches nothing and
-    rebuilds from its lines; a missed-target one whose seen is not the set
-    bitmasks of those lines is refused) and, without --out, appends to the
-    records file the checkpoint names. It streams the records to disk while
-    folding the prior lines and then the new ones into `verdict`, registers
-    the artifacts and finishes the run. report(enum, complete, records_path)
-    writes the command's certificate, if any, and returns its (summary,
-    lines, violation found); a PARTIAL run adds a resume hint.
+    Resumes from --resume in place: the checkpoint's records file keeps the
+    lines written before it, folded into `verdict` as the new ones are, and
+    an --out or --checkpoint naming another file is refused, as is a
+    missed-target checkpoint whose seen is not the set bitmasks of those
+    lines. A finished checkpoint searches nothing and rebuilds from its
+    lines. report(enum, complete, records_path) writes the command's
+    certificate, if any, and returns its (summary, lines, violation found);
+    a PARTIAL run adds a resume hint.
     """
-    ck = _load_checkpoint(Path(args.resume), run.name) if args.resume else None
+    ck = args.resume and _load_checkpoint(Path(args.resume), run.name)
+    out, checkpoint = getattr(args, "out", None), getattr(args, "checkpoint", None)
+    if ck:
+        for flag, given, own in (("--out", out, ck["records"]),
+                                 ("--checkpoint", checkpoint, args.resume)):
+            if given and Path(given).resolve() != Path(own).resolve():
+                raise ValueError(f"{flag} {given} is not the checkpoint's own "
+                                 f"file {own}, which a resume continues")
+        out, checkpoint = ck["records"], args.resume
+    records_path = Path(out or run.dir / "records.jsonl")
+    ck_path = Path(checkpoint or run.dir / "checkpoint.json")
     enum = ExtremalEnumeration(group, _budget(args),
                                getattr(args, "extended", False), orbit_dedup,
                                ck and ck["state"], args.threads)
-    prior = _prior_lines(ck, enum.stats.emitted) if ck else []
-    records_path = Path(getattr(args, "out", None) or ck and ck["records"]
-                        or run.dir / "records.jsonl")
-    ck_path = Path(getattr(args, "checkpoint", None) or args.resume
-                   or run.dir / "checkpoint.json")
-    seen = set()
-    for line in prior:
+    keep, seen = 0, set()
+    for line in _prefix_lines(records_path, enum.stats.emitted):
         record = json.loads(line)
         verdict.add(record)
         seen.add(format(sum(1 << i for i in record["set"]), "x"))
+        keep += len(line)
     if ck and enum.mode == "missed_target" and seen != set(ck["state"]["seen"]):
         raise CheckpointMismatch(
-            f"checkpoint seen differs from the sets of the {len(prior)} "
-            f"records written before it")
+            f"checkpoint seen differs from the sets of the "
+            f"{enum.stats.emitted} records written before it")
+    if ck and records_path.exists() and not _partial(records_path).exists():
+        # a finished run: its records file continues as the partial file
+        os.replace(records_path, _partial(records_path))
     stopped = _stream_records(enum, records_path, ck_path, run.name,
-                              args.checkpoint_every, prior, verdict.add)
+                              args.checkpoint_every, keep, verdict.add)
     summary, lines, violation = report(enum, stopped is None, records_path)
     run.register("checkpoint", ck_path)
     if stopped is None:
         run.register("records", records_path)
     else:
-        run.register("records.partial",
-                     records_path.with_name(records_path.name + ".partial"))
+        run.register("records.partial", _partial(records_path))
         lines.append(f"{stopped}; resume with --resume {ck_path}")
     return run.finish(STATUS_PARTIAL if stopped else STATUS_COMPLETE, summary,
                       lines, violation)
@@ -406,23 +415,21 @@ def cmd_classify(args, run: _Run) -> int:
 
 
 def cmd_conjecture(args, run: _Run) -> int:
-    which, p, q = args.which, args.p, args.q
-    run.record["group"] = f"Z{p * q}"
-    verdict = Verdict(conjecture_claim(which, p, q)[0])
+    group = parse_group_spec(args.group)
+    verdict = Verdict(conjecture_claim(group)[3])
 
     def report(enum, complete, records_path):
-        rep = ConjectureReport.from_verdict(which, p, q, verdict, complete)
+        rep = ConjectureReport.from_verdict(group, verdict, complete)
         run.artifact("cert.json", {**rep.to_dict(),
                                    "records": str(records_path)})
-        lines = [f"conjecture {which} at (p, q) = ({p}, {q}) over "
-                 f"{rep.group}: {rep.outcome}",
+        lines = [f"conjecture {rep.which} at (p, q) = ({rep.p}, {rep.q}) "
+                 f"over {rep.group}: {rep.outcome}",
                  f"extremal sets: {rep.extremal_count}, failing: "
                  f"{rep.failing_count}"]
         return ({"outcome": rep.outcome, "total": rep.extremal_count,
                  "failing": rep.failing_count}, lines, False)
 
-    return _enumerating_run(args, run, parse_group_spec(f"Z{p * q}"), False,
-                            verdict, report)
+    return _enumerating_run(args, run, group, False, verdict, report)
 
 
 def cmd_verify_main(args, run: _Run) -> int:
@@ -592,7 +599,8 @@ def _add_enum_flags(p: _Parser, orbit_dedup: bool = True) -> None:
                         "(default 1)")
     p.add_argument("--resume", metavar="CHECKPOINT",
                    help="resume from a checkpoint.json written by an "
-                        "interrupted run")
+                        "interrupted run, continuing its records file in "
+                        "place")
     p.add_argument("--checkpoint-every", type=_int_at_least(0), default=1000,
                    metavar="N",
                    help="rewrite the checkpoint every N records (default "
@@ -643,10 +651,10 @@ def build_parser() -> _Parser:
     p = sub.add_parser("enumerate-extremal",
                        help="stream every extremal non-spanning set, classified")
     p.add_argument("--group", required=True)
-    p.add_argument("--out", help="records file (default: inside the campaign "
-                                 "artifact directory)")
-    p.add_argument("--checkpoint", help="checkpoint file location (default: "
-                                        "inside the campaign artifact directory)")
+    p.add_argument("--out", help="records file (default: in the campaign "
+                                 "artifact directory; on --resume, the checkpoint's)")
+    p.add_argument("--checkpoint", help="checkpoint file (default: in the campaign "
+                                        "artifact directory; on --resume, that one)")
     p.add_argument("--extended", action="store_true",
                    help="take the missed-target walk even where the direct "
                         "walk fits (the group picks the walk otherwise)")
@@ -663,9 +671,10 @@ def build_parser() -> _Parser:
     p = sub.add_parser("conjecture",
                        help="enumerate all extremal sets of Z_pq and emit a "
                             "VERIFIED/REFUTED certificate")
-    p.add_argument("--which", type=int, required=True, choices=(1, 2))
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--group", required=True,
+                   help="Z_pq with (p, q) in pq_window's 'coset' window "
+                        "(conjecture 1) or 'interval' window (conjecture "
+                        "2), e.g. Z21 or Z15")
     _add_enum_flags(p, orbit_dedup=False)
     p.set_defaults(func=cmd_conjecture)
 

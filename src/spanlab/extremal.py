@@ -615,48 +615,47 @@ class ConjectureReport(NamedTuple):
     counterexamples: list[dict]  # the first MAX_COUNTEREXAMPLES of them
 
     @classmethod
-    def from_verdict(cls, which: int, p: int, q: int, verdict: Verdict,
+    def from_verdict(cls, group: GroupSpec, verdict: Verdict,
                      complete: bool) -> ConjectureReport:
-        return cls(which, p, q, f"Z{p * q}", conjecture_claim(which, p, q)[1],
+        which, p, q, _, claim = conjecture_claim(group)
+        return cls(which, p, q, group.spec_string, claim,
                    verdict.outcome(complete), verdict.total, verdict.failing,
                    verdict.examples)
 
     def to_dict(self) -> dict:
-        return {
-            "which": self.which,
-            "p": self.p,
-            "q": self.q,
-            "group": self.group,
-            "property": self.property_name,
-            "outcome": self.outcome,
-            "extremal_count": self.extremal_count,
-            "failing_count": self.failing_count,
-            "counterexamples": self.counterexamples,
-            "orbit_dedup": False,  # check_conjecture runs without orbit dedup
-        }
+        d = self._asdict()
+        d["property"] = d.pop("property_name")
+        d["orbit_dedup"] = False  # check_conjecture runs without orbit dedup
+        return d
 
 
-def conjecture_claim(which: int, p: int, q: int) -> tuple[str, str]:
-    """(required tag, property text) of conjecture `which` at (p, q);
-    ValueError outside its pq_window window."""
-    if which == 1:
-        _require_window("conjecture 1", p, q, "coset")
-        return HAS_COMPLETE_SUBSET, "every extremal set contains a complete subset"
-    if which == 2:
-        _require_window("conjecture 2", p, q, "interval")
-        return SHAPE_EX2, "every extremal set is a symmetric generator interval"
-    raise ValueError(f"which must be 1 or 2, got {which}")
+def conjecture_claim(group: GroupSpec) -> tuple[int, int, int, str, str]:
+    """(which, p, q, required tag, property text) of the conjecture on
+    group: a single-factor Z_pq, p its smallest prime divisor, with (p, q)
+    in pq_window's 'coset' window (conjecture 1) or 'interval' window
+    (conjecture 2). Any other group, such as Z16, Z25, Z33 or Z3xZ5,
+    raises ValueError."""
+    n = group.order
+    p = smallest_prime_divisor(n)
+    window = pq_window(p, n // p) if group.is_cyclic_spec else None
+    if window == "coset":
+        return (1, p, n // p, HAS_COMPLETE_SUBSET,
+                "every extremal set contains a complete subset")
+    if window == "interval":
+        return (2, p, n // p, SHAPE_EX2,
+                "every extremal set is a symmetric generator interval")
+    raise ValueError(
+        f"{group.spec_string} is no Z_pq with (p, q) in pq_window's 'coset' "
+        f"window (conjecture 1) or 'interval' window (conjecture 2)")
 
 
-def check_conjecture(which: int, p: int, q: int,
-                     budget: SearchBudget = SearchBudget(),
+def check_conjecture(group: GroupSpec, budget: SearchBudget = SearchBudget(),
                      threads: int = 1) -> ConjectureReport:
-    """Enumerate every extremal set of Z_pq and test the conjectured property.
-
-    which = 1: |A| = p + q - 3 (the window forces cr = p + q - 2) and the
-    claim is that A contains a complete subset -> HAS_COMPLETE_SUBSET.
-    which = 2: |A| = p + q - 2 (cr = p + q - 1) and the claim is that A is
-    a symmetric generator interval -> SHAPE_EX2.
+    """Enumerate every extremal set of group, a Z_pq, and test the conjecture
+    conjecture_claim names. Conjecture 1: |A| = p + q - 3 (the 'coset'
+    window forces cr = p + q - 2) and A contains a complete subset ->
+    HAS_COMPLETE_SUBSET. Conjecture 2: |A| = p + q - 2 (cr = p + q - 1)
+    and A is a symmetric generator interval -> SHAPE_EX2.
 
     The enumeration is literal (no orbit dedup) and streamed through a
     Verdict: VERIFIED means every extremal set carries the property,
@@ -665,11 +664,10 @@ def check_conjecture(which: int, p: int, q: int,
     resumes only through ExtremalEnumeration's checkpoint, as the command
     line resumes it.
     """
-    verdict = Verdict(conjecture_claim(which, p, q)[0])
-    enum = ExtremalEnumeration(make_group((p * q,)), budget,
-                               orbit_dedup=False, threads=threads)
-    return ConjectureReport.from_verdict(which, p, q, verdict,
-                                         verdict.feed(enum))
+    verdict = Verdict(conjecture_claim(group)[3])
+    enum = ExtremalEnumeration(group, budget, orbit_dedup=False,
+                               threads=threads)
+    return ConjectureReport.from_verdict(group, verdict, verdict.feed(enum))
 
 
 # -- main structure theorem --------------------------------------------------------
@@ -695,16 +693,9 @@ class TheoremReport(NamedTuple):
                    verdict.examples, orbit_dedup)
 
     def to_dict(self) -> dict:
-        return {
-            "group": self.group,
-            "case": self.case,
-            "required_tag": self.required_tag,
-            "outcome": self.outcome,
-            "extremal_count": self.extremal_count,
-            "tag_counts": self.tag_counts,
-            "violations": self.violations,
-            "orbit_dedup": self.orbit_dedup,
-        }
+        d = self._asdict()
+        del d["violation_count"]  # the report lists violations, not their count
+        return d
 
 
 def theorem_main_hypothesis(group: GroupSpec) -> str:

@@ -568,11 +568,9 @@ def run_work_unit(orders: tuple[int, ...], target: int, k: int, first: int,
         return [], 0
     if k == 1:  # the root node {first} is the leaf
         return [1 << first], 0
-    # first chosen, then the root cursor moved past the last start
-    state = dict(AvoidingEnumerator(group, target, k).state(),
-                 path=[first], cursor=[first + 1, first + 1])
-    eng = AvoidingEnumerator.from_state(group, state, SearchBudget(), symmetries)
-    eng.cursor[0] = last + 1
+    eng = AvoidingEnumerator(group, target, k, SearchBudget(), symmetries)
+    eng._descend(first)
+    eng.cursor = [last + 1, first + 1]  # the root past the last start
     out = [sum(1 << i for i in leaf) for leaf in eng.run()]
     return out, eng.stats.nodes
 

@@ -130,7 +130,7 @@ def test_criterion_3_oracle_equivalence_on_random_instances():
 
 def test_criterion_4_interval_conjecture_certificate_z15(z15_records):
     t0 = time.monotonic()
-    rep = S.check_conjecture(2, 3, 5)
+    rep = S.check_conjecture(S.parse_group_spec("Z15"))
     dt = time.monotonic() - t0
     assert dt < 1.0, f"took {dt:.3f}s, budget 1s"
     assert rep.group == "Z15" and rep.outcome in ("VERIFIED", "REFUTED")
@@ -149,7 +149,7 @@ def test_criterion_4_interval_conjecture_certificate_z15(z15_records):
 
 def test_criterion_5_complete_subset_conjecture_certificate_z21(z21_records):
     t0 = time.monotonic()
-    rep = S.check_conjecture(1, 3, 7)
+    rep = S.check_conjecture(S.parse_group_spec("Z21"))
     dt = time.monotonic() - t0
     assert dt <= 60, f"took {dt:.1f}s, budget 60s"
     assert rep.group == "Z21" and rep.outcome in ("VERIFIED", "REFUTED")

@@ -118,18 +118,22 @@ def test_unknown_flag_exits_one(cli):
 @pytest.mark.parametrize("args", [
     ["cr", "--group", "Z15", "--extended"],
     ["verify-theorem-a", "--max-order", 5, "--extended"],
-    ["conjecture", "--which", 2, "--p", 3, "--q", 5, "--orbit-dedup"],
-    ["conjecture", "--which", 2, "--p", 3, "--q", 5, "--no-orbit-dedup"],
+    ["conjecture", "--group", "Z15", "--orbit-dedup"],
+    ["conjecture", "--group", "Z15", "--no-orbit-dedup"],
     ["enumerate-extremal", "--group", "Z15", "--max-candidates", 5],
     ["cr", "--group", "Z15", "--no-reduce-orbits"],
     ["verify-theorem-a", "--max-order", 5, "--reduce-orbits"],
     ["cr", "--group", "Z15", "--both"],
     ["verify-main", "--group", "Z33", "--extended"],
-    ["conjecture", "--which", 2, "--p", 3, "--q", 5, "--extended"],
+    ["conjecture", "--group", "Z15", "--extended"],
+    ["conjecture", "--group", "Z15", "--which", 2],
+    ["conjecture", "--group", "Z15", "--p", 3],
+    ["conjecture", "--group", "Z15", "--q", 5],
 ], ids=["cr-extended", "theorem-a-extended", "conjecture-orbit-dedup",
         "conjecture-no-orbit-dedup", "enumerate-max-candidates",
         "cr-no-reduce-orbits", "theorem-a-reduce-orbits", "cr-both",
-        "verify-main-extended", "conjecture-extended"])
+        "verify-main-extended", "conjecture-extended", "conjecture-which",
+        "conjecture-p", "conjecture-q"])
 def test_removed_flags_exit_one(cli, args):
     # flags these commands no longer take are refused before any campaign
     code, _, err = cli(*args)
@@ -466,6 +470,94 @@ def test_ctrl_c_at_every_record_resumes_byte_identical(cli, monkeypatch, mode, n
             assert out.read_bytes() == want, (where, k)
 
 
+class _TrippedFile:
+    """A file opened by the CLI whose trip["at"]-th write, counted from
+    trip["seen"], raises KeyboardInterrupt instead of writing."""
+
+    def __init__(self, f, trip):
+        self._f, self._trip = f, trip
+
+    def __getattr__(self, name):
+        return getattr(self._f, name)
+
+    def __iter__(self):
+        return iter(self._f)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return self._f.__exit__(*exc)
+
+    def write(self, text):
+        self._trip["seen"] += 1
+        if self._trip["seen"] == self._trip["at"]:
+            raise KeyboardInterrupt
+        return self._f.write(text)
+
+
+@pytest.mark.parametrize("spec,mode,allowance,kept", [
+    ("Z15", [], 1000, 16),
+    ("Z21", ["--extended"], 1500, 28),
+], ids=["direct", "extended"])
+def test_ctrl_c_at_every_write_of_a_resume_resumes_byte_identical(
+        cli, monkeypatch, spec, mode, allowance, kept):
+    full = cli.tmp / "full.jsonl"
+    assert cli("enumerate-extremal", "--group", spec, "--out", full, *mode)[0] == 0
+    want = full.read_bytes()
+    trip = {"at": 0, "seen": 0}
+    monkeypatch.setattr(spanlab.cli, "open",
+                        lambda *a, **kw: _TrippedFile(open(*a, **kw), trip),
+                        raising=False)
+    k = 0
+    while trip["seen"] >= k:  # the resume reached its k-th write
+        k += 1
+        out, ck = cli.tmp / f"{k}.jsonl", cli.tmp / f"{k}.ck.json"
+        trip.update(at=0)
+        assert cli("enumerate-extremal", "--group", spec, "--out", out,
+                   "--checkpoint", ck, "--max-nodes", allowance,
+                   "--checkpoint-every", 5, *mode)[0] == 2
+        prefix = out.with_name(out.name + ".partial").read_bytes()
+        assert len(prefix.splitlines()) == kept
+        # Ctrl-C at the k-th write of the resume, the first one included
+        trip.update(at=k, seen=0)
+        code, text, err = cli("enumerate-extremal", "--group", spec,
+                              "--resume", ck, *mode)
+        if trip["seen"] < k:  # fewer writes: the resume ran to the end
+            assert code == 0, err
+        else:
+            assert code == 2, (k, err)
+            assert f"interrupted; resume with --resume {ck}" in text
+            assert out.with_name(out.name + ".partial").read_bytes().startswith(prefix)
+            trip.update(at=0)
+            assert cli("enumerate-extremal", "--group", spec, "--resume", ck,
+                       *mode)[0] == 0, k
+        assert out.read_bytes() == want, k
+    assert k == len(want.splitlines()) - kept + 1
+
+
+@pytest.mark.parametrize("allowance", [3000, None], ids=["paused", "finished"])
+@pytest.mark.parametrize("flag", ["--out", "--checkpoint"])
+def test_resume_refuses_another_out_or_checkpoint(cli, flag, allowance):
+    # a resume continues the checkpoint's own files in place, so no run
+    # copies a prefix of them to another file
+    out, ck = cli.tmp / "r.jsonl", cli.tmp / "ck.json"
+    budget = ["--max-nodes", allowance] if allowance else []
+    assert cli("enumerate-extremal", "--group", "Z21", "--out", out,
+               "--checkpoint", ck, *budget)[0] == (2 if allowance else 0)
+    records = out.with_name("r.jsonl.partial") if allowance else out
+    before, ck_before = records.read_bytes(), ck.read_bytes()
+    other = cli.tmp / "other"
+    code, _, err = cli("enumerate-extremal", "--group", "Z21", "--resume", ck,
+                       flag, other)
+    assert code == 1
+    assert f"{flag} {other} is not the checkpoint's own file" in err
+    assert records.read_bytes() == before and ck.read_bytes() == ck_before
+    assert sorted(p.name for p in cli.tmp.iterdir()) == sorted(
+        ["store", "ck.json", records.name])
+    assert _campaigns(cli)[-1]["status"] == "FAILED"
+
+
 def test_resume_of_completed_run_is_a_noop(cli):
     out = cli.tmp / "rec.jsonl"
     ck = cli.tmp / "ck.json"
@@ -480,7 +572,7 @@ def test_resume_of_completed_run_is_a_noop(cli):
 
 @pytest.mark.parametrize("args,cert", [
     (["enumerate-extremal", "--group", "Z15"], None),
-    (["conjecture", "--which", 2, "--p", 3, "--q", 5], "cert.json"),
+    (["conjecture", "--group", "Z15"], "cert.json"),
     (["verify-main", "--group", "Z33"], "theorem.json"),
 ], ids=["enumerate-extremal", "conjecture", "verify-main"])
 def test_resume_of_finished_run_rebuilds_from_records(cli, monkeypatch, args,
@@ -845,7 +937,7 @@ def test_resume_chain_pauses_at_the_allowance_and_counts_each_node_once(
 
 
 def test_refuted_certificate_is_a_completed_run(cli):
-    code, out, _ = cli("conjecture", "--which", 2, "--p", 3, "--q", 5)
+    code, out, _ = cli("conjecture", "--group", "Z15")
     assert code == 0, "a definitive REFUTED certificate is a success"
     assert "REFUTED" in out
     (rec,) = _campaigns(cli)
@@ -859,9 +951,16 @@ def test_refuted_certificate_is_a_completed_run(cli):
     assert len(records) == 28
 
 
-def test_conjecture_window_violation_fails(cli):
-    code, _, err = cli("conjecture", "--which", 1, "--p", 3, "--q", 5)
+@pytest.mark.parametrize("spec", ["Z16", "Z25", "Z33", "Z3xZ5"])
+def test_conjecture_refuses_a_group_outside_both_windows(cli, spec):
+    # the group names the conjecture: Z_pq in the 'coset' or 'interval'
+    # window, on a single-factor spec
+    code, _, err = cli("conjecture", "--group", spec)
     assert code == 1
+    assert "'coset' window (conjecture 1)" in err
+    assert "'interval' window (conjecture 2)" in err
+    (rec,) = _campaigns(cli)
+    assert rec["status"] == "FAILED" and rec["group"] == spec
 
 
 # ----------------------------------------------------------- fuzz
@@ -1123,7 +1222,7 @@ GOLDEN = {
         {"mode": "missed_target", "nodes": 20112, "orbit_dedup": True,
          "records": 1, "tags": _SHAPE_I_TAGS}),
     "conjecture-2-3-5": (
-        ["conjecture", "--which", "2", "--p", "3", "--q", "5"],
+        ["conjecture", "--group", "Z15"],
         {"cert.json": "f957070b072dea65a66a6d3143121d0aca8536819b5495195b7a9d18d43ec20b",
          "checkpoint.json": "2a3b5bb4414c6f9223537d65a65bdc5762b1b13eafcc90d0ccccc66f9d807ff3",
          "records.jsonl": _ENUM_Z15},
@@ -1131,7 +1230,7 @@ GOLDEN = {
          "extremal sets: 28, failing: 24", "campaign <id>: COMPLETE"],
         {"failing": 24, "outcome": "REFUTED", "total": 28}),
     "conjecture-1-3-7": (
-        ["conjecture", "--which", "1", "--p", "3", "--q", "7"],
+        ["conjecture", "--group", "Z21"],
         {"cert.json": "e90ae4091d4d14fc49de217674be9712cd57f10539f43e25850382a322d39755",
          "checkpoint.json": "aad4103b76240e5b4b3adab767231110b176f6d85d6e503b8e815ffa41fc4e73",
          "records.jsonl": "4877becb389f309359acd9f0214577c675c0798645f63c595e4974389fff397f"},

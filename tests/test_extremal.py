@@ -11,7 +11,7 @@ import pytest
 
 import reference as ref
 import spanlab as S
-from spanlab.extremal import MAX_CANDIDATES, Verdict
+from spanlab.extremal import MAX_CANDIDATES, Verdict, conjecture_claim
 from spanlab.store import dump_json
 
 
@@ -533,6 +533,19 @@ def test_observation_checks_are_meaningful(z16_records):
     assert rep.checks, "the even-elements set completes a subgroup"
 
 
+def test_observation_report_serializes(z16_records):
+    rec = z16_records[0]
+    assert rec.indices == (2, 4, 6, 8, 10, 12, 14)
+    assert S.check_observation_31(rec.element_set).to_dict() == {
+        "holds": True,
+        "checks": [
+            {"subgroup": [0, 4, 8, 12], "trace": [4, 8, 12], "ok": True},
+            {"subgroup": [0, 2, 4, 6, 8, 10, 12, 14],
+             "trace": [2, 4, 6, 8, 10, 12, 14], "ok": True},
+        ],
+    }
+
+
 # ---------------------------------------------------------- examples
 
 
@@ -590,7 +603,7 @@ def test_example_constructor_interval_variant_rejects_bad_window():
 
 
 def test_conjecture_certificate_for_interval_shape(z15_records):
-    rep = S.check_conjecture(2, 3, 5)
+    rep = S.check_conjecture(_g("Z15"))
     assert rep.outcome == "REFUTED"
     assert rep.which == 2 and (rep.p, rep.q) == (3, 5)
     assert rep.group == "Z15"
@@ -604,7 +617,7 @@ def test_conjecture_certificate_for_interval_shape(z15_records):
 
 
 def test_conjecture_certificate_for_complete_subset(z21_records):
-    rep = S.check_conjecture(1, 3, 7)
+    rep = S.check_conjecture(_g("Z21"))
     assert rep.outcome == "REFUTED"
     assert rep.group == "Z21"
     assert rep.extremal_count == 390
@@ -619,7 +632,7 @@ def test_conjecture_certificate_for_complete_subset(z21_records):
 def test_a_budgeted_report_is_partial_and_a_run_resumes_on_its_enumeration():
     # the reports carry no checkpoint: a paused run resumes on its
     # ExtremalEnumeration, and one Verdict folds the records on both sides
-    rep = S.check_conjecture(2, 3, 5, S.SearchBudget(max_nodes=60))
+    rep = S.check_conjecture(_g("Z15"), S.SearchBudget(max_nodes=60))
     assert rep.outcome == "PARTIAL" and not hasattr(rep, "checkpoint")
     verdict = Verdict(S.SHAPE_EX2)
     enum = S.ExtremalEnumeration(_g("Z15"), S.SearchBudget(max_nodes=60))
@@ -630,11 +643,15 @@ def test_a_budgeted_report_is_partial_and_a_run_resumes_on_its_enumeration():
         ("REFUTED", 28, 24)
 
 
-def test_conjecture_windows_are_enforced():
-    with pytest.raises(ValueError):
-        S.check_conjecture(1, 3, 5)   # 5 < 6: outside the open window
-    with pytest.raises(ValueError):
-        S.check_conjecture(2, 3, 7)   # 7 > 6: outside the closed window
+def test_the_group_names_the_conjecture():
+    # (3, 5) lies in the 'interval' window, (3, 7) and (5, 11) in 'coset'
+    assert conjecture_claim(_g("Z15"))[:4] == (2, 3, 5, S.SHAPE_EX2)
+    assert conjecture_claim(_g("Z21"))[:4] == (1, 3, 7, S.HAS_COMPLETE_SUBSET)
+    assert conjecture_claim(_g("Z55"))[:3] == (1, 5, 11)
+    # not pq, p = q, q >= 2p + 3, a product spec of order 15, and q = 1
+    for spec in ("Z16", "Z25", "Z33", "Z3xZ5", "Z2"):
+        with pytest.raises(ValueError, match="'coset' window"):
+            S.check_conjecture(_g(spec))
 
 
 # -------------------------------------------------- structure theorem

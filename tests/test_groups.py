@@ -302,6 +302,22 @@ def test_element_set_basic_ops():
     assert a.serialize() == [1, 3, 5]
 
 
+def test_element_sets_compare_and_hash_by_group_and_bits():
+    z6, z2xz3 = S.parse_group_spec("Z6"), S.parse_group_spec("Z2xZ3")
+    a = S.ElementSet.from_indices(z6, [1, 3, 5])
+    same = S.ElementSet(S.parse_group_spec("Z6"), 0b101010)
+    assert a == same and hash(a) == hash(same)
+    assert a != S.ElementSet.from_indices(z6, [1, 3])
+    # the same bits in another group of the same order
+    other = S.ElementSet(z2xz3, a.bits)
+    assert a != other and a.indices() == other.indices()
+    assert a != a.bits and a != a.indices()
+    assert len({a, same, other}) == 2
+    assert {a: "z6", other: "z2xz3"}[same] == "z6"
+    assert repr(a) == "ElementSet(Z6, [1, 3, 5])"
+    assert repr(other) == "ElementSet(Z2xZ3, [1, 3, 5])"
+
+
 @pytest.mark.parametrize("bad", [-1, -7, 10, 11, 64])
 def test_from_indices_names_an_out_of_range_index(bad):
     g = S.parse_group_spec("Z10")

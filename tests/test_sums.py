@@ -100,6 +100,12 @@ def test_sequence_over_group_compares_as_a_multiset():
     assert repr(a) == "SequenceOverGroup(group=GroupSpec(Z6), terms=(1, 1, 2))"
 
 
+def test_sequence_length_counts_repeated_terms():
+    g = S.parse_group_spec("Z6")
+    assert len(S.SequenceOverGroup.from_indices(g, (2, 1, 1, 2, 2))) == 5
+    assert len(S.SequenceOverGroup(g, ())) == 0
+
+
 # ------------------------------------------------- spanning/complete
 
 
