@@ -22,6 +22,7 @@ Z15, Z2xZ4.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -43,7 +44,7 @@ from .store import (STATUS_COMPLETE, STATUS_FAILED, STATUS_PARTIAL,
                     utc_stamp)
 
 DEFAULT_STORE = Path.home() / ".spanlab"
-CHECKPOINT_SCHEMA = 1
+CHECKPOINT_SCHEMA = 2
 
 
 class _Parser(argparse.ArgumentParser):
@@ -158,12 +159,21 @@ class _Run:
 # -- checkpoint plumbing -----------------------------------------------------------
 
 
+def _seal(digest, state: dict) -> str:
+    """sha256 of the lines in `digest`, then of state as checkpointed."""
+    h = digest.copy()
+    h.update(dump_json(state, pretty=True).encode())
+    return h.hexdigest()
+
+
 def _write_checkpoint(path: Path, command: str, records_path: Path,
-                      state: dict) -> None:
+                      state: dict, digest) -> None:
+    """Write state's checkpoint, sealed over the record lines in `digest`."""
     atomic_write_text(path, dump_json({
         "schema": CHECKPOINT_SCHEMA,
         "command": command,
         "records": str(records_path),
+        "sha256": _seal(digest, state),
         "state": state,
     }, pretty=True))
 
@@ -180,7 +190,7 @@ def _load_checkpoint(path: Path, command: str) -> dict:
     if not isinstance(data, dict) or not isinstance(data.get("state"), dict):
         raise CheckpointMismatch(f"corrupt checkpoint {path}: no 'state' object")
     check_no_extra_fields(data, f"corrupt checkpoint {path}:",
-                          ("schema", "command", "records", "state"))
+                          ("schema", "command", "records", "sha256", "state"))
     records = data.get("records")  # absent or null is as wrong as a number
     if not isinstance(records, str) or not records:
         raise CheckpointMismatch(
@@ -211,12 +221,13 @@ def _prefix_lines(records: Path, emitted: int) -> list[bytes]:
 
 def _stream_records(enum: ExtremalEnumeration, records_final: Path,
                     ck_path: Path, command: str, checkpoint_every: int,
-                    keep: int, collect) -> str | None:
+                    keep: int, digest, collect) -> str | None:
     """Drive an enumeration, writing one JSON line per record.
 
-    Output goes to <records_final>.partial, cut after `keep` bytes and
-    appended to, then atomically renamed on completion; the checkpoint is
-    rewritten every `checkpoint_every` records, after the matching lines are
+    Output goes to <records_final>.partial, cut after `keep` bytes, whose
+    sha256 is `digest`, and appended to, then atomically renamed on
+    completion. The checkpoint, sealed over the lines it counts, is
+    rewritten every `checkpoint_every` records, after those lines are
     flushed, so the pair (partial file, checkpoint) is never ahead of
     itself. Returns None on completion, else why the run stopped. A Ctrl-C
     can land mid-write or mid-step in the engine, so it saves the last
@@ -224,32 +235,34 @@ def _stream_records(enum: ExtremalEnumeration, records_final: Path,
     """
     partial = _partial(records_final)
     partial.parent.mkdir(parents=True, exist_ok=True)
-    consistent = enum.state()
+    consistent = enum.state(), digest.copy()
     written = 0
     with open(partial, "a", encoding="utf-8") as f:
         f.truncate(keep)
         try:
             for rec in enum.records():
                 d = rec.to_dict()
-                f.write(dump_json(d) + "\n")
+                line = dump_json(d) + "\n"
+                f.write(line)
+                digest.update(line.encode())
                 written += 1
                 collect(d)
                 if checkpoint_every and written % checkpoint_every == 0:
                     f.flush()
-                    state = enum.state()
-                    _write_checkpoint(ck_path, command, records_final, state)
+                    state = enum.state(), digest.copy()
+                    _write_checkpoint(ck_path, command, records_final, *state)
                     consistent = state
         except EnumerationPaused as pause:
             f.flush()
-            _write_checkpoint(ck_path, command, records_final, pause.state)
+            _write_checkpoint(ck_path, command, records_final, pause.state, digest)
             return "budget exhausted"
         except KeyboardInterrupt:
             f.flush()
-            _write_checkpoint(ck_path, command, records_final, consistent)
+            _write_checkpoint(ck_path, command, records_final, *consistent)
             return "interrupted"
         f.flush()
     os.replace(partial, records_final)
-    _write_checkpoint(ck_path, command, records_final, enum.state())
+    _write_checkpoint(ck_path, command, records_final, enum.state(), digest)
     return None
 
 
@@ -335,11 +348,11 @@ def _enumerating_run(args, run: _Run, group, orbit_dedup: bool,
     Resumes from --resume in place: the checkpoint's records file keeps the
     lines written before it, folded into `verdict` as the new ones are, and
     an --out or --checkpoint naming another file is refused, as is a
-    missed-target checkpoint whose seen is not the set bitmasks of those
-    lines. A finished checkpoint searches nothing and rebuilds from its
-    lines. report(enum, complete, records_path) writes the command's
-    certificate, if any, and returns its (summary, lines, violation found);
-    a PARTIAL run adds a resume hint.
+    checkpoint whose sha256 is not the seal of those lines and its state.
+    A finished checkpoint searches nothing and rebuilds from its lines.
+    report(enum, complete, records_path) writes the command's certificate,
+    if any, and returns its (summary, lines, violation found); a PARTIAL
+    run adds a resume hint.
     """
     ck = args.resume and _load_checkpoint(Path(args.resume), run.name)
     out, checkpoint = getattr(args, "out", None), getattr(args, "checkpoint", None)
@@ -355,21 +368,21 @@ def _enumerating_run(args, run: _Run, group, orbit_dedup: bool,
     enum = ExtremalEnumeration(group, _budget(args),
                                getattr(args, "extended", False), orbit_dedup,
                                ck and ck["state"], args.threads)
-    keep, seen = 0, set()
+    keep, digest = 0, hashlib.sha256()
     for line in _prefix_lines(records_path, enum.stats.emitted):
-        record = json.loads(line)
-        verdict.add(record)
-        seen.add(format(sum(1 << i for i in record["set"]), "x"))
+        verdict.add(json.loads(line))
+        digest.update(line)
         keep += len(line)
-    if ck and enum.mode == "missed_target" and seen != set(ck["state"]["seen"]):
+    if ck and ck.get("sha256") != _seal(digest, ck["state"]):
         raise CheckpointMismatch(
-            f"checkpoint seen differs from the sets of the "
-            f"{enum.stats.emitted} records written before it")
+            f"checkpoint {args.resume} sha256 is not the seal of its state "
+            f"and the {enum.stats.emitted} records written before it")
     if ck and records_path.exists() and not _partial(records_path).exists():
         # a finished run: its records file continues as the partial file
         os.replace(records_path, _partial(records_path))
-    stopped = _stream_records(enum, records_path, ck_path, run.name,
-                              args.checkpoint_every, keep, verdict.add)
+    # resolved, so that the checkpoint names the records from any directory
+    stopped = _stream_records(enum, records_path.resolve(), ck_path, run.name,
+                              args.checkpoint_every, keep, digest, verdict.add)
     summary, lines, violation = report(enum, stopped is None, records_path)
     run.register("checkpoint", ck_path)
     if stopped is None:

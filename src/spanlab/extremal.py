@@ -298,27 +298,26 @@ def ProcessPoolExecutor(max_workers: int):
 class ExtremalEnumeration:
     """Streams every extremal set of a group exactly once, classified.
 
-    The group picks the walk. "direct" walks all size-k subsets of
-    G \\ {0} on a SizedEnumerator, which cuts spanning prefixes; it is
-    taken when there are at most MAX_CANDIDATES of them. Otherwise, or
-    with extended, "missed_target" runs one target-avoiding DFS per
-    missed value, which scales to far larger spaces but revisits sets
-    missing several targets, so it deduplicates -- by unit-orbit
-    canonical form with orbit dedup (target list shrinks to one
-    representative per divisor class), by raw bitmask otherwise (all
-    targets searched). orbit_dedup asks for it; self.orbit_dedup is
-    whether it is in effect, only on a missed-target run over a
-    single-factor spec: a direct run or a product spec emits every set.
+    The group picks the walks. "direct" is one SizedEnumerator walk over
+    all size-k subsets of G \\ {0}, cutting spanning prefixes, taken when
+    there are at most MAX_CANDIDATES of them; it keeps every leaf.
+    Otherwise, or with extended, "missed_target" runs one target-avoiding
+    DFS per target, which scales to far larger spaces but meets a set once
+    for each target it misses, so it keeps a leaf only at its first
+    sighting (see _first_sighting). With orbit dedup the targets are one
+    per divisor class and a record is the least unit image of its set;
+    orbit_dedup asks for it, self.orbit_dedup is whether it is in effect:
+    only on a missed-target run over a single-factor spec.
 
     threads must be at least 1; more than one worker, min(threads, CPUs),
     hands each target's walk to AvoidingEnumerator.run_split over a process
     pool of that many: one unit per root node the walk pushes, merged in
     lexicographic order, so the records are the bytes of a single-worker
-    run. The budget bounds the whole
-    records() call under one rule at any thread count: a walk pauses once
-    its allowance is spent, a single worker before its next node, the pool
-    after the root node whose subtree spent it, and before the first node
-    when the allowance is spent already. The pause raises EnumerationPaused
+    run. The budget bounds the whole records() call under one rule at any
+    thread count: a walk pauses once its allowance is spent, a single
+    worker before its next node, the pool after the root node whose
+    subtree spent it, and before the first node when the allowance is
+    spent already. The pause raises EnumerationPaused
     with state(), which the checkpoint argument restores under any thread
     count: the run is rebuilt from the checkpoint's position alone, and a
     checkpoint that is not the state() of that run raises
@@ -337,12 +336,19 @@ class ExtremalEnumeration:
         missed = extended or not _candidates_fit(group.order - 1, self.k)
         self.mode = "missed_target" if missed else "direct"
         self.orbit_dedup = bool(orbit_dedup and missed and group.is_cyclic_spec)
-        self.threads = threads
+        self.workers = min(threads, os.cpu_count() or 1) if missed else 1
         self.stats = SearchStats()
         self._engine: SizedEnumerator | AvoidingEnumerator | None = None
-        self._seen: set[int] = set()
         self.targets = (target_representatives(group, self.orbit_dedup)
-                        if missed else [])
+                        if missed else [None])
+        n = group.order
+        self._units = ([(u, pow(u, -1, n)) for u in group.units()]
+                       if self.orbit_dedup else [(1, 1)])
+        # _covers[i]: the union of the orbits of the targets before targets[i]
+        self._covers = [0]
+        for t in self.targets[:-1]:
+            self._covers.append(self._covers[-1] | sum(
+                1 << x for x in {u * t % n for u, _ in self._units}))
         self.target_pos = 0
         if checkpoint is not None:
             try:
@@ -353,60 +359,53 @@ class ExtremalEnumeration:
                 raise CheckpointMismatch(f"corrupt checkpoint: {exc}") from None
 
     def engine(self) -> SizedEnumerator | AvoidingEnumerator | None:
-        """The engine at this run's position, built at its root on first use:
-        the SizedEnumerator in direct mode, the AvoidingEnumerator of
-        targets[target_pos] in missed-target mode, and None once every
-        target is walked."""
-        if self._engine is None:
-            if self.mode == "direct":
-                self._engine = SizedEnumerator(self.group, self.k)
-            elif self.target_pos < len(self.targets):
-                t = self.targets[self.target_pos]
-                self._engine = AvoidingEnumerator(self.group, t, self.k, None,
-                                                  self._stabilizer(t))
+        """The engine of the walk at target_pos, built at its root on first
+        use: the SizedEnumerator of a direct run, the AvoidingEnumerator of
+        targets[target_pos] otherwise, and None once every walk is done."""
+        if self._engine is None and self.target_pos < len(self.targets):
+            t = self.targets[self.target_pos]
+            self._engine = (SizedEnumerator(self.group, self.k) if t is None else
+                            AvoidingEnumerator(self.group, t, self.k, None,
+                                               self._stabilizer(t)))
         return self._engine
 
     @property
     def done(self) -> bool:
-        eng = self.engine()
-        return eng is None or eng.done
+        return (eng := self.engine()) is None or eng.done
 
     # state round-trip ------------------------------------------------------
 
     def state(self) -> dict:
         eng = self.engine()
-        st = {
+        return {
             "engine": ENGINE_VERSION,
             "kind": "extremal",
             "group": self.group.spec_string,
             "k": self.k,
             "mode": self.mode,
             "orbit_dedup": self.orbit_dedup,
+            "targets": list(self.targets),
+            "target_pos": self.target_pos,
             "emitted": self.stats.emitted,
             "done": self.done,
             "inner": None if eng is None else eng.state(),
         }
-        if self.mode == "missed_target":
-            st["targets"] = list(self.targets)
-            st["target_pos"] = self.target_pos
-            st["seen"] = sorted(format(x, "x") for x in self._seen)
-        return st
 
     def _load(self, st: dict) -> None:
         """Rebuild the run at st's position, then refuse st unless it is the
-        state() of that run. The position is the inner engine's state and,
-        in missed-target mode, target_pos and seen; inner is null only once
-        every target is walked. emitted and done follow from the position
-        (the inner engine's count in direct mode, len(seen) otherwise), the
-        rest from this run; a field state() does not write is refused."""
+        state() of that run. The position is target_pos and the inner
+        engine's state, null only once every walk is done. emitted, the
+        records written before st, is taken as it stands, done follows from
+        the position, the rest from this run; a field state() does not
+        write is refused."""
         check_fields(st, "checkpoint", mode=self.mode)
-        if self.mode == "missed_target":
-            pos = self.target_pos = st["target_pos"]
-            if not isinstance(pos, int) or not 0 <= pos <= len(self.targets):
-                raise CheckpointMismatch(f"checkpoint target_pos {pos!r} "
-                                         f"outside 0..{len(self.targets)}")
-            self._seen = {int(s, 16) for s in st["seen"]}
-            self.stats.emitted = len(self._seen)
+        pos = self.target_pos = st["target_pos"]
+        if not isinstance(pos, int) or not 0 <= pos <= len(self.targets):
+            raise CheckpointMismatch(f"checkpoint target_pos {pos!r} "
+                                     f"outside 0..{len(self.targets)}")
+        emitted = self.stats.emitted = st["emitted"]
+        if type(emitted) is not int or emitted < 0:
+            raise CheckpointMismatch(f"corrupt checkpoint: emitted {emitted!r}")
         root, inner = self.engine(), st["inner"]
         if root is not None:
             if inner is None:
@@ -415,85 +414,72 @@ class ExtremalEnumeration:
                     f"needs its {root.kind} engine's state")
             check_fields(inner, "checkpoint", group=self.group.spec_string,
                          **{f: getattr(root, f) for f in root.fields})
-            if self.mode == "direct":
-                eng = self._engine = SizedEnumerator.from_state(self.group, inner)
-                self.stats.emitted = eng.stats.emitted
-            else:
-                self._engine = AvoidingEnumerator.from_state(
-                    self.group, inner, None, root.symmetries)
+            self._engine = type(root).from_state(self.group, inner, None, *(
+                [root.symmetries] if root.kind == "avoiding" else []))
         want = self.state()
         check_no_extra_fields(st, "corrupt checkpoint:", want)
         check_fields(st, "corrupt checkpoint:", **want)
 
-    # record construction -----------------------------------------------------
+    # records -------------------------------------------------------------------
 
-    def _emit(self, indices: tuple[int, ...]) -> ExtremalRecord:
-        record = classify(ElementSet.from_indices(self.group, indices))
-        self.stats.emitted += 1
-        return record
-
-    def records(self) -> Iterator[ExtremalRecord]:
-        if self.done:
-            return
-        start = time.monotonic()
-        try:
-            if self.mode == "direct":
-                yield from self._run_direct(start)
-            else:
-                yield from self._run_missed(start)
-        except EnumerationPaused:
-            # re-raise carrying the enumeration-level state, not the raw
-            # engine state, so a resume restores dedup and target position
-            raise EnumerationPaused(self.state()) from None
-
-    def _walk(self, eng: SizedEnumerator | AvoidingEnumerator, leaves: Iterator,
-              start: float) -> Iterator:
-        """`leaves`, the leaves of eng's walk, on what this records() call
-        has left of the budget; the nodes eng walks, to a pause or to the
-        end, go into stats.nodes."""
-        eng.budget = self.budget.remaining(self.stats.nodes, start)
-        before = eng.stats.nodes
-        try:
-            yield from leaves
-        finally:
-            self.stats.nodes += eng.stats.nodes - before
-
-    def _run_direct(self, start: float) -> Iterator[ExtremalRecord]:
-        eng = self.engine()
-        for indices in self._walk(eng, eng.run(), start):
-            yield self._emit(indices)
-
-    def _first_sighting(self, mask: int) -> tuple[int, ...] | None:
-        """The indices of an avoiding leaf's dedup key (its least unit image
-        with orbit dedup), or None when an earlier leaf had that key."""
-        if self.orbit_dedup:
-            mask = self.group.canonical_bits_under_units(mask)
-        if mask in self._seen:
+    def _first_sighting(self, leaf: tuple[int, ...]) -> tuple[int, ...] | None:
+        """The record's indices for a leaf A of the walk at target_pos (A's
+        least unit image with orbit dedup, else A), or None when an earlier
+        leaf stood for the same set. A is kept iff (1) Sigma(A) holds the
+        whole orbit of every earlier target, so no earlier walk met A's
+        orbit, and (2) with orbit dedup, no unit image u*A that also avoids
+        t = targets[target_pos] (u^-1 t outside Sigma(A)) is smaller in the
+        walk's lexicographic order, so this walk met no other member first.
+        Without orbit dedup the first walk keeps every leaf."""
+        if not (self.target_pos or self.orbit_dedup):
+            return leaf
+        g, n, t = self.group, self.group.order, self.targets[self.target_pos]
+        sums = subset_sums_bits(g, leaf)
+        if self._covers[self.target_pos] & ~sums:
             return None
-        self._seen.add(mask)
-        return tuple(i for i in range(self.group.order) if (mask >> i) & 1)
+        if not self.orbit_dedup:
+            return leaf
+        mask = sum(1 << x for x in leaf)
+        for u, inverse in self._units:
+            if not sums >> (inverse * t % n) & 1:
+                image = sum(1 << (u * x % n) for x in leaf)
+                diff = mask ^ image
+                if image & diff & -diff:  # the least element of A ^ uA is in uA
+                    return None
+        mask = g.canonical_bits_under_units(mask)
+        return tuple(i for i in range(n) if mask >> i & 1)
 
     def _stabilizer(self, t: int) -> tuple[tuple[int, ...], ...]:
         """The unit scalings fixing t with orbit dedup (else ()): they cut
         target t's DFS (see search.py)."""
         return target_symmetries(self.group, t) if self.orbit_dedup else ()
 
-    def _run_missed(self, start: float) -> Iterator[ExtremalRecord]:
-        """Walk the targets from target_pos, each on its AvoidingEnumerator:
-        run in this process with one worker or when resumed below the root,
-        otherwise split over a pool of at most one worker per CPU."""
-        workers = min(self.threads, os.cpu_count() or 1)
-        with (ProcessPoolExecutor(max_workers=workers) if workers > 1
+    def records(self) -> Iterator[ExtremalRecord]:
+        if self.done:
+            return
+        start = time.monotonic()
+        with (ProcessPoolExecutor(max_workers=self.workers) if self.workers > 1
               else nullcontext()) as pool:
             while (eng := self.engine()) is not None:
-                leaves = (eng.run_split(pool.submit) if pool and not eng.path else
-                          (sum(1 << i for i in leaf) for leaf in eng.run()))
-                for mask in self._walk(eng, leaves, start):
-                    indices = self._first_sighting(mask)
-                    if indices is not None:
-                        yield self._emit(indices)
+                for leaf in self._walk(eng, pool, start):
+                    if (indices := self._first_sighting(leaf)) is not None:
+                        self.stats.emitted += 1
+                        yield classify(ElementSet.from_indices(self.group, indices))
                 self._engine = None
                 self.target_pos += 1
+
+    def _walk(self, eng, pool, start: float) -> Iterator[tuple[int, ...]]:
+        """eng's leaves on what this records() call has left of the budget,
+        split over the pool if there is one and eng is at its root. The
+        nodes walked go into stats.nodes; a pause re-raises with state()."""
+        eng.budget = self.budget.remaining(self.stats.nodes, start)
+        before = eng.stats.nodes
+        try:
+            yield from eng.run_split(pool.submit) if pool and not eng.path else eng.run()
+        except EnumerationPaused:
+            raise EnumerationPaused(self.state()) from None
+        finally:
+            self.stats.nodes += eng.stats.nodes - before
 
 
 # -- named example constructions -------------------------------------------------

@@ -204,7 +204,6 @@ class _Engine:
             "path": list(self.path),
             "cursor": list(self.cursor),
             "nodes": self.stats.nodes,
-            "emitted": self.stats.emitted,
             "done": self.done,
         }
 
@@ -216,8 +215,8 @@ class _Engine:
         Raises CheckpointMismatch unless engine, kind and group match and
         the position passes the checks below; a cut of run() that _descend
         does not make is not replayed (a Z35 target-0 position under the
-        lex-cut root 2 loads and walks no leaf), and nodes, emitted and
-        done are taken as they stand."""
+        lex-cut root 2 loads and walks no leaf), and nodes and done are
+        taken as they stand."""
         check_fields(state, "checkpoint", engine=ENGINE_VERSION, kind=cls.kind,
                      group=group.spec_string)
         self = cls(group, *(int(state[f]) for f in cls.fields), budget, *args)
@@ -239,7 +238,6 @@ class _Engine:
                 f"{self.kind} size-{self.k} search position")
         self.cursor = cursor
         self.stats.nodes = int(state["nodes"])
-        self.stats.emitted = int(state["emitted"])
         self.done = bool(state["done"])
         return self
 
@@ -308,7 +306,6 @@ class SizedEnumerator(_Engine):
                 # while suspended here resumes after this leaf
                 leaf = tuple(path)
                 path.pop(); cursor.pop(); sigs.pop()
-                stats.emitted += 1
                 stats.nodes = nodes
                 yield leaf
                 continue
@@ -382,17 +379,19 @@ class AvoidingEnumerator(_Engine):
         pad = self.group.padded_layout().pad
         return self.allowed[depth] & (-1 << pad[min(self.cursor[depth], self.group.order)])
 
-    def run_split(self, submit) -> Iterator[int]:
+    def run_split(self, submit) -> Iterator[tuple[int, ...]]:
         """run()'s walk from the root cursor, each root node's subtree walked
         by submit(run_work_unit, orders, target, k, f, symmetries), as with
         a concurrent.futures executor's submit. Every unit is submitted
         before the first leaf is read, for a root node f that run() would
         push: none for a dead child or one the lex-leader cut drops.
 
-        Yields the leaves as bitmasks in run()'s order and counts the nodes
-        run() counts. It pauses only at the root: by _start, and by _check
-        after each root node and its subtree, with the root cursor past
-        that node. Pending units are cancelled when the walk stops.
+        Yields the leaves as index tuples in run()'s order and counts the
+        nodes run() counts. While it yields a leaf it holds run()'s position
+        after that leaf, so a state() taken there resumes past it; after a
+        unit's leaves the position is the root, its cursor past that unit's
+        node. It pauses only there: by _start, and by _check after each root
+        node and its subtree. Pending units are cancelled when the walk stops.
         """
         if self.done:
             return
@@ -415,9 +414,11 @@ class AvoidingEnumerator(_Engine):
         try:
             for f, unit in units:
                 leaves, walked = unit.result() if unit else ([], 0)
-                yield from leaves
+                for leaf in leaves:
+                    self.path, self.cursor = list(leaf[:-1]), [x + 1 for x in leaf]
+                    yield leaf
+                self.path, self.cursor = [], [f + 1]
                 self.stats.nodes += 1 + walked
-                self.cursor[0] = f + 1
                 self._check(self.stats.nodes)
         finally:
             for _, unit in units:
@@ -466,7 +467,6 @@ class AvoidingEnumerator(_Engine):
                     path.pop(); cursor.pop(); kills.pop(); allowed.pop()
                     depth -= 1
                     rest, kill = allowed[depth], kills[depth]
-                stats.emitted += 1
                 stats.nodes = nodes
                 yield leaf
                 continue
@@ -558,19 +558,19 @@ def max_avoiding(group: GroupSpec, target: int, floor: int = 0,
 
 
 def run_work_unit(orders: tuple[int, ...], target: int, k: int, first: int,
-                  symmetries: tuple[tuple[int, ...], ...] = ()) -> tuple[list[int], int]:
+                  symmetries: tuple[tuple[int, ...], ...] = ()
+                  ) -> tuple[list[tuple[int, ...]], int]:
     """Enumerate the (target, first) subtree to completion; returns
-    (bitmasks of avoiding size-k sets in lex order, node count).
+    (the avoiding size-k sets as index tuples in lex order, node count).
     Module-level and picklable so process pools can run it."""
     group = cached_group(orders)
     last = group.order - k  # the last first element of a size-k set
     if not 0 < first <= last or first == target:
         return [], 0
     if k == 1:  # the root node {first} is the leaf
-        return [1 << first], 0
+        return [(first,)], 0
     eng = AvoidingEnumerator(group, target, k, SearchBudget(), symmetries)
     eng._descend(first)
     eng.cursor = [last + 1, first + 1]  # the root past the last start
-    out = [sum(1 << i for i in leaf) for leaf in eng.run()]
-    return out, eng.stats.nodes
+    return list(eng.run()), eng.stats.nodes
 

@@ -299,6 +299,23 @@ def orbit_records_unpruned(group) -> list[tuple[int, ...]]:
     return out
 
 
+def raw_records_unpruned(group) -> list[tuple[int, ...]]:
+    """Every extremal set, in the order the missed-target enumeration without
+    orbit dedup emits them, from a seen set: for each element as target in
+    turn, every leaf of AvoidingEnumerator; the first leaf of each set
+    records it."""
+    import spanlab as S
+
+    k = S.critical_number_formula(group) - 1
+    seen, out = set(), []
+    for t in S.target_representatives(group, False):
+        for leaf in S.AvoidingEnumerator(group, t, k).run():
+            if leaf not in seen:
+                seen.add(leaf)
+                out.append(leaf)
+    return out
+
+
 # ----------------------------------------------------------- coset data
 
 

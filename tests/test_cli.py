@@ -584,11 +584,12 @@ def test_resume_of_finished_run_rebuilds_from_records(cli, monkeypatch, args,
     records = _artifact(cli, first, "records.jsonl")
     ck_bytes, record_bytes = ck.read_bytes(), records.read_bytes()
 
-    def no_search(self):
+    def no_search(self, *args):
         raise AssertionError("a finished checkpoint must not search again")
 
-    for engine in ("_run_direct", "_run_missed"):
-        monkeypatch.setattr(S.ExtremalEnumeration, engine, no_search)
+    for engine, walk in ((S.SizedEnumerator, "run"), (S.AvoidingEnumerator, "run"),
+                         (S.AvoidingEnumerator, "run_split")):
+        monkeypatch.setattr(engine, walk, no_search)
     code, again, _ = cli(*args, "--resume", ck)
     assert code == 0
     second = _campaigns(cli)[1]
@@ -645,12 +646,13 @@ def test_resume_refuses_a_checkpoint_of_another_schema(cli):
     assert cli("enumerate-extremal", "--group", "Z21", "--out",
                cli.tmp / "r.jsonl", "--checkpoint", ck, "--max-nodes", 3000)[0] == 2
     data = json.loads(ck.read_text())
-    assert data["schema"] == spanlab.cli.CHECKPOINT_SCHEMA == 1
-    ck.write_text(json.dumps(dict(data, schema=2)))
+    assert data["schema"] == spanlab.cli.CHECKPOINT_SCHEMA == 2
+    # schema 1 checkpoints held a seen set and no seal
+    ck.write_text(json.dumps(dict(data, schema=1)))
     code, _, err = cli("enumerate-extremal", "--group", "Z21", "--resume", ck)
     assert code == 1
     assert "CheckpointMismatch" in _campaigns(cli)[-1]["summary"]["error"]
-    assert "schema 2" in err
+    assert "schema 1" in err
     assert _campaigns(cli)[-1]["status"] == "FAILED"
 
 
@@ -739,21 +741,20 @@ _CHECKPOINTS = {
 
 @pytest.mark.parametrize("spec,mode,allowance", _CHECKPOINTS.values(),
                          ids=_CHECKPOINTS)
-def test_each_one_field_edit_of_a_checkpoint_is_refused_or_resumes_exactly(
+def test_each_one_field_edit_of_a_checkpoint_is_refused(
         cli, spec, mode, allowance):
     # each field of the envelope, of state and of state.inner, edited one at
-    # a time; the edited checkpoint resumes a copy of the interrupted output
-    full = cli.tmp / "full.jsonl"
-    assert cli("enumerate-extremal", "--group", spec, "--out", full, *mode)[0] == 0
+    # a time, is refused: by the round trip, or else by the seal over the
+    # state and the records before it
     ck = cli.tmp / "ck.json"
     budget = ["--max-nodes", allowance] if allowance else []
     code, _, _ = cli("enumerate-extremal", "--group", spec, "--out",
                      cli.tmp / "r.jsonl", "--checkpoint", ck, *budget, *mode)
     assert code == (2 if allowance else 0)
     data = json.loads(ck.read_text())
-    inner = data["state"]["inner"]
+    inner = data["state"]["inner"] or {}  # null once every walk is done
     # between targets, the next target's engine at its root
-    assert (inner["nodes"] == 0) == (allowance == 1456)
+    assert (inner.get("nodes") == 0) == (allowance == 1456)
     fields = ([(key,) for key in data] + [("state", key) for key in data["state"]]
               + [("state", "inner", key) for key in inner])
     outcomes = []
@@ -764,11 +765,10 @@ def test_each_one_field_edit_of_a_checkpoint_is_refused_or_resumes_exactly(
             owner = owner[name]
         edits = _one_field_edits(owner[key])
         if path == ("state", "inner", "cursor"):
-            # each cursor below the top moved by one; the top one, moved,
-            # steps over or back to a node, which a resume cannot see
+            # each cursor moved by one, the top one included
             edits += [(f"[{d}]{step:+d}", [*owner[key][:d], c + step,
                                            *owner[key][d + 1:]])
-                      for d, c in enumerate(owner[key][:-1]) for step in (1, -1)]
+                      for d, c in enumerate(owner[key]) for step in (1, -1)]
         for how, value in edits:
             where = cli.tmp / f"edit-{len(outcomes)}"
             where.mkdir()
@@ -786,13 +786,10 @@ def test_each_one_field_edit_of_a_checkpoint_is_refused_or_resumes_exactly(
             code, _, _ = cli("enumerate-extremal", "--group", spec, "--resume",
                              where / "ck.json", *mode)
             rec, label = _campaigns(cli)[-1], ("/".join(path), how)
-            if code == 0:
-                assert (where / "r.jsonl").read_bytes() == full.read_bytes(), label
-            else:
-                assert code == 1 and rec["status"] == "FAILED", label
-                assert "CheckpointMismatch" in rec["summary"]["error"], label
-            outcomes.append(code)
-    assert len(outcomes) > 60 and 0 in outcomes and 1 in outcomes
+            assert code == 1 and rec["status"] == "FAILED", label
+            assert "CheckpointMismatch" in rec["summary"]["error"], label
+            outcomes.append(label)
+    assert len(outcomes) > 60
 
 
 def test_resume_refuses_a_null_inner_on_an_unfinished_run(cli):
@@ -811,27 +808,45 @@ def test_resume_refuses_a_null_inner_on_an_unfinished_run(cli):
     assert "CheckpointMismatch" in _campaigns(cli)[-1]["summary"]["error"]
 
 
-def test_resume_refuses_a_seen_entry_swapped_for_a_later_set(cli):
+def test_resume_refuses_a_records_line_edited_before_the_checkpoint(cli):
+    # the first record swapped for a later one of the straight run: a resume
+    # would keep the line and fold it into its tallies, so the seal refuses it
     full = cli.tmp / "full.jsonl"
     assert cli("enumerate-extremal", "--group", "Z21", "--extended",
                "--out", full)[0] == 0
-    masks = [format(sum(1 << i for i in json.loads(line)["set"]), "x")
-             for line in full.read_text().splitlines()]
-    ck = cli.tmp / "ck.json"
+    later = full.read_text().splitlines(keepends=True)[30]
+    ck, partial = cli.tmp / "ck.json", cli.tmp / "r.jsonl.partial"
     assert cli("enumerate-extremal", "--group", "Z21", "--extended", "--out",
                cli.tmp / "r.jsonl", "--checkpoint", ck, "--max-nodes", 600)[0] == 2
-    data = json.loads(ck.read_text())
-    seen = data["state"]["seen"]
-    assert len(seen) == data["state"]["emitted"] == 22
-    assert sorted(seen) == sorted(masks[:22])
-    # sorted as state() writes it, so the checkpoint itself round-trips
-    data["state"]["seen"] = sorted(set(seen) - {masks[0]} | {masks[30]})
-    ck.write_text(json.dumps(data))
+    lines = partial.read_text().splitlines(keepends=True)
+    assert json.loads(ck.read_text())["state"]["emitted"] == len(lines) == 22
+    edited, ck_bytes = "".join([later, *lines[1:]]), ck.read_bytes()
+    partial.write_text(edited)
     code, _, err = cli("enumerate-extremal", "--group", "Z21", "--extended",
                        "--resume", ck)
     assert code == 1
-    assert "checkpoint seen differs" in err
+    assert (f"checkpoint {ck} sha256 is not the seal of its state and the 22 "
+            f"records written before it") in err
     assert "CheckpointMismatch" in _campaigns(cli)[-1]["summary"]["error"]
+    assert partial.read_text() == edited and ck.read_bytes() == ck_bytes
+
+
+def test_resume_from_another_directory_continues_a_relative_out(cli, monkeypatch):
+    # the checkpoint names its records file by absolute path
+    full = cli.tmp / "full.jsonl"
+    assert cli("enumerate-extremal", "--group", "Z21", "--out", full)[0] == 0
+    here, there = cli.tmp / "here", cli.tmp / "there"
+    here.mkdir()
+    there.mkdir()
+    monkeypatch.chdir(here)
+    assert cli("enumerate-extremal", "--group", "Z21", "--out", "r.jsonl",
+               "--checkpoint", "ck.json", "--max-nodes", 3000)[0] == 2
+    monkeypatch.chdir(there)
+    code, _, err = cli("enumerate-extremal", "--group", "Z21", "--resume",
+                       "../here/ck.json")
+    assert code == 0, err
+    assert (here / "r.jsonl").read_bytes() == full.read_bytes()
+    assert list(there.iterdir()) == []
 
 
 def test_fresh_run_errors_keep_their_own_text(cli):
@@ -1185,7 +1200,7 @@ GOLDEN = {
         {"disagreements": 0, "groups": 9, "pending": 0}),
     "enumerate-Z15": (
         ["enumerate-extremal", "--group", "Z15"],
-        {"checkpoint.json": "038f96fe0b685c953d5e953973c3dca89189d69c40781632462cbd64061bb1c6",
+        {"checkpoint.json": "be0fb8376610d8e9906f4c6aa298eee4cf986c68adedbaa6e83c16108a3eb7a1",
          "records.jsonl": _ENUM_Z15},
         _enum_lines("Z15", 28, 6, "direct", "false",
                     {"SHAPE_EX2": 4, "UNCLASSIFIED": 24}),
@@ -1193,14 +1208,14 @@ GOLDEN = {
          "tags": {"SHAPE_EX2": 4, "UNCLASSIFIED": 24}}),
     "enumerate-Z16": (
         ["enumerate-extremal", "--group", "Z16"],
-        {"checkpoint.json": "862292f737ec4d5b301248e769960888849a3900d48335db0f36df4fc134bcad",
+        {"checkpoint.json": "2b19a762e4c89590227d052395dbee48d66bd5eb2fdd931524a6f151a7e0dadd",
          "records.jsonl": "d86e36c111e81dc17e0b8f52da14ae8a7fe98925cd9952a16ea6c4ca5aebc6af"},
         _enum_lines("Z16", 1, 7, "direct", "false", _SHAPE_I_TAGS),
         {"mode": "direct", "nodes": 3061, "orbit_dedup": False, "records": 1,
          "tags": _SHAPE_I_TAGS}),
     "enumerate-Z3xZ9": (
         ["enumerate-extremal", "--group", "Z3xZ9"],
-        {"checkpoint.json": "2574029f6925f01e1cde2aae07580ff903b6354c37d2fbc9fa76a0069183ae81",
+        {"checkpoint.json": "25e81f59220988c9fc848b5c34e62597608d460c8edae2a973299de6e6813802",
          "records.jsonl": "107887e2914115a36396ba30eedba26eff7ef876ea78e407073d3a29674d8cb5"},
         _enum_lines("Z3xZ9", 72, 9, "direct", "false",
                     {"HAS_COMPLETE_SUBSET": 72, "SHAPE_B": 72, "SHAPE_II": 72}),
@@ -1208,7 +1223,7 @@ GOLDEN = {
          "tags": {"HAS_COMPLETE_SUBSET": 72, "SHAPE_B": 72, "SHAPE_II": 72}}),
     "enumerate-Z2xZ16-extended": (
         ["enumerate-extremal", "--group", "Z2xZ16", "--extended"],
-        {"checkpoint.json": "1a7e3e1c2312c8917b3161a493ae586319c6a41dbb39977cf87b15631de1c1f0",
+        {"checkpoint.json": "e80d186dd2f687249bcc10fbbc453abc8ccb6f5280c318fa577b27ea8e74e19e",
          "records.jsonl": "670bbe5a1a69939541eeaaec8e0fb1f2cb40108008cb5436101cf3e978f26afe"},
         _enum_lines("Z2xZ16", 3, 15, "missed_target", "false",
                     {tag: 3 for tag in _SHAPE_I_TAGS}),
@@ -1216,7 +1231,7 @@ GOLDEN = {
          "records": 3, "tags": {tag: 3 for tag in _SHAPE_I_TAGS}}),
     "enumerate-Z36-extended": (
         ["enumerate-extremal", "--group", "Z36", "--extended"],
-        {"checkpoint.json": "39f2ca4cf0d49fd0981bebe1d17f1474e2d733c82c0cb89ae054a85dba288e2b",
+        {"checkpoint.json": "8eff57084f057f319b868d3f0630bfcbebf3a176716dd030864ceea0b66a83d0",
          "records.jsonl": _ENUM_Z36},
         _enum_lines("Z36", 1, 17, "missed_target", "true", _SHAPE_I_TAGS),
         {"mode": "missed_target", "nodes": 20112, "orbit_dedup": True,
@@ -1224,7 +1239,7 @@ GOLDEN = {
     "conjecture-2-3-5": (
         ["conjecture", "--group", "Z15"],
         {"cert.json": "f957070b072dea65a66a6d3143121d0aca8536819b5495195b7a9d18d43ec20b",
-         "checkpoint.json": "2a3b5bb4414c6f9223537d65a65bdc5762b1b13eafcc90d0ccccc66f9d807ff3",
+         "checkpoint.json": "98df0cf33bbc56f6e7ea0792c0ecd9317d5c9f2ea56d5ccc88994ade3566a2ea",
          "records.jsonl": _ENUM_Z15},
         ["conjecture 2 at (p, q) = (3, 5) over Z15: REFUTED",
          "extremal sets: 28, failing: 24", "campaign <id>: COMPLETE"],
@@ -1232,14 +1247,14 @@ GOLDEN = {
     "conjecture-1-3-7": (
         ["conjecture", "--group", "Z21"],
         {"cert.json": "e90ae4091d4d14fc49de217674be9712cd57f10539f43e25850382a322d39755",
-         "checkpoint.json": "aad4103b76240e5b4b3adab767231110b176f6d85d6e503b8e815ffa41fc4e73",
+         "checkpoint.json": "04f4230b022a0d9c7a0dc7c73eaac91764aa3527e166ae3d5114118ac6eeb1d0",
          "records.jsonl": "4877becb389f309359acd9f0214577c675c0798645f63c595e4974389fff397f"},
         ["conjecture 1 at (p, q) = (3, 7) over Z21: REFUTED",
          "extremal sets: 390, failing: 358", "campaign <id>: COMPLETE"],
         {"failing": 358, "outcome": "REFUTED", "total": 390}),
     "verify-main-Z33": (
         ["verify-main", "--group", "Z33"],
-        {"checkpoint.json": "038d33fe213d51de1a1293abdc9803327151b3606d58ee355080046da120e23c",
+        {"checkpoint.json": "c44550c5518fa6460751fd3f092ecbf507fad098c9bebac72957de574ad17896",
          "records.jsonl": "9c10172d616683c433377486722816c1f7cd843e53a5f8c9a5068f96737510e3",
          "theorem.json": "2f45fd950b769cb670f2b5b888213a9d0ca269a2b96ed1285ecec4e142f1caf9"},
         ["Z33 (odd case, requires SHAPE_II): VERIFIED",
@@ -1248,7 +1263,7 @@ GOLDEN = {
          "tags": {"HAS_COMPLETE_SUBSET": 2, "SHAPE_B": 2, "SHAPE_II": 2}}),
     "verify-main-Z36": (
         ["verify-main", "--group", "Z36"],
-        {"checkpoint.json": "dd30bc39434c6414a41891855b361b1232ccf8f38afb27d0cb9bde1cde9f55be",
+        {"checkpoint.json": "0c865370b08a8dfa1ac5f7c5f0733b783309575988dc878fd3df0b1c11d2f18c",
          "records.jsonl": _ENUM_Z36,
          "theorem.json": "2496daddc54cedac8b66212eaa200954e8f4545477b51702de1ce847186dc489"},
         ["Z36 (even case, requires SHAPE_I): VERIFIED",

@@ -190,20 +190,24 @@ def _snapshots(enum):
 
 
 # Z15 and Z21 run in direct mode; Z33 and Z36 in missed-target mode with
-# orbit dedup, whose snapshots sit inside a target's pruned DFS
-@pytest.mark.parametrize("spec", ["Z15", "Z21", "Z33", "Z36"])
-def test_snapshot_at_every_record_resumes_to_the_same_records(spec):
+# orbit dedup, whose snapshots sit inside a target's pruned DFS; Z15 on two
+# workers without orbit dedup, whose snapshots sit inside a pool unit
+@pytest.mark.parametrize("spec,extended,orbit_dedup,threads", [
+    ("Z15", False, True, 1), ("Z21", False, True, 1), ("Z33", True, True, 1),
+    ("Z36", True, True, 1), ("Z15", True, False, 2),
+], ids=["Z15", "Z21", "Z33", "Z36", "Z15-extended-2-all"])
+def test_snapshot_at_every_record_resumes_to_the_same_records(
+        spec, extended, orbit_dedup, threads):
     g = _g(spec)
-    extended = spec in ("Z33", "Z36")
-    full, snapshots = _snapshots(S.ExtremalEnumeration(g, extended=extended))
-    assert full == list(S.ExtremalEnumeration(g, extended=extended).records())
+    run = dict(extended=extended, orbit_dedup=orbit_dedup, threads=threads)
+    full, snapshots = _snapshots(S.ExtremalEnumeration(g, **run))
+    assert full == list(S.ExtremalEnumeration(g, **run).records())
     assert snapshots[0]["mode"] == ("missed_target" if extended else "direct")
-    assert snapshots[0]["orbit_dedup"] is extended
+    assert snapshots[0]["orbit_dedup"] is (extended and orbit_dedup)
     assert all(st["inner"] is not None for st in snapshots)
     for k, state in enumerate(snapshots, start=1):
         assert state["emitted"] == k
-        rest = list(S.ExtremalEnumeration(g, extended=extended,
-                                          checkpoint=state).records())
+        rest = list(S.ExtremalEnumeration(g, checkpoint=state, **run).records())
         assert full[:k] + rest == full, f"{spec}: resume after record {k}"
 
 
@@ -263,6 +267,16 @@ def test_stabilizer_pruned_orbit_records_match_with_two_workers(spec):
     recs = S.ExtremalEnumeration(g, extended=True, orbit_dedup=True,
                                  threads=2).records()
     assert [tuple(rec.indices) for rec in recs] == ref.orbit_records_unpruned(g)
+
+
+@pytest.mark.parametrize("n", range(3, 31))
+def test_missed_target_records_without_orbit_dedup_match_a_seen_set(n):
+    # the first-sighting rule against a seen set over the unpruned leaves
+    for orders in S.abelian_groups_of_order(n):
+        g = S.make_group(orders)
+        enum = S.ExtremalEnumeration(g, extended=True, orbit_dedup=False)
+        assert [tuple(rec.indices) for rec in enum.records()] == \
+            ref.raw_records_unpruned(g), g.spec_string
 
 
 def _run_to_pause(g, budget, checkpoint=None, threads=1):
