@@ -161,8 +161,7 @@ class _Run:
 
 def _seal(digest, state: dict) -> str:
     """sha256 of the lines in `digest`, then of state as checkpointed."""
-    h = digest.copy()
-    h.update(dump_json(state, pretty=True).encode())
+    (h := digest.copy()).update(dump_json(state, pretty=True).encode())
     return h.hexdigest()
 
 
@@ -242,8 +241,7 @@ def _stream_records(enum: ExtremalEnumeration, records_final: Path,
         try:
             for rec in enum.records():
                 d = rec.to_dict()
-                line = dump_json(d) + "\n"
-                f.write(line)
+                f.write(line := dump_json(d) + "\n")
                 digest.update(line.encode())
                 written += 1
                 collect(d)

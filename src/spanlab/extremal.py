@@ -24,10 +24,12 @@ p always denotes the smallest prime divisor of |G|.
 
 from __future__ import annotations
 
+import math
 import os
 import random
 import time
 from contextlib import nullcontext
+from functools import lru_cache
 from typing import Iterator, NamedTuple
 
 from .critical import critical_number_formula, pq_window
@@ -288,6 +290,14 @@ def _candidates_fit(n: int, k: int) -> bool:
     return True
 
 
+@lru_cache(maxsize=1)
+def _orbits_below(n: int, d: int) -> int:
+    """The nonzero x in Z_n with gcd(x, n) < d, as a mask built in O(n):
+    the orbit of a divisor under the units is the x whose gcd with n it is."""
+    return int("".join("1" if math.gcd(x, n) < d else "0"
+                       for x in range(n - 1, 0, -1)) + "0", 2)
+
+
 def ProcessPoolExecutor(max_workers: int):
     """A concurrent.futures process pool of max_workers, imported here so
     that a run with one worker never loads the pool machinery."""
@@ -317,11 +327,11 @@ class ExtremalEnumeration:
     thread count: a walk pauses once its allowance is spent, a single
     worker before its next node, the pool after the root node whose
     subtree spent it, and before the first node when the allowance is
-    spent already. The pause raises EnumerationPaused
-    with state(), which the checkpoint argument restores under any thread
-    count: the run is rebuilt from the checkpoint's position alone, and a
-    checkpoint that is not the state() of that run raises
-    CheckpointMismatch (see _load). This is the one way to resume a run.
+    spent already. The pause raises EnumerationPaused with state(), which
+    the checkpoint argument restores under any thread count: the run is
+    rebuilt from the checkpoint's position alone, and a checkpoint that is
+    not the state() of that run raises CheckpointMismatch (see _load).
+    This is the one way to resume a run.
     stats.nodes counts the nodes this call walked, paused or not.
     """
 
@@ -341,15 +351,8 @@ class ExtremalEnumeration:
         self._engine: SizedEnumerator | AvoidingEnumerator | None = None
         self.targets = (target_representatives(group, self.orbit_dedup)
                         if missed else [None])
-        n = group.order
-        self._units = ([(u, pow(u, -1, n)) for u in group.units()]
-                       if self.orbit_dedup else [(1, 1)])
-        # _covers[i]: the union of the orbits of the targets before targets[i]
-        self._covers = [0]
-        for t in self.targets[:-1]:
-            self._covers.append(self._covers[-1] | sum(
-                1 << x for x in {u * t % n for u, _ in self._units}))
         self.target_pos = 0
+        self._units: list[tuple[int, int]] | None = None  # (u, u^-1), at first use
         if checkpoint is not None:
             try:
                 self._load(checkpoint)
@@ -392,12 +395,11 @@ class ExtremalEnumeration:
         }
 
     def _load(self, st: dict) -> None:
-        """Rebuild the run at st's position, then refuse st unless it is the
-        state() of that run. The position is target_pos and the inner
-        engine's state, null only once every walk is done. emitted, the
-        records written before st, is taken as it stands, done follows from
-        the position, the rest from this run; a field state() does not
-        write is refused."""
+        """Rebuild the run at st's position, target_pos and the inner engine's
+        state (null only once every walk is done), then refuse st unless it
+        is the state() of that run. emitted, the records written before st,
+        is taken as it stands, done follows from the position, the rest from
+        this run; a field state() does not write is refused."""
         check_fields(st, "checkpoint", mode=self.mode)
         pos = self.target_pos = st["target_pos"]
         if not isinstance(pos, int) or not 0 <= pos <= len(self.targets):
@@ -430,24 +432,25 @@ class ExtremalEnumeration:
         orbit, and (2) with orbit dedup, no unit image u*A that also avoids
         t = targets[target_pos] (u^-1 t outside Sigma(A)) is smaller in the
         walk's lexicographic order, so this walk met no other member first.
-        Without orbit dedup the first walk keeps every leaf."""
-        if not (self.target_pos or self.orbit_dedup):
-            return leaf
+        The earlier orbits are 0..t-1 without orbit dedup (none in a direct
+        run), and with it the x != 0 with gcd(x, n) < t, all if t = 0."""
         g, n, t = self.group, self.group.order, self.targets[self.target_pos]
+        if not self.orbit_dedup:  # the targets are 0..n-1, or None: direct
+            return None if t and (1 << t) - 1 & ~subset_sums_bits(g, leaf) else leaf
         sums = subset_sums_bits(g, leaf)
-        if self._covers[self.target_pos] & ~sums:
+        if _orbits_below(n, t or n) & ~sums:
             return None
-        if not self.orbit_dedup:
-            return leaf
-        mask = sum(1 << x for x in leaf)
+        if self._units is None:
+            self._units = [(u, pow(u, -1, n)) for u in g.units()]
+        mask = best = sum(1 << x for x in leaf)
         for u, inverse in self._units:
-            if not sums >> (inverse * t % n) & 1:
-                image = sum(1 << (u * x % n) for x in leaf)
-                diff = mask ^ image
-                if image & diff & -diff:  # the least element of A ^ uA is in uA
-                    return None
-        mask = g.canonical_bits_under_units(mask)
-        return tuple(i for i in range(n) if mask >> i & 1)
+            image = sum(1 << u * x % n for x in leaf)
+            diff = mask ^ image
+            # the least element of A ^ uA is in uA, and uA avoids t
+            if image & diff & -diff and not sums >> (inverse * t % n) & 1:
+                return None
+            best = min(best, image)
+        return tuple(g.iter_bits(best))
 
     def _stabilizer(self, t: int) -> tuple[tuple[int, ...], ...]:
         """The unit scalings fixing t with orbit dedup (else ()): they cut

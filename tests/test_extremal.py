@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import time
+import types
 from collections import Counter
 from math import comb
 
@@ -315,6 +317,34 @@ def test_zero_second_budget_pauses_before_the_first_target(threads):
         _g("Z3xZ3xZ3"), S.SearchBudget(max_seconds=0), threads=threads)
     assert records == [] and state["target_pos"] == 0
     assert state["inner"]["path"] == [] and state["inner"]["nodes"] == 0
+
+
+@pytest.mark.parametrize("spec, extended", [("Z1000000", False),
+                                             ("Z2xZ500000", True)],
+                         ids=["orbit-dedup", "product"])
+def test_a_run_on_a_wide_group_pauses_on_its_time_limit(monkeypatch, spec,
+                                                         extended):
+    # nothing built before the first walk grows faster than |G|, so a run on
+    # a group of order 10^6 pauses within seconds; with a clock one second
+    # on at every read it reads the start, its allowance, the walk's
+    # deadline, 3 s (allowed) before one node and 4 s after it: a pause
+    reads = []
+
+    def clock():
+        reads.append(None)
+        return float(len(reads) - 1)
+
+    fake = types.SimpleNamespace(monotonic=clock)
+    monkeypatch.setattr("spanlab.search.time", fake)
+    monkeypatch.setattr("spanlab.extremal.time", fake)
+    began = time.perf_counter()
+    enum = S.ExtremalEnumeration(_g(spec), S.SearchBudget(max_seconds=2.5),
+                                 extended=extended)
+    with pytest.raises(S.EnumerationPaused) as pause:
+        next(enum.records())
+    assert time.perf_counter() - began < 20
+    assert pause.value.state["target_pos"] == 0 and enum.stats.nodes == 1
+    assert len(reads) == 5
 
 
 @pytest.mark.parametrize("spec", ["Z3xZ3xZ3", "Z35"])
