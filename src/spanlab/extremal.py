@@ -25,7 +25,6 @@ p always denotes the smallest prime divisor of |G|.
 from __future__ import annotations
 
 import math
-import os
 import random
 import time
 from contextlib import nullcontext
@@ -36,9 +35,9 @@ from .critical import critical_number_formula, pq_window
 from .groups import (ElementSet, GroupSpec, cosets, make_group,
                      smallest_prime_divisor, subgroups_of_order)
 from .search import (ENGINE_VERSION, AvoidingEnumerator, CheckpointMismatch,
-                     EnumerationPaused, SearchBudget, SearchStats,
+                     EnumerationPaused, ProcessPoolExecutor, SearchBudget, SearchStats,
                      SizedEnumerator, check_fields, check_no_extra_fields,
-                     target_representatives, target_symmetries)
+                     target_representatives, target_symmetries, usable_cpus)
 from .sums import complete_subgroup_witnesses, contains_complete_subset, subset_sums_bits
 
 SCHEMA_VERSION = 1
@@ -298,13 +297,6 @@ def _orbits_below(n: int, d: int) -> int:
                        for x in range(n - 1, 0, -1)) + "0", 2)
 
 
-def ProcessPoolExecutor(max_workers: int):
-    """A concurrent.futures process pool of max_workers, imported here so
-    that a run with one worker never loads the pool machinery."""
-    from concurrent.futures import ProcessPoolExecutor as pool
-    return pool(max_workers=max_workers)
-
-
 class ExtremalEnumeration:
     """Streams every extremal set of a group exactly once, classified.
 
@@ -346,7 +338,7 @@ class ExtremalEnumeration:
         missed = extended or not _candidates_fit(group.order - 1, self.k)
         self.mode = "missed_target" if missed else "direct"
         self.orbit_dedup = bool(orbit_dedup and missed and group.is_cyclic_spec)
-        self.workers = min(threads, os.cpu_count() or 1) if missed else 1
+        self.workers = min(threads, usable_cpus()) if missed else 1
         self.stats = SearchStats()
         self._engine: SizedEnumerator | AvoidingEnumerator | None = None
         self.targets = (target_representatives(group, self.orbit_dedup)

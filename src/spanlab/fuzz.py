@@ -18,6 +18,7 @@ A campaign with zero violations is the deliverable; a nonzero count means
 either the bound or the implementation is wrong, and the examples list
 carries the first five offending instances for replay. The campaigns are
 rows of one table (CAMPAIGNS) that one trial loop (run_campaign) drives.
+run_all_campaigns runs them on every usable CPU, with the same reports as on one.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .bounds import (check_cauchy_davenport, check_diderrich, check_folk_lemma,
                      check_prime_growth_bound, check_sequence_growth,
                      check_three_facts, check_vosper, two_sqrt_floor)
 from .groups import ElementSet, GroupSpec, abelian_groups_of_order, cached_group
+from .search import ProcessPoolExecutor, usable_cpus
 from .sums import SequenceOverGroup, restricted_sums, subset_sums_bits
 
 _SEED_STRIDE = 1_000_003
@@ -345,5 +347,22 @@ def run_campaign(lemma: str, trials: int = DEFAULT_TRIALS,
 
 def run_all_campaigns(trials: int = DEFAULT_TRIALS, seed: int = 0,
                       lemmas: list[str] | None = None) -> list[FuzzReport]:
-    return [run_campaign(name, trials, seed)
-            for name in (lemmas or list(CAMPAIGNS))]
+    """run_campaign for each lemma (default: all), the reports in that order:
+    the caller runs the first at once, then from the front each one it can
+    still cancel in a pool whose one worker per further usable CPU works from
+    the back, else waits for its report; it cancels the rest if it stops."""
+    names = list(lemmas or CAMPAIGNS)
+    reports = [run_campaign(names[0], trials, seed)]
+    workers = min(usable_cpus() - 1, len(names) - 2)
+    if workers < 1:
+        return reports + [run_campaign(name, trials, seed) for name in names[1:]]
+    pool = ProcessPoolExecutor(workers)
+    try:
+        queued = [pool.submit(run_campaign, name, trials, seed)
+                  for name in reversed(names[1:])][::-1]
+        for name, unit in zip(names[1:], queued):
+            reports.append(run_campaign(name, trials, seed) if unit.cancel()
+                           else unit.result())
+    finally:
+        pool.shutdown(cancel_futures=True)
+    return reports

@@ -52,6 +52,7 @@ top.
 from __future__ import annotations
 
 import math
+import os
 import time
 from typing import Iterator, NamedTuple
 
@@ -554,7 +555,20 @@ def max_avoiding(group: GroupSpec, target: int, floor: int = 0,
     return MaxSearchResult(eng.k - 1, witness, eng.stats.nodes, eng.done)
 
 
-# -- parallel work units for missed-target enumeration -------------------------
+# -- process pools and parallel work units for missed-target enumeration -------
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on (os.cpu_count ignores affinity)."""
+    return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+
+
+def ProcessPoolExecutor(max_workers: int):
+    """A concurrent.futures process pool of max_workers, imported here so
+    that a run that starts no pool never loads the pool machinery."""
+    from concurrent.futures import ProcessPoolExecutor as pool
+    return pool(max_workers=max_workers)
 
 
 def run_work_unit(orders: tuple[int, ...], target: int, k: int, first: int,

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+import multiprocessing
 import os
 import re
 import shutil
 import subprocess
 import sys
+import time
 from concurrent.futures import Future
 from pathlib import Path
 
@@ -17,6 +20,7 @@ import pytest
 import spanlab as S
 import spanlab.cli
 import spanlab.extremal
+import spanlab.fuzz
 import spanlab.search
 from spanlab.cli import main as cli_main
 from spanlab.extremal import Verdict
@@ -198,14 +202,49 @@ def _interrupt(*args, **kwargs):
     raise KeyboardInterrupt
 
 
-@pytest.mark.parametrize("args,callee", [
+def _interrupt_the_caller_behind_a_busy_pool(monkeypatch, tmp):
+    """Two usable CPUs, so fuzz-bounds starts a pool of one worker, which
+    naps first: once on the nap it runs and once for each slot of its call
+    queue, so the campaigns submitted next stay queued for a while. The
+    caller's second campaign is interrupted; a worker that starts a
+    campaign leaves worker-ran-<lemma> in tmp."""
+    real_pool, real_campaign = spanlab.fuzz.ProcessPoolExecutor, spanlab.fuzz.run_campaign
+    caller = os.getpid()
+
+    def busy_pool(workers):
+        pool = real_pool(workers)
+        for _ in range(workers + 2):
+            pool.submit(time.sleep, 0.2)
+        return pool
+
+    @functools.wraps(real_campaign)  # pickled by its name, spanlab.fuzz.run_campaign
+    def run_campaign(lemma, trials, seed):
+        if os.getpid() != caller:
+            (tmp / f"worker-ran-{lemma}").touch()
+        elif lemma == "2.2":
+            raise KeyboardInterrupt
+        return real_campaign(lemma, trials, seed)
+
+    monkeypatch.setattr(spanlab.fuzz, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(spanlab.fuzz, "ProcessPoolExecutor", busy_pool)
+    monkeypatch.setattr(spanlab.fuzz, "run_campaign", run_campaign)
+
+
+@pytest.mark.parametrize("args,interrupt", [
     (["cr", "--group", "Z15"], "spanlab.critical.max_avoiding"),
     (["verify-theorem-a", "--max-order", 8], "spanlab.critical.max_avoiding"),
     (["fuzz-bounds", "--lemma", "2.3", "--trials", 5], "spanlab.fuzz.run_campaign"),
-], ids=["cr", "verify-theorem-a", "fuzz-bounds"])
+    (["fuzz-bounds", "--lemma", "2.1", "--lemma", "2.2", "--lemma", "2.3",
+      "--trials", 5], _interrupt_the_caller_behind_a_busy_pool),
+], ids=["cr", "verify-theorem-a", "fuzz-bounds", "fuzz-bounds-pool"])
 def test_ctrl_c_in_a_search_leaves_one_failed_record(cli, monkeypatch, args,
-                                                     callee):
-    monkeypatch.setattr(callee, _interrupt)
+                                                     interrupt):
+    """interrupt is the function to replace with one raising KeyboardInterrupt,
+    or a setup that arranges the interrupt itself."""
+    if callable(interrupt):
+        interrupt(monkeypatch, cli.tmp)
+    else:
+        monkeypatch.setattr(interrupt, _interrupt)
     code, out, err = cli(*args)
     assert code == 1
     assert err == "interrupted\n"
@@ -213,6 +252,10 @@ def test_ctrl_c_in_a_search_leaves_one_failed_record(cli, monkeypatch, args,
     assert rec["status"] == "FAILED"
     assert rec["summary"] == {"error": "KeyboardInterrupt"}
     assert out == f"campaign {rec['campaign_id']}: FAILED\n"
+    # what was still queued at the interrupt was cancelled, not run, and the
+    # pool's workers are gone
+    assert list(cli.tmp.glob("worker-ran-*")) == []
+    assert multiprocessing.active_children() == []
 
 
 def test_ctrl_c_in_an_enumeration_leaves_one_partial_record(cli, monkeypatch):
@@ -318,12 +361,27 @@ class _InlinePool:
         return unit
 
 
-@pytest.mark.parametrize("cpus,workers", [(3, 3), (None, 1)])
-def test_threads_pool_has_at_most_one_worker_per_cpu(cli, monkeypatch, cpus,
+@pytest.mark.parametrize("patches,workers", [
+    pytest.param({"spanlab.extremal.usable_cpus": lambda: 3}, 3, id="3-3"),
+    # no affinity to read and no CPU count: one worker
+    pytest.param({"os.sched_getaffinity": None, "os.cpu_count": lambda: None},
+                 1, id="None-1"),
+    # the affinity, as under taskset -c 0, not the host's CPU count
+    pytest.param({"os.sched_getaffinity": lambda pid: {0}, "os.cpu_count": lambda: 8},
+                 1, id="affinity-1-of-8"),
+    pytest.param({"os.sched_getaffinity": lambda pid: {1, 4, 6},
+                  "os.cpu_count": lambda: 8}, 3, id="affinity-3-of-8"),
+])
+def test_threads_pool_has_at_most_one_worker_per_cpu(cli, monkeypatch, patches,
                                                      workers):
+    """patches: what to replace (None: remove) for the usable CPU count."""
     monkeypatch.setattr(_InlinePool, "sizes", [])
     monkeypatch.setattr(spanlab.extremal, "ProcessPoolExecutor", _InlinePool)
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    for target, value in patches.items():
+        if value is None:
+            monkeypatch.delattr(target, raising=False)
+        else:
+            monkeypatch.setattr(target, value, raising=False)
     code, _, _ = cli("enumerate-extremal", "--group", "Z3", "--extended",
                      "--threads", 100_000)
     assert code == 0
@@ -333,11 +391,12 @@ def test_threads_pool_has_at_most_one_worker_per_cpu(cli, monkeypatch, cpus,
     assert len(_artifact(cli, rec, "records.jsonl").read_text().splitlines()) == 1
 
 
-def _loaded_by_fresh_import(*modules: str) -> str:
+def _loaded_by_fresh_import(*modules: str, then: str = "") -> str:
     """Those of modules that are in sys.modules after `import spanlab.cli`
-    in a fresh interpreter (this one has imported far more), as a printed list."""
+    and the statements `then` in a fresh interpreter (this one has imported
+    far more), as a printed list."""
     src = Path(spanlab.cli.__file__).resolve().parents[1]
-    probe = ("import sys, spanlab.cli; "
+    probe = (f"import os, sys, spanlab.cli\n{then}\n"
              f"print(sorted(m for m in {modules!r} if m in sys.modules))")
     return subprocess.run([sys.executable, "-c", probe], check=True,
                           capture_output=True, text=True,
@@ -347,6 +406,20 @@ def _loaded_by_fresh_import(*modules: str) -> str:
 def test_import_loads_no_pool_machinery():
     # only a run with --threads > 1 may load the pool stack
     assert _loaded_by_fresh_import("concurrent.futures", "multiprocessing") == "[]\n"
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
+@pytest.mark.parametrize("pin,lemmas", [
+    ("", ["--lemma", "2.5"]),
+    ("os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})", []),  # as taskset -c
+], ids=["one-campaign", "one-cpu"])
+def test_fuzz_bounds_on_one_cpu_or_of_one_campaign_loads_no_pool_machinery(
+        tmp_path, pin, lemmas):
+    run = (f"{pin}\nspanlab.cli.main(['--store', {str(tmp_path)!r}, 'fuzz-bounds', "
+           f"'--trials', '5', *{lemmas!r}])")
+    out = _loaded_by_fresh_import("concurrent.futures", "multiprocessing", then=run)
+    assert "COMPLETE" in out
+    assert out.endswith("\n[]\n")
 
 
 def test_import_loads_no_dataclass_or_secrets_stack():

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+import multiprocessing
+import os
 
 import pytest
 
@@ -61,12 +64,57 @@ def test_campaigns_are_deterministic_per_seed():
     assert c.seed != a.seed
 
 
-def test_run_all_campaigns_covers_every_lemma():
+def _no_pool(workers):
+    raise AssertionError(f"a pool of {workers} was started")
+
+
+@pytest.fixture(scope="module")
+def one_cpu_reports():
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(fuzz, "usable_cpus", lambda: 1)
+        m.setattr(fuzz, "ProcessPoolExecutor", _no_pool)
+        return [r.to_dict() for r in S.run_all_campaigns(trials=200, seed=1)]
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 16])
+def test_run_all_campaigns_covers_every_lemma(monkeypatch, one_cpu_reports, cpus):
+    # the reports, fuzz.json's bytes, do not depend on the usable CPUs
+    monkeypatch.setattr(fuzz, "usable_cpus", lambda: cpus)
     reports = S.run_all_campaigns(trials=200, seed=1)
     assert [r.lemma for r in reports] == ALL_LEMMAS
     assert all(r.violations == 0 for r in reports)
+    assert [r.to_dict() for r in reports] == one_cpu_reports
+    monkeypatch.setattr(fuzz, "ProcessPoolExecutor", _no_pool)
+    # one campaign, or one more after the first, starts no pool
     subset = S.run_all_campaigns(trials=200, seed=1, lemmas=["2.2", "2.5"])
     assert [r.lemma for r in subset] == ["2.2", "2.5"]
+    (single,) = S.run_all_campaigns(trials=200, seed=1, lemmas=["2.5"])
+    assert single.to_dict() == one_cpu_reports[ALL_LEMMAS.index("2.5")]
+
+
+def test_first_campaign_runs_in_the_caller_before_any_pool(monkeypatch):
+    # the benchmark's set-up probe stops at the first run_campaign call, so
+    # a pool built before it would put its imports into set-up time
+    calls = []
+    real_pool, real_campaign, caller = fuzz.ProcessPoolExecutor, fuzz.run_campaign, os.getpid()
+
+    def pool(workers):
+        calls.append(("pool", workers))
+        return real_pool(workers)
+
+    @functools.wraps(real_campaign)  # pickled by its name, spanlab.fuzz.run_campaign
+    def run_campaign(lemma, trials, seed):
+        if os.getpid() == caller:
+            calls.append(("campaign", lemma))
+        return real_campaign(lemma, trials, seed)
+
+    monkeypatch.setattr(fuzz, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(fuzz, "ProcessPoolExecutor", pool)
+    monkeypatch.setattr(fuzz, "run_campaign", run_campaign)
+    reports = fuzz.run_all_campaigns(trials=20, seed=0)
+    assert [r.lemma for r in reports] == ALL_LEMMAS
+    assert calls[:2] == [("campaign", "2.1"), ("pool", 1)]
+    assert multiprocessing.active_children() == []
 
 
 def test_restricted_sum_exhaustive_census():
