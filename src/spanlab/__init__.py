@@ -21,10 +21,9 @@ from .critical import (CriticalRow, CriticalSearchOutcome, CriticalTable,
 from .extremal import (HAS_COMPLETE_SUBSET, SHAPE_B, SHAPE_EX1, SHAPE_EX2,
                        SHAPE_I, SHAPE_II, UNCLASSIFIED, ConjectureReport,
                        CosetProfile, ExtremalEnumeration, ExtremalRecord,
-                       ObservationReport, TheoremReport, check_conjecture,
-                       check_observation_31, classify, coset_profile,
-                       extremality_failure, make_example_1, make_example_2,
-                       theorem_main_hypothesis, verify_theorem_main)
+                       ObservationReport, TheoremReport, check_observation_31,
+                       classify, coset_profile, extremality_failure,
+                       make_example_1, make_example_2, theorem_main_hypothesis)
 from .fuzz import CAMPAIGNS, FuzzReport, run_all_campaigns, run_campaign
 from .groups import (ElementSet, GroupSpec, abelian_groups_of_order,
                      all_subgroups, cosets, generated_subgroup, is_prime,
@@ -50,9 +49,8 @@ __all__ = [
     "SHAPE_I", "SHAPE_II", "SearchBudget", "SearchStats", "SequenceOverGroup",
     "SizedEnumerator", "TheoremReport", "UNCLASSIFIED",
     "abelian_groups_of_order", "all_subgroups",
-    "check_cauchy_davenport", "check_conjecture",
-    "check_diderrich", "check_folk_lemma", "check_growth_bound",
-    "check_hamidoune_dichotomy", "check_observation_31",
+    "check_cauchy_davenport", "check_diderrich", "check_folk_lemma",
+    "check_growth_bound", "check_hamidoune_dichotomy", "check_observation_31",
     "check_prime_growth_bound", "check_sequence_growth", "check_three_facts",
     "check_vosper", "classify", "complete_subgroup_witnesses",
     "contains_complete_subset", "coset_profile", "cosets",
@@ -66,6 +64,5 @@ __all__ = [
     "subset_sums",
     "subset_sums_bits", "subset_sums_with_zero", "sumset",
     "target_representatives", "target_symmetries", "theorem_main_hypothesis",
-    "two_sqrt_floor", "verify_critical_formula", "verify_theorem_main",
-    "__version__",
+    "two_sqrt_floor", "verify_critical_formula", "__version__",
 ]

@@ -1,11 +1,11 @@
-"""Extremal non-spanning sets: enumeration, classification, campaigns.
+"""Extremal non-spanning sets: enumeration, classification, verdicts.
 
 An extremal set for a group G is A subset of G \\ {0} with |A| = cr(G) - 1
 and Sigma(A) != G: one element short of the guaranteed-spanning size, yet
 still missing something. This module enumerates them exhaustively, tags
 each against the known structural shapes, profiles them by coset layout,
-and runs the conjecture campaigns whose certificates are the point of the
-whole exercise.
+and states the claims the conjectures and the structure theorem make of
+them, with the reports the conjecture and verify-main commands certify.
 
 Shape tags (witness payloads in parentheses):
 
@@ -565,23 +565,13 @@ class Verdict:
             if len(self.examples) < MAX_COUNTEREXAMPLES:
                 self.examples.append(record)
 
-    def feed(self, enum: ExtremalEnumeration) -> bool:
-        """Fold every record enum yields; whether its walk finished before
-        the budget ran out."""
-        try:
-            for rec in enum.records():
-                self.add(rec.to_dict())
-        except EnumerationPaused:
-            return False
-        return True
-
     def outcome(self, complete: bool) -> str:
         if not complete:
             return "PARTIAL"
         return "REFUTED" if self.failing else "VERIFIED"
 
 
-# -- conjecture campaigns ---------------------------------------------------------
+# -- conjectures -------------------------------------------------------------------
 
 
 class ConjectureReport(NamedTuple):
@@ -606,7 +596,7 @@ class ConjectureReport(NamedTuple):
     def to_dict(self) -> dict:
         d = self._asdict()
         d["property"] = d.pop("property_name")
-        d["orbit_dedup"] = False  # check_conjecture runs without orbit dedup
+        d["orbit_dedup"] = False  # cmd_conjecture passes orbit_dedup=False
         return d
 
 
@@ -628,27 +618,6 @@ def conjecture_claim(group: GroupSpec) -> tuple[int, int, int, str, str]:
     raise ValueError(
         f"{group.spec_string} is no Z_pq with (p, q) in pq_window's 'coset' "
         f"window (conjecture 1) or 'interval' window (conjecture 2)")
-
-
-def check_conjecture(group: GroupSpec, budget: SearchBudget = SearchBudget(),
-                     threads: int = 1) -> ConjectureReport:
-    """Enumerate every extremal set of group, a Z_pq, and test the conjecture
-    conjecture_claim names. Conjecture 1: |A| = p + q - 3 (the 'coset'
-    window forces cr = p + q - 2) and A contains a complete subset ->
-    HAS_COMPLETE_SUBSET. Conjecture 2: |A| = p + q - 2 (cr = p + q - 1)
-    and A is a symmetric generator interval -> SHAPE_EX2.
-
-    The enumeration is literal (no orbit dedup) and streamed through a
-    Verdict: VERIFIED means every extremal set carries the property,
-    REFUTED counts the failing sets and lists the first
-    MAX_COUNTEREXAMPLES of them, PARTIAL means the budget ran out. A run
-    resumes only through ExtremalEnumeration's checkpoint, as the command
-    line resumes it.
-    """
-    verdict = Verdict(conjecture_claim(group)[3])
-    enum = ExtremalEnumeration(group, budget, orbit_dedup=False,
-                               threads=threads)
-    return ConjectureReport.from_verdict(group, verdict, verdict.feed(enum))
 
 
 # -- main structure theorem --------------------------------------------------------
@@ -707,20 +676,3 @@ def theorem_verdict(group: GroupSpec) -> Verdict:
     """The structure theorem's claim on group as an empty Verdict."""
     case = theorem_main_hypothesis(group)
     return Verdict(SHAPE_I if case == "even" else SHAPE_II)
-
-
-def verify_theorem_main(group: GroupSpec, budget: SearchBudget = SearchBudget(),
-                        orbit_dedup: bool = True,
-                        threads: int = 1) -> TheoremReport:
-    """Check that every extremal set has the shape the structure theorem
-    demands: SHAPE_I when p = 2, SHAPE_II when p is odd. Violations list
-    the first MAX_COUNTEREXAMPLES failing sets. orbit_dedup checks one set
-    per unit orbit where ExtremalEnumeration allows it (missed-target runs
-    on single-factor specs); the report records whether it was in effect.
-    A run out of budget is PARTIAL; it resumes only through
-    ExtremalEnumeration's checkpoint."""
-    verdict = theorem_verdict(group)
-    enum = ExtremalEnumeration(group, budget, orbit_dedup=orbit_dedup,
-                               threads=threads)
-    return TheoremReport.from_verdict(group, verdict, verdict.feed(enum),
-                                      enum.orbit_dedup)

@@ -555,7 +555,7 @@ def max_avoiding(group: GroupSpec, target: int, floor: int = 0,
     return MaxSearchResult(eng.k - 1, witness, eng.stats.nodes, eng.done)
 
 
-# -- process pools and parallel work units for missed-target enumeration -------
+# -- process pools (extremal enumeration, fuzz-bounds) and work units ----------
 
 
 def usable_cpus() -> int:

@@ -1,10 +1,15 @@
-"""Shared fixtures: environment isolation and cached enumeration results."""
+"""Shared fixtures: environment isolation, cached enumeration results, and
+a command runner on a per-test store."""
 
 from __future__ import annotations
+
+import json
+from pathlib import Path
 
 import pytest
 
 import spanlab as S
+from spanlab.cli import main as cli_main
 
 
 @pytest.fixture(autouse=True)
@@ -30,3 +35,21 @@ def z16_records():
 @pytest.fixture(scope="session")
 def z21_records():
     return _records("Z21")
+
+
+@pytest.fixture
+def command(tmp_path, capsys):
+    """Runs one spanlab command on a store under tmp_path, its output
+    swallowed: command(artifact, *argv) returns the exit code, the ledger
+    record the run appended and the JSON artifact it wrote as `artifact`."""
+    store = tmp_path / "store"
+
+    def run(artifact: str, *argv) -> tuple[int, dict, dict]:
+        code = cli_main(["--store", str(store), *map(str, argv)])
+        capsys.readouterr()
+        ledger = (store / "campaigns.jsonl").read_text().splitlines()
+        record = json.loads(ledger[-1])
+        return code, record, json.loads(
+            Path(record["artifacts"][artifact]).read_text())
+
+    return run

@@ -128,18 +128,19 @@ def test_criterion_3_oracle_equivalence_on_random_instances():
 # --------------------------------------------------------------- 4
 
 
-def test_criterion_4_interval_conjecture_certificate_z15(z15_records):
+def test_criterion_4_interval_conjecture_certificate_z15(command, z15_records):
     t0 = time.monotonic()
-    rep = S.check_conjecture(S.parse_group_spec("Z15"))
+    code, _, cert = command("cert.json", "conjecture", "--group", "Z15")
     dt = time.monotonic() - t0
     assert dt < 1.0, f"took {dt:.3f}s, budget 1s"
-    assert rep.group == "Z15" and rep.outcome in ("VERIFIED", "REFUTED")
-    assert rep.outcome == "REFUTED"  # certificate is definitive either way
-    assert rep.extremal_count == len(z15_records) == 28
+    assert code == 0  # a refutation is a result, not a failure
+    assert cert["group"] == "Z15" and cert["outcome"] in ("VERIFIED", "REFUTED")
+    assert cert["outcome"] == "REFUTED"  # certificate is definitive either way
+    assert cert["extremal_count"] == len(z15_records) == 28
     assert all(rec.tags for rec in z15_records)  # every set classified
-    assert rep.failing_count == 24 == len(rep.counterexamples)
-    assert rep.counterexamples == [r.to_dict() for r in z15_records
-                                   if S.SHAPE_EX2 not in r.tags]
+    assert cert["failing_count"] == 24 == len(cert["counterexamples"])
+    assert cert["counterexamples"] == [r.to_dict() for r in z15_records
+                                       if S.SHAPE_EX2 not in r.tags]
     _line(4, f"all C(14,6) candidates in Z15 enumerated in {dt*1000:.0f}ms, "
              f"definitive REFUTED certificate, 28 extremal sets classified")
 
@@ -147,19 +148,21 @@ def test_criterion_4_interval_conjecture_certificate_z15(z15_records):
 # --------------------------------------------------------------- 5
 
 
-def test_criterion_5_complete_subset_conjecture_certificate_z21(z21_records):
+def test_criterion_5_complete_subset_conjecture_certificate_z21(command,
+                                                                z21_records):
     t0 = time.monotonic()
-    rep = S.check_conjecture(S.parse_group_spec("Z21"))
+    code, _, cert = command("cert.json", "conjecture", "--group", "Z21")
     dt = time.monotonic() - t0
     assert dt <= 60, f"took {dt:.1f}s, budget 60s"
-    assert rep.group == "Z21" and rep.outcome in ("VERIFIED", "REFUTED")
-    assert rep.outcome == "REFUTED"
-    assert rep.extremal_count == len(z21_records) == 390
+    assert code == 0
+    assert cert["group"] == "Z21" and cert["outcome"] in ("VERIFIED", "REFUTED")
+    assert cert["outcome"] == "REFUTED"
+    assert cert["extremal_count"] == len(z21_records) == 390
     assert all(rec.tags for rec in z21_records)
-    assert rep.failing_count == 358
+    assert cert["failing_count"] == 358
     failing = [r.to_dict() for r in z21_records
                if S.HAS_COMPLETE_SUBSET not in r.tags]
-    assert len(failing) == 358 and rep.counterexamples == failing[:25]
+    assert len(failing) == 358 and cert["counterexamples"] == failing[:25]
     _line(5, f"all C(20,7) candidates in Z21 enumerated in {dt:.2f}s, "
              f"definitive REFUTED certificate, 390 extremal sets classified")
 
@@ -199,18 +202,20 @@ def test_criterion_7_interval_constructions_are_extremal():
 
 @pytest.mark.parametrize("spec,required", [("Z33", S.SHAPE_II),
                                            ("Z36", S.SHAPE_I)])
-def test_criterion_8_structure_theorem_smallest_qualifying_groups(spec, required):
-    g = S.parse_group_spec(spec)
+def test_criterion_8_structure_theorem_smallest_qualifying_groups(command, spec,
+                                                                  required):
     threads = min(8, os.cpu_count() or 1)
     t0 = time.monotonic()
-    rep = S.verify_theorem_main(g, orbit_dedup=True, threads=threads)
+    code, record, rep = command("theorem.json", "verify-main", "--group", spec,
+                                "--threads", threads)
     dt = time.monotonic() - t0
     assert dt <= 7200, f"took {dt:.0f}s, budget 2h"
-    assert rep.required_tag == required
-    assert not rep.violations and rep.violation_count == 0
-    assert rep.outcome == "VERIFIED"
-    assert rep.extremal_count > 0
-    _line(8, f"{spec}: {rep.extremal_count} orbit-reduced extremal sets all "
+    assert code == 0
+    assert rep["required_tag"] == required and rep["orbit_dedup"]
+    assert not rep["violations"] and record["summary"]["violations"] == 0
+    assert rep["outcome"] == "VERIFIED"
+    assert rep["extremal_count"] > 0
+    _line(8, f"{spec}: {rep['extremal_count']} orbit-reduced extremal sets all "
              f"carry {required} ({dt:.0f}s, {threads} threads)")
 
 

@@ -1039,7 +1039,7 @@ def test_refuted_certificate_is_a_completed_run(cli):
     assert len(records) == 28
 
 
-@pytest.mark.parametrize("spec", ["Z16", "Z25", "Z33", "Z3xZ5"])
+@pytest.mark.parametrize("spec", ["Z16", "Z25", "Z33", "Z3xZ5", "Z2"])
 def test_conjecture_refuses_a_group_outside_both_windows(cli, spec):
     # the group names the conjecture: Z_pq in the 'coset' or 'interval'
     # window, on a single-factor spec

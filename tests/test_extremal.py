@@ -646,43 +646,50 @@ def test_example_constructor_interval_variant_rejects_bad_window():
 # -------------------------------------------------------- conjectures
 
 
-def test_conjecture_certificate_for_interval_shape(z15_records):
-    rep = S.check_conjecture(_g("Z15"))
-    assert rep.outcome == "REFUTED"
-    assert rep.which == 2 and (rep.p, rep.q) == (3, 5)
-    assert rep.group == "Z15"
-    assert rep.extremal_count == 28
-    assert rep.failing_count == 24
+def test_conjecture_certificate_for_interval_shape(command, z15_records):
+    _, _, cert = command("cert.json", "conjecture", "--group", "Z15")
+    assert cert["outcome"] == "REFUTED"
+    assert cert["which"] == 2 and (cert["p"], cert["q"]) == (3, 5)
+    assert cert["group"] == "Z15"
+    assert cert["extremal_count"] == 28
+    assert cert["failing_count"] == 24
     assert len(z15_records) == 28
-    assert len(rep.counterexamples) == 24
-    assert rep.to_dict()["orbit_dedup"] is False
-    assert rep.counterexamples == [r.to_dict() for r in z15_records
-                                   if S.SHAPE_EX2 not in r.tags]
+    assert len(cert["counterexamples"]) == 24
+    assert cert["orbit_dedup"] is False
+    assert cert["counterexamples"] == [r.to_dict() for r in z15_records
+                                       if S.SHAPE_EX2 not in r.tags]
 
 
-def test_conjecture_certificate_for_complete_subset(z21_records):
-    rep = S.check_conjecture(_g("Z21"))
-    assert rep.outcome == "REFUTED"
-    assert rep.group == "Z21"
-    assert rep.extremal_count == 390
-    assert rep.failing_count == 358
+def test_conjecture_certificate_for_complete_subset(command, z21_records):
+    _, _, cert = command("cert.json", "conjecture", "--group", "Z21")
+    assert cert["outcome"] == "REFUTED"
+    assert cert["group"] == "Z21"
+    assert cert["extremal_count"] == 390
+    assert cert["failing_count"] == 358
     # the certificate lists the first 25 failing sets in enumeration order
     failing = [r.to_dict() for r in z21_records
                if S.HAS_COMPLETE_SUBSET not in r.tags]
     assert len(failing) == 358
-    assert rep.counterexamples == failing[:25]
+    assert cert["counterexamples"] == failing[:25]
 
 
-def test_a_budgeted_report_is_partial_and_a_run_resumes_on_its_enumeration():
-    # the reports carry no checkpoint: a paused run resumes on its
+def test_a_budgeted_report_is_partial_and_a_run_resumes_on_its_enumeration(
+        command):
+    # the certificate carries no checkpoint: a paused run resumes on its
     # ExtremalEnumeration, and one Verdict folds the records on both sides
-    rep = S.check_conjecture(_g("Z15"), S.SearchBudget(max_nodes=60))
-    assert rep.outcome == "PARTIAL" and not hasattr(rep, "checkpoint")
+    code, _, cert = command("cert.json", "conjecture", "--group", "Z15",
+                            "--max-nodes", 60)
+    assert code == 2 and cert["outcome"] == "PARTIAL"
+    assert "checkpoint" not in cert
     verdict = Verdict(S.SHAPE_EX2)
     enum = S.ExtremalEnumeration(_g("Z15"), S.SearchBudget(max_nodes=60))
-    assert verdict.feed(enum) is False
+    with pytest.raises(S.EnumerationPaused):
+        for rec in enum.records():
+            verdict.add(rec.to_dict())
     resumed = S.ExtremalEnumeration(_g("Z15"), checkpoint=enum.state())
-    assert verdict.feed(resumed) is True
+    for rec in resumed.records():
+        verdict.add(rec.to_dict())
+    assert resumed.done
     assert (verdict.outcome(True), verdict.total, verdict.failing) == \
         ("REFUTED", 28, 24)
 
@@ -695,7 +702,7 @@ def test_the_group_names_the_conjecture():
     # not pq, p = q, q >= 2p + 3, a product spec of order 15, and q = 1
     for spec in ("Z16", "Z25", "Z33", "Z3xZ5", "Z2"):
         with pytest.raises(ValueError, match="'coset' window"):
-            S.check_conjecture(_g(spec))
+            conjecture_claim(_g(spec))
 
 
 # -------------------------------------------------- structure theorem
@@ -717,21 +724,22 @@ def test_structure_theorem_hypothesis_detection():
 
 
 @pytest.mark.parametrize("spec,tag", [("Z33", S.SHAPE_II), ("Z36", S.SHAPE_I)])
-def test_structure_theorem_extended_runs(spec, tag):
-    rep = S.verify_theorem_main(_g(spec), orbit_dedup=True)
-    assert rep.outcome == "VERIFIED"
-    assert rep.required_tag == tag
-    assert not rep.violations and rep.violation_count == 0
-    assert rep.extremal_count > 0
-    assert rep.tag_counts.get(tag) == rep.extremal_count
+def test_structure_theorem_extended_runs(command, spec, tag):
+    _, record, rep = command("theorem.json", "verify-main", "--group", spec)
+    assert rep["outcome"] == "VERIFIED"
+    assert rep["required_tag"] == tag
+    assert not rep["violations"] and record["summary"]["violations"] == 0
+    assert rep["extremal_count"] > 0
+    assert rep["tag_counts"].get(tag) == rep["extremal_count"]
 
 
-def test_structure_theorem_needs_no_flag():
+def test_structure_theorem_needs_no_flag(command):
     # every group the theorem covers is past the direct walk's budget (Z33
-    # has C(32, 11) = 129,024,480 candidate sets), so the default call takes
-    # the missed-target walk, with orbit dedup
-    rep = S.verify_theorem_main(_g("Z33"))
-    assert rep.outcome == "VERIFIED" and rep.orbit_dedup
+    # has C(32, 11) = 129,024,480 candidate sets), so the command with no
+    # flag takes the missed-target walk, with orbit dedup
+    code, _, rep = command("theorem.json", "verify-main", "--group", "Z33")
+    assert code == 0
+    assert rep["outcome"] == "VERIFIED" and rep["orbit_dedup"]
 
 
 @pytest.mark.extended
