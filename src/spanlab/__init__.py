@@ -28,9 +28,9 @@ from .fuzz import CAMPAIGNS, FuzzReport, run_all_campaigns, run_campaign
 from .groups import (ElementSet, GroupSpec, abelian_groups_of_order,
                      all_subgroups, cosets, generated_subgroup, is_prime,
                      make_group, parse_group_spec, subgroups_of_order)
-from .search import (AvoidingEnumerator, CheckpointMismatch, EnumerationPaused,
-                     MaxSearchResult, SearchBudget, SearchStats, SizedEnumerator,
-                     max_avoiding, target_representatives, target_symmetries)
+from .search import (AvoidingEnumerator, CheckpointMismatch, MaxSearchResult,
+                     SearchBudget, SearchStats, SizedEnumerator, max_avoiding,
+                     target_representatives, target_symmetries)
 from .store import CampaignStore
 from .sums import (SequenceOverGroup, complete_subgroup_witnesses,
                    contains_complete_subset, is_complete, restricted_sums,
@@ -43,7 +43,7 @@ __all__ = [
     "APWitness", "AvoidingEnumerator", "BoundReport", "CAMPAIGNS",
     "CampaignStore", "CheckpointMismatch", "ConjectureReport",
     "CosetProfile", "CriticalRow", "CriticalSearchOutcome", "CriticalTable",
-    "ElementSet", "EnumerationPaused", "ExtremalEnumeration",
+    "ElementSet", "ExtremalEnumeration",
     "ExtremalRecord", "FuzzReport", "GroupSpec", "HAS_COMPLETE_SUBSET",
     "MaxSearchResult", "ObservationReport", "SHAPE_B", "SHAPE_EX1", "SHAPE_EX2",
     "SHAPE_I", "SHAPE_II", "SearchBudget", "SearchStats", "SequenceOverGroup",

@@ -37,8 +37,8 @@ from .extremal import (ConjectureReport, ExtremalEnumeration, TheoremReport,
                        Verdict, classify, conjecture_claim, theorem_verdict)
 from .fuzz import CAMPAIGNS, DEFAULT_TRIALS, run_all_campaigns
 from .groups import ElementSet, parse_group_spec
-from .search import (CheckpointMismatch, EnumerationPaused, SearchBudget,
-                     check_fields, check_no_extra_fields)
+from .search import (CheckpointMismatch, SearchBudget, check_fields,
+                     check_no_extra_fields)
 from .store import (STATUS_COMPLETE, STATUS_FAILED, STATUS_PARTIAL,
                     CampaignStore, atomic_write_text, dump_json, sha256_file,
                     utc_stamp)
@@ -218,10 +218,11 @@ def _prefix_lines(records: Path, emitted: int) -> list[bytes]:
     return lines
 
 
-def _stream_records(enum: ExtremalEnumeration, records_final: Path,
-                    ck_path: Path, command: str, checkpoint_every: int,
-                    keep: int, digest, collect) -> str | None:
-    """Drive an enumeration, writing one JSON line per record.
+def _stream_records(enum: ExtremalEnumeration, budget: SearchBudget,
+                    records_final: Path, ck_path: Path, command: str,
+                    checkpoint_every: int, keep: int, digest,
+                    collect) -> str | None:
+    """Drive an enumeration on `budget`, writing one JSON line per record.
 
     Output goes to <records_final>.partial, cut after `keep` bytes, whose
     sha256 is `digest`, and appended to, then atomically renamed on
@@ -239,7 +240,7 @@ def _stream_records(enum: ExtremalEnumeration, records_final: Path,
     with open(partial, "a", encoding="utf-8") as f:
         f.truncate(keep)
         try:
-            for rec in enum.records():
+            for rec in enum.records(budget):
                 d = rec.to_dict()
                 f.write(line := dump_json(d) + "\n")
                 digest.update(line.encode())
@@ -250,18 +251,14 @@ def _stream_records(enum: ExtremalEnumeration, records_final: Path,
                     state = enum.state(), digest.copy()
                     _write_checkpoint(ck_path, command, records_final, *state)
                     consistent = state
-        except EnumerationPaused as pause:
-            f.flush()
-            _write_checkpoint(ck_path, command, records_final, pause.state, digest)
-            return "budget exhausted"
         except KeyboardInterrupt:
             f.flush()
             _write_checkpoint(ck_path, command, records_final, *consistent)
             return "interrupted"
-        f.flush()
-    os.replace(partial, records_final)
+    if enum.done:
+        os.replace(partial, records_final)
     _write_checkpoint(ck_path, command, records_final, enum.state(), digest)
-    return None
+    return None if enum.done else "budget exhausted"
 
 
 # -- subcommands -------------------------------------------------------------------
@@ -363,8 +360,7 @@ def _enumerating_run(args, run: _Run, group, orbit_dedup: bool,
         out, checkpoint = ck["records"], args.resume
     records_path = Path(out or run.dir / "records.jsonl")
     ck_path = Path(checkpoint or run.dir / "checkpoint.json")
-    enum = ExtremalEnumeration(group, _budget(args),
-                               getattr(args, "extended", False), orbit_dedup,
+    enum = ExtremalEnumeration(group, getattr(args, "extended", False), orbit_dedup,
                                ck and ck["state"], args.threads)
     keep, digest = 0, hashlib.sha256()
     for line in _prefix_lines(records_path, enum.stats.emitted):
@@ -379,8 +375,8 @@ def _enumerating_run(args, run: _Run, group, orbit_dedup: bool,
         # a finished run: its records file continues as the partial file
         os.replace(records_path, _partial(records_path))
     # resolved, so that the checkpoint names the records from any directory
-    stopped = _stream_records(enum, records_path.resolve(), ck_path, run.name,
-                              args.checkpoint_every, keep, digest, verdict.add)
+    stopped = _stream_records(enum, _budget(args), records_path.resolve(), ck_path,
+                              run.name, args.checkpoint_every, keep, digest, verdict.add)
     summary, lines, violation = report(enum, stopped is None, records_path)
     run.register("checkpoint", ck_path)
     if stopped is None:

@@ -35,9 +35,9 @@ from .critical import critical_number_formula, pq_window
 from .groups import (ElementSet, GroupSpec, cosets, make_group,
                      smallest_prime_divisor, subgroups_of_order)
 from .search import (ENGINE_VERSION, AvoidingEnumerator, CheckpointMismatch,
-                     EnumerationPaused, ProcessPoolExecutor, SearchBudget, SearchStats,
-                     SizedEnumerator, check_fields, check_no_extra_fields,
-                     target_representatives, target_symmetries, usable_cpus)
+                     ProcessPoolExecutor, SearchBudget, SearchStats, SizedEnumerator,
+                     check_fields, check_no_extra_fields, target_representatives,
+                     target_symmetries, usable_cpus)
 from .sums import complete_subgroup_witnesses, contains_complete_subset, subset_sums_bits
 
 SCHEMA_VERSION = 1
@@ -315,25 +315,24 @@ class ExtremalEnumeration:
     hands each target's walk to AvoidingEnumerator.run_split over a process
     pool of that many: one unit per root node the walk pushes, merged in
     lexicographic order, so the records are the bytes of a single-worker
-    run. The budget bounds the whole records() call under one rule at any
-    thread count: a walk pauses once its allowance is spent, a single
+    run. The budget of records() bounds that call under one rule at any
+    thread count: a walk stops once its allowance is spent, a single
     worker before its next node, the pool after the root node whose
     subtree spent it, and before the first node when the allowance is
-    spent already. The pause raises EnumerationPaused with state(), which
-    the checkpoint argument restores under any thread count: the run is
-    rebuilt from the checkpoint's position alone, and a checkpoint that is
-    not the state() of that run raises CheckpointMismatch (see _load).
-    This is the one way to resume a run.
-    stats.nodes counts the nodes this call walked, paused or not.
+    spent already. records() then returns with done False, and the next
+    records() call continues from that position. The checkpoint argument
+    restores a state() under any thread count: the run is rebuilt from
+    the checkpoint's position alone, and a checkpoint that is not the
+    state() of that run raises CheckpointMismatch (see _load).
+    stats.nodes counts the nodes this object walked.
     """
 
-    def __init__(self, group: GroupSpec, budget: SearchBudget = SearchBudget(),
-                 extended: bool = False, orbit_dedup: bool = True,
-                 checkpoint: dict | None = None, threads: int = 1):
+    def __init__(self, group: GroupSpec, extended: bool = False,
+                 orbit_dedup: bool = True, checkpoint: dict | None = None,
+                 threads: int = 1):
         if threads < 1:
             raise ValueError(f"threads must be at least 1, got {threads}")
         self.group = group
-        self.budget = budget
         self.k = critical_number_formula(group) - 1
         missed = extended or not _candidates_fit(group.order - 1, self.k)
         self.mode = "missed_target" if missed else "direct"
@@ -360,7 +359,7 @@ class ExtremalEnumeration:
         if self._engine is None and self.target_pos < len(self.targets):
             t = self.targets[self.target_pos]
             self._engine = (SizedEnumerator(self.group, self.k) if t is None else
-                            AvoidingEnumerator(self.group, t, self.k, None,
+                            AvoidingEnumerator(self.group, t, self.k,
                                                self._stabilizer(t)))
         return self._engine
 
@@ -408,7 +407,7 @@ class ExtremalEnumeration:
                     f"needs its {root.kind} engine's state")
             check_fields(inner, "checkpoint", group=self.group.spec_string,
                          **{f: getattr(root, f) for f in root.fields})
-            self._engine = type(root).from_state(self.group, inner, None, *(
+            self._engine = type(root).from_state(self.group, inner, *(
                 [root.symmetries] if root.kind == "avoiding" else []))
         want = self.state()
         check_no_extra_fields(st, "corrupt checkpoint:", want)
@@ -449,30 +448,30 @@ class ExtremalEnumeration:
         target t's DFS (see search.py)."""
         return target_symmetries(self.group, t) if self.orbit_dedup else ()
 
-    def records(self) -> Iterator[ExtremalRecord]:
+    def records(self, budget: SearchBudget = SearchBudget()) -> Iterator[ExtremalRecord]:
         if self.done:
             return
-        start = time.monotonic()
+        start, before = time.monotonic(), self.stats.nodes
         with (ProcessPoolExecutor(max_workers=self.workers) if self.workers > 1
               else nullcontext()) as pool:
             while (eng := self.engine()) is not None:
-                for leaf in self._walk(eng, pool, start):
+                left = budget.remaining(self.stats.nodes - before, start)
+                for leaf in self._walk(eng, pool, left):
                     if (indices := self._first_sighting(leaf)) is not None:
                         self.stats.emitted += 1
                         yield classify(ElementSet.from_indices(self.group, indices))
+                if not eng.done:
+                    return
                 self._engine = None
                 self.target_pos += 1
 
-    def _walk(self, eng, pool, start: float) -> Iterator[tuple[int, ...]]:
-        """eng's leaves on what this records() call has left of the budget,
-        split over the pool if there is one and eng is at its root. The
-        nodes walked go into stats.nodes; a pause re-raises with state()."""
-        eng.budget = self.budget.remaining(self.stats.nodes, start)
+    def _walk(self, eng, pool, budget: SearchBudget) -> Iterator[tuple[int, ...]]:
+        """eng's leaves on `budget`, split over the pool if there is one and
+        eng is at its root. The nodes walked go into stats.nodes."""
         before = eng.stats.nodes
         try:
-            yield from eng.run_split(pool.submit) if pool and not eng.path else eng.run()
-        except EnumerationPaused:
-            raise EnumerationPaused(self.state()) from None
+            yield from (eng.run_split(pool.submit, budget) if pool and not eng.path
+                        else eng.run(budget))
         finally:
             self.stats.nodes += eng.stats.nodes - before
 

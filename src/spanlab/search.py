@@ -63,14 +63,6 @@ ENGINE_VERSION = "search-1"
 _CLOCK_BITS = 1 << 18  # mask bits walked between two reads of the clock
 
 
-class EnumerationPaused(Exception):
-    """Raised by an engine when its budget runs out; carries resumable state."""
-
-    def __init__(self, state: dict):
-        super().__init__("search budget exhausted")
-        self.state = state
-
-
 class CheckpointMismatch(ValueError):
     pass
 
@@ -93,13 +85,14 @@ def check_no_extra_fields(state: dict, where: str, fields) -> None:
 
 
 class SearchBudget(NamedTuple):
-    """The allowance of one search call: nodes walked and seconds spent,
-    each infinite unless set. An engine pauses once it has walked
-    max_nodes nodes, or once it reads the clock max_seconds after its
-    run() started; before its first node if either is spent already
-    (<= 0). It reads the clock every _CLOCK_BITS // (the width of the
-    group's padded box) nodes, and at least every node: every 4,096 nodes
-    on Z64, every node on Z1000000, whatever the budget."""
+    """The allowance of the one search call it is passed to: nodes walked
+    and seconds spent, each infinite unless set. An engine's run() stops
+    short, with done False and its position held, once it has walked
+    max_nodes nodes, or once it reads the clock max_seconds after it
+    started; before its first node if either is spent already (<= 0). It
+    reads the clock every _CLOCK_BITS // (the width of the group's padded
+    box) nodes, and at least every node: every 4,096 nodes on Z64, every
+    node on Z1000000, whatever the budget."""
 
     max_nodes: float = math.inf
     max_seconds: float = math.inf
@@ -175,22 +168,21 @@ class _Engine:
     stacks, and pushes one element with _descend, which returns False for
     a child that no walk reaches: a spanning prefix (sized), or one off the
     candidate mask (avoiding). Both run() loops take their stop point
-    from _start and _check: a run pauses before the first node it may not
-    walk, so stats.nodes counts every node walked once across a pause. A
-    run steps past each leaf before yielding it, so no position holds a
-    full-length path; from_state refuses one, which would repeat its leaf.
+    from _start and _check: a spent budget returns before the next node,
+    not done, so the next run() resumes there and stats.nodes counts each
+    node once. A run steps past each leaf before yielding it, so no position
+    holds a full-length path; from_state refuses one, which repeats its leaf.
     """
 
     kind = ""
     fields: tuple[str, ...] = ("k",)
     root = 0
 
-    def __init__(self, group: GroupSpec, k: int, budget: SearchBudget = SearchBudget()):
+    def __init__(self, group: GroupSpec, k: int):
         if not 0 < k < group.order:
             raise ValueError(f"subset size {k} out of range for {group.spec_string}")
         self.group = group
         self.k = k
-        self.budget = budget
         self.path: list[int] = []
         self.cursor: list[int] = [self.root]
         self.stats = SearchStats()
@@ -209,10 +201,9 @@ class _Engine:
         }
 
     @classmethod
-    def from_state(cls, group: GroupSpec, state: dict,
-                   budget: SearchBudget = SearchBudget(), *args):
-        """Rebuild an engine at a state() position; the trailing arguments
-        go to the constructor after budget (AvoidingEnumerator: symmetries).
+    def from_state(cls, group: GroupSpec, state: dict, *args):
+        """Rebuild an engine at a state() position, passing the trailing
+        arguments (AvoidingEnumerator: symmetries) to the constructor.
         Raises CheckpointMismatch unless engine, kind and group match and
         the position passes the checks below; a cut of run() that _descend
         does not make is not replayed (a Z35 target-0 position under the
@@ -220,7 +211,7 @@ class _Engine:
         taken as they stand."""
         check_fields(state, "checkpoint", engine=ENGINE_VERSION, kind=cls.kind,
                      group=group.spec_string)
-        self = cls(group, *(int(state[f]) for f in cls.fields), budget, *args)
+        self = cls(group, *(int(state[f]) for f in cls.fields), *args)
         path = [int(x) for x in state["path"]]
         cursor = [int(x) for x in state["cursor"]]
         below = [self.root - 1, *path]
@@ -242,25 +233,24 @@ class _Engine:
         self.done = bool(state["done"])
         return self
 
-    def _start(self) -> int:
-        """Fix this run's stop point: max_nodes past the nodes counted so far
-        and max_seconds from now. Pauses at once if that allowance is
-        already spent, else returns the count at which to _check next."""
-        b = self.budget
-        self._stop = self.stats.nodes + b.max_nodes
-        self._deadline = time.monotonic() + b.max_seconds
+    def _start(self, budget: SearchBudget) -> int | None:
+        """Fix this run's stop point: budget's max_nodes past the nodes
+        counted so far and its max_seconds from now. Returns None if that
+        allowance is already spent, else the count at which to _check next."""
+        self._stop = self.stats.nodes + budget.max_nodes
+        self._deadline = time.monotonic() + budget.max_seconds
         self._every = max(1, _CLOCK_BITS // self.group.padded_layout().box.bit_length())
         return self._check(self.stats.nodes)
 
-    def _check(self, nodes: int) -> int:
-        """Pause with `nodes` walked if the allowance is spent, else return
-        the count at which to check again: the stop point, or sooner the
-        next clock read, one interval (see SearchBudget) on. The run loops
-        call this when their count reaches that value, before walking the
-        next node."""
+    def _check(self, nodes: int) -> int | None:
+        """Return None with stats.nodes set to `nodes` if the allowance is
+        spent, and the run returns; else return the count at which to
+        check again: the stop point, or sooner the next clock read, one
+        interval (see SearchBudget) on. The run loops call this when their
+        count reaches that value, before walking the next node."""
         if nodes >= self._stop or time.monotonic() >= self._deadline:
             self.stats.nodes = nodes
-            raise EnumerationPaused(self.state())
+            return None
         return min(nodes + self._every, self._stop)
 
 
@@ -276,8 +266,8 @@ class SizedEnumerator(_Engine):
     kind = "sized"
     root = 1
 
-    def __init__(self, group: GroupSpec, k: int, budget: SearchBudget = SearchBudget()):
-        super().__init__(group, k, budget)
+    def __init__(self, group: GroupSpec, k: int):
+        super().__init__(group, k)
         self.sigs: list[int] = [0]
 
     def _descend(self, x: int) -> bool:
@@ -288,7 +278,7 @@ class SizedEnumerator(_Engine):
         self.sigs.append(sig | _doubled(added, lay.doublings))
         return (sig | added) & lay.box != lay.box
 
-    def run(self) -> Iterator[tuple[int, ...]]:
+    def run(self, budget: SearchBudget = SearchBudget()) -> Iterator[tuple[int, ...]]:
         if self.done:
             return
         g = self.group
@@ -299,7 +289,8 @@ class SizedEnumerator(_Engine):
         path, cursor, sigs = self.path, self.cursor, self.sigs
         stats = self.stats
         nodes = stats.nodes
-        check_at = self._start()
+        if (check_at := self._start(budget)) is None:
+            return
         while True:
             depth = len(path)
             if depth == k:
@@ -318,8 +309,8 @@ class SizedEnumerator(_Engine):
                     return
                 path.pop(); cursor.pop(); sigs.pop()
                 continue
-            if nodes == check_at:
-                check_at = self._check(nodes)
+            if nodes == check_at and (check_at := self._check(nodes)) is None:
+                return
             nodes += 1
             cursor[depth] = c + 1
             sig = sigs[depth]
@@ -347,13 +338,12 @@ class AvoidingEnumerator(_Engine):
     fields = ("target", "k")
 
     def __init__(self, group: GroupSpec, target: int, k: int,
-                 budget: SearchBudget = SearchBudget(),
                  symmetries: tuple[tuple[int, ...], ...] = ()):
         if not 0 <= target < group.order:
             raise ValueError(f"target {target} out of range")
         if any(s[target] != target for s in symmetries):
             raise ValueError(f"a symmetry moves the target {target}")
-        super().__init__(group, k, budget)
+        super().__init__(group, k)
         self.target = target
         self.symmetries = symmetries
         lay = group.padded_layout()
@@ -380,7 +370,8 @@ class AvoidingEnumerator(_Engine):
         pad = self.group.padded_layout().pad
         return self.allowed[depth] & (-1 << pad[min(self.cursor[depth], self.group.order)])
 
-    def run_split(self, submit) -> Iterator[tuple[int, ...]]:
+    def run_split(self, submit, budget: SearchBudget = SearchBudget()
+                  ) -> Iterator[tuple[int, ...]]:
         """run()'s walk from the root cursor, each root node's subtree walked
         by submit(run_work_unit, orders, target, k, f, symmetries), as with
         a concurrent.futures executor's submit. Every unit is submitted
@@ -391,8 +382,9 @@ class AvoidingEnumerator(_Engine):
         nodes run() counts. While it yields a leaf it holds run()'s position
         after that leaf, so a state() taken there resumes past it; after a
         unit's leaves the position is the root, its cursor past that unit's
-        node. It pauses only there: by _start, and by _check after each root
-        node and its subtree. Pending units are cancelled when the walk stops.
+        node. It stops short on budget only there, not done: by _start, and
+        by _check after each root node and its subtree. Pending units are
+        cancelled when the walk stops.
         """
         if self.done:
             return
@@ -400,7 +392,8 @@ class AvoidingEnumerator(_Engine):
         unpad = g.padded_layout().unpad
         kill, need = self.kills[0], k - 1
         rest = self._remaining(0)
-        self._start()
+        if self._start(budget) is None:
+            return
         units = []
         while rest.bit_count() > need:
             low = rest & -rest
@@ -420,14 +413,15 @@ class AvoidingEnumerator(_Engine):
                     yield leaf
                 self.path, self.cursor = [], [f + 1]
                 self.stats.nodes += 1 + walked
-                self._check(self.stats.nodes)
+                if self._check(self.stats.nodes) is None:
+                    return
         finally:
             for _, unit in units:
                 if unit:
                     unit.cancel()
         self.done = True
 
-    def run(self) -> Iterator[tuple[int, ...]]:
+    def run(self, budget: SearchBudget = SearchBudget()) -> Iterator[tuple[int, ...]]:
         if self.done:
             return
         g = self.group
@@ -438,7 +432,8 @@ class AvoidingEnumerator(_Engine):
             allowed[d] = self._remaining(d)
         stats = self.stats
         nodes = stats.nodes
-        check_at = self._start()
+        if (check_at := self._start(budget)) is None:
+            return
         grow = self._grow
         syms = self.symmetries
         if syms:
@@ -485,8 +480,8 @@ class AvoidingEnumerator(_Engine):
             rest ^= low
             p = low.bit_length() - 1
             c = unpad[p]
-            if nodes == check_at:
-                check_at = self._check(nodes)
+            if nodes == check_at and (check_at := self._check(nodes)) is None:
+                return
             nodes += 1
             cursor[depth] = c + 1
             # the kill mask translated by -c, past the box where it wrapped
@@ -544,13 +539,10 @@ def max_avoiding(group: GroupSpec, target: int, floor: int = 0,
     """
     if floor >= group.order - 1:  # no subset of G \ {0} is larger
         return MaxSearchResult(floor, None, 0, True)
-    eng = AvoidingEnumerator(group, target, floor + 1, budget, symmetries)
+    eng = AvoidingEnumerator(group, target, floor + 1, symmetries)
     eng._grow = True
     witness = None
-    try:
-        for witness in eng.run():
-            pass
-    except EnumerationPaused:
+    for witness in eng.run(budget):
         pass
     return MaxSearchResult(eng.k - 1, witness, eng.stats.nodes, eng.done)
 
@@ -583,7 +575,7 @@ def run_work_unit(orders: tuple[int, ...], target: int, k: int, first: int,
         return [], 0
     if k == 1:  # the root node {first} is the leaf
         return [(first,)], 0
-    eng = AvoidingEnumerator(group, target, k, SearchBudget(), symmetries)
+    eng = AvoidingEnumerator(group, target, k, symmetries)
     eng._descend(first)
     eng.cursor = [last + 1, first + 1]  # the root past the last start
     return list(eng.run()), eng.stats.nodes

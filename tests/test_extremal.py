@@ -166,14 +166,12 @@ def test_missed_target_engine_matches_direct_on_noncyclic_groups(spec):
 def test_enumeration_pause_and_resume_round_trip():
     g = _g("Z21")
     full = [tuple(r.indices) for r in S.ExtremalEnumeration(g).records()]
-    enum = S.ExtremalEnumeration(g, budget=S.SearchBudget(max_nodes=3000))
+    enum = S.ExtremalEnumeration(g)
     first = []
-    state = None
-    try:
-        for rec in enum.records():
-            first.append(tuple(rec.indices))
-    except S.EnumerationPaused as pause:
-        state = pause.state
+    for rec in enum.records(S.SearchBudget(max_nodes=3000)):
+        first.append(tuple(rec.indices))
+    assert not enum.done
+    state = enum.state()
     assert state is not None and 0 < len(first) < len(full)
     rest = [tuple(r.indices)
             for r in S.ExtremalEnumeration(g, checkpoint=state).records()]
@@ -237,15 +235,13 @@ def test_unpruned_snapshots_resume_under_stabilizer_pruning(monkeypatch):
         unpruned, snapshots = _snapshots(S.ExtremalEnumeration(g, extended=True))
         state = None
         while True:
-            enum = S.ExtremalEnumeration(
-                g, S.SearchBudget(max_nodes=4999), extended=True, checkpoint=state)
-            try:
-                for _ in enum.records():
-                    pass
+            enum = S.ExtremalEnumeration(g, extended=True, checkpoint=state)
+            for _ in enum.records(S.SearchBudget(max_nodes=4999)):
+                pass
+            if enum.done:
                 break
-            except S.EnumerationPaused as pause:
-                state = json.loads(json.dumps(pause.state))
-                snapshots.append(state)
+            state = json.loads(json.dumps(enum.state()))
+            snapshots.append(state)
     assert [dump_json(rec.to_dict()) for rec in unpruned] == full
     pruned = S.ExtremalEnumeration(g, extended=True)
     assert sum(_cut_by_stabilizer(pruned, st["inner"]) for st in snapshots) >= 5
@@ -284,14 +280,13 @@ def test_missed_target_records_without_orbit_dedup_match_a_seen_set(n):
 def _run_to_pause(g, budget, checkpoint=None, threads=1):
     """(records, JSON round-tripped pause state or None) of one extended
     invocation."""
-    enum = S.ExtremalEnumeration(g, budget, extended=True, checkpoint=checkpoint,
+    enum = S.ExtremalEnumeration(g, extended=True, checkpoint=checkpoint,
                                  threads=threads)
     records = []
-    try:
-        for rec in enum.records():
-            records.append(tuple(rec.indices))
-    except S.EnumerationPaused as pause:
-        return records, json.loads(json.dumps(pause.state))
+    for rec in enum.records(budget):
+        records.append(tuple(rec.indices))
+    if not enum.done:
+        return records, json.loads(json.dumps(enum.state()))
     return records, None
 
 
@@ -309,6 +304,13 @@ def test_node_budget_bounds_the_whole_run_at_any_thread_count():
             more, state = _run_to_pause(g, budget, state, threads)
             records += more
         assert records == straight, threads
+        # each records() call on one object gets the whole allowance
+        enum = S.ExtremalEnumeration(g, extended=True, threads=threads)
+        records, calls = [], 0
+        while not enum.done:
+            records += [tuple(rec.indices) for rec in enum.records(budget)]
+            calls += 1
+        assert (records, enum.stats.nodes, calls) == (straight, 158_618, 16), threads
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -338,12 +340,11 @@ def test_a_run_on_a_wide_group_pauses_on_its_time_limit(monkeypatch, spec,
     monkeypatch.setattr("spanlab.search.time", fake)
     monkeypatch.setattr("spanlab.extremal.time", fake)
     began = time.perf_counter()
-    enum = S.ExtremalEnumeration(_g(spec), S.SearchBudget(max_seconds=2.5),
-                                 extended=extended)
-    with pytest.raises(S.EnumerationPaused) as pause:
-        next(enum.records())
+    enum = S.ExtremalEnumeration(_g(spec), extended=extended)
+    assert list(enum.records(S.SearchBudget(max_seconds=2.5))) == []
+    assert not enum.done
     assert time.perf_counter() - began < 20
-    assert pause.value.state["target_pos"] == 0 and enum.stats.nodes == 1
+    assert enum.state()["target_pos"] == 0 and enum.stats.nodes == 1
     assert len(reads) == 5
 
 
@@ -362,13 +363,11 @@ def test_mid_target_checkpoint_resumes_with_two_workers(spec):
 
 
 def test_enumeration_rejects_checkpoint_from_other_group():
-    enum = S.ExtremalEnumeration(_g("Z21"),
-                                 budget=S.SearchBudget(max_nodes=3000))
-    try:
-        for _ in enum.records():
-            pass
-    except S.EnumerationPaused as pause:
-        state = pause.state
+    enum = S.ExtremalEnumeration(_g("Z21"))
+    for _ in enum.records(S.SearchBudget(max_nodes=3000)):
+        pass
+    assert not enum.done
+    state = enum.state()
     with pytest.raises(S.CheckpointMismatch):
         list(S.ExtremalEnumeration(_g("Z15"), checkpoint=state).records())
 
@@ -682,10 +681,10 @@ def test_a_budgeted_report_is_partial_and_a_run_resumes_on_its_enumeration(
     assert code == 2 and cert["outcome"] == "PARTIAL"
     assert "checkpoint" not in cert
     verdict = Verdict(S.SHAPE_EX2)
-    enum = S.ExtremalEnumeration(_g("Z15"), S.SearchBudget(max_nodes=60))
-    with pytest.raises(S.EnumerationPaused):
-        for rec in enum.records():
-            verdict.add(rec.to_dict())
+    enum = S.ExtremalEnumeration(_g("Z15"))
+    for rec in enum.records(S.SearchBudget(max_nodes=60)):
+        verdict.add(rec.to_dict())
+    assert not enum.done
     resumed = S.ExtremalEnumeration(_g("Z15"), checkpoint=enum.state())
     for rec in resumed.records():
         verdict.add(rec.to_dict())

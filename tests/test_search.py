@@ -50,7 +50,10 @@ def test_max_avoiding_floor_reports_only_larger_witnesses():
 def test_budget_exhaustion_reports_incomplete():
     g = S.parse_group_spec("Z21")
     res = S.max_avoiding(g, 1, budget=S.SearchBudget(max_nodes=10))
-    assert not res.complete
+    assert res.complete is False and res.nodes == 10
+    # a spent allowance returns before the first node, with no witness
+    res = S.max_avoiding(g, 1, budget=S.SearchBudget(max_seconds=0))
+    assert (res.nodes, res.witness, res.complete) == (0, None, False)
 
 
 def test_an_unset_budget_is_infinite():
@@ -60,8 +63,8 @@ def test_an_unset_budget_is_infinite():
 
 
 @pytest.mark.parametrize("make", [
-    lambda g, budget: S.SizedEnumerator(g, 2, budget),
-    lambda g, budget: S.AvoidingEnumerator(g, 1, 2, budget),
+    lambda g: S.SizedEnumerator(g, 2),
+    lambda g: S.AvoidingEnumerator(g, 1, 2),
 ], ids=["sized", "avoiding"])
 def test_a_wide_group_reads_the_clock_before_every_node(monkeypatch, make):
     # a node on Z1000000 shifts a 10^6-bit box, so the walk reads the clock
@@ -74,10 +77,10 @@ def test_a_wide_group_reads_the_clock_before_every_node(monkeypatch, make):
         return float(len(reads) - 1)
 
     monkeypatch.setattr("spanlab.search.time", types.SimpleNamespace(monotonic=clock))
-    eng = make(S.parse_group_spec("Z1000000"), S.SearchBudget(max_seconds=1.5))
-    with pytest.raises(S.EnumerationPaused) as pause:
-        list(eng.run())
-    assert pause.value.state["nodes"] == eng.stats.nodes == 1
+    eng = make(S.parse_group_spec("Z1000000"))
+    list(eng.run(S.SearchBudget(max_seconds=1.5)))
+    assert not eng.done
+    assert eng.state()["nodes"] == eng.stats.nodes == 1
     assert len(reads) == 3
 
 
@@ -289,10 +292,9 @@ def test_pruned_avoiding_enumerator_resume_is_lossless():
     assert len(uninterrupted) == 132
 
     def make(state):
-        budget = S.SearchBudget(max_nodes=97)
         if state is None:
-            return S.AvoidingEnumerator(g, 5, 7, budget, syms)
-        return S.AvoidingEnumerator.from_state(g, state, budget, syms)
+            return S.AvoidingEnumerator(g, 5, 7, syms)
+        return S.AvoidingEnumerator.from_state(g, state, syms)
 
     chunked, _ = _drain_with_pauses(make, 97)
     assert chunked == uninterrupted
@@ -316,16 +318,16 @@ def test_sized_enumerator_rejects_bad_size():
 
 
 def _drain_with_pauses(make, budget_nodes: int):
-    """Run an enumerator in budget-limited slices until it finishes."""
+    """Run an enumerator in budget-limited slices until it finishes, each
+    slice on an engine rebuilt from the state the last one stopped at."""
     out = []
     state = None
     for _ in range(10_000):
         enum = make(state)
-        try:
-            for item in enum.run():
-                out.append(item)
-        except S.EnumerationPaused as pause:
-            state = pause.state
+        for item in enum.run(S.SearchBudget(max_nodes=budget_nodes)):
+            out.append(item)
+        if not enum.done:
+            state = enum.state()
             continue
         return out, enum.state()
     raise AssertionError("enumeration never completed")
@@ -336,10 +338,9 @@ def test_sized_enumerator_resume_is_lossless():
     uninterrupted = list(S.SizedEnumerator(g, 6).run())
 
     def make(state):
-        budget = S.SearchBudget(max_nodes=500)
         if state is None:
-            return S.SizedEnumerator(g, 6, budget)
-        return S.SizedEnumerator.from_state(g, state, budget)
+            return S.SizedEnumerator(g, 6)
+        return S.SizedEnumerator.from_state(g, state)
 
     chunked, final_state = _drain_with_pauses(make, 500)
     assert chunked == uninterrupted
@@ -351,10 +352,9 @@ def test_avoiding_enumerator_resume_is_lossless():
     uninterrupted = list(S.AvoidingEnumerator(g, 2, 6).run())
 
     def make(state):
-        budget = S.SearchBudget(max_nodes=400)
         if state is None:
-            return S.AvoidingEnumerator(g, 2, 6, budget)
-        return S.AvoidingEnumerator.from_state(g, state, budget)
+            return S.AvoidingEnumerator(g, 2, 6)
+        return S.AvoidingEnumerator.from_state(g, state)
 
     chunked, _ = _drain_with_pauses(make, 400)
     assert chunked == uninterrupted
@@ -374,10 +374,9 @@ def test_noncyclic_avoiding_resume_is_lossless(spec, target, k, cut):
     assert len(uninterrupted) > 1
 
     def make(state):
-        budget = S.SearchBudget(max_nodes=97)
         if state is None:
-            return S.AvoidingEnumerator(g, target, k, budget, syms)
-        return S.AvoidingEnumerator.from_state(g, state, budget, syms)
+            return S.AvoidingEnumerator(g, target, k, syms)
+        return S.AvoidingEnumerator.from_state(g, state, syms)
 
     chunked, final_state = _drain_with_pauses(make, 97)
     assert chunked == uninterrupted
@@ -393,10 +392,9 @@ def test_noncyclic_sized_resume_is_lossless(spec, k):
     assert len(uninterrupted) > 1
 
     def make(state):
-        budget = S.SearchBudget(max_nodes=97)
         if state is None:
-            return S.SizedEnumerator(g, k, budget)
-        return S.SizedEnumerator.from_state(g, state, budget)
+            return S.SizedEnumerator(g, k)
+        return S.SizedEnumerator.from_state(g, state)
 
     chunked, final_state = _drain_with_pauses(make, 97)
     assert chunked == uninterrupted
